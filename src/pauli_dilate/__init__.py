@@ -12,6 +12,7 @@ from .channels import (
 )
 from .collisions import (
     CollisionConfig,
+    collision_channel,
     collision_map,
     convergence_report,
     fit_decay_rates,

@@ -199,7 +199,10 @@ def cmd_collide(args) -> int:
         raise ValueError('collide descriptor needs "a": [ax, ay, az] and "zeta"')
     if "dts" in desc:
         t_final = float(desc.get("t_final", 1.0))
-        dts = [float(v) for v in desc["dts"]]
+        dts = desc["dts"]
+        if not isinstance(dts, list) or not dts:
+            raise ValueError('"dts" must be a non-empty list of collision durations')
+        dts = [float(v) for v in dts]
         cfg = CollisionConfig(tuple(float(v) for v in a), float(zeta), dts[0], 1)
         entries = convergence_report(cfg, dts, t_final)
         lines = ["dt,max_trace_distance"]
@@ -209,8 +212,10 @@ def cmd_collide(args) -> int:
         return 0
     if "dt" not in desc or "n" not in desc:
         raise ValueError('collide descriptor needs "dt" and "n" (or "dts" and "t_final")')
-    cfg = CollisionConfig(tuple(float(v) for v in a), float(zeta), float(desc["dt"]),
-                          int(desc["n"]))
+    n = float(desc["n"])
+    if not n.is_integer():
+        raise ValueError(f'"n" must be a whole number of collisions, got {n}')
+    cfg = CollisionConfig(tuple(float(v) for v in a), float(zeta), float(desc["dt"]), int(n))
     entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
     lines = ["dt,t,trace_distance"]
     for t, err in entries[0].errors:

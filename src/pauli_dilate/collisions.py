@@ -1,11 +1,14 @@
-"""Fast-collision simulation of Pauli dynamical semigroups.
+"""Fast-collision model of Pauli dynamical semigroups, in closed form.
 
-Each collision couples the system qubit to a fresh two-qubit ancilla in
-|11> through H_c = nu sum_i a_i sigma_i (x) B_i with bath operators
-B_x = I (x) X, B_y = X (x) I, B_z = X (x) X.  The bath expectation values
-vanish in |11> and <B_i B_j> = delta_ij, so n collisions of duration dt
-with nu = sqrt(zeta / dt) converge to the Pauli semigroup with rates
-gamma_i = zeta a_i^2 as dt -> 0.
+Each collision couples the qubit to a fresh ancilla in |11> through
+nu (a1 XIX + a2 YXI + a3 ZXX), nu = sqrt(zeta / dt).  The bath factors IX,
+XI, XX have zero mean and <B_i B_j> = delta_ij in |11>, and the strings
+anticommute, so one collision is exactly the Pauli channel
+p_i = a_i^2 sin^2(sqrt(xi) nu dt) / xi with xi = sum_i a_i^2, n collisions
+scale the Bloch vector by lambda^n, and as dt -> 0 they converge to the
+semigroup with rates gamma_i = zeta a_i^2.  Trajectories hold at most
+MAX_COLLISIONS collisions; the brute-force U (rho (x) |11><11|) U+
+stepping is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -16,22 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    PauliLiouvillian,
-    bloch_state,
-    bloch_vector,
-    semigroup_channel,
-    validate_density_matrix,
-)
-from .linalg import basis_state, kron, mat_exp_hermitian, partial_trace_env, trace_distance
-from .pauli import ID2, SX, SY, SZ
+from .channels import PauliChannel, bloch_state, bloch_vector, validate_density_matrix
+from .dynamics import build_generic_pauli_dilation
+from .pauli import ID2, SIGMA
 
-BATH_OPS = {
-    "x": kron(ID2, SX),
-    "y": kron(SX, ID2),
-    "z": kron(SX, SX),
-}
-ANCILLA_STATE = basis_state("11")
+MAX_COLLISIONS = 10**6
+_PAULI_BASIS = np.array((ID2, *SIGMA))
 
 
 @dataclass(frozen=True)
@@ -51,10 +44,12 @@ class CollisionConfig:
         a = tuple(float(v) for v in self.a)
         if len(a) != 3:
             raise ValueError("need 3 Lindblad weights")
-        if self.zeta < 0:
-            raise ValueError("zeta must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("collision duration must be positive")
+        if not all(math.isfinite(v) for v in a):
+            raise ValueError(f"Lindblad weights must be finite, got {a}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"collision duration must be finite and positive, got {self.dt}")
         if self.n < 1:
             raise ValueError("need at least one collision")
         object.__setattr__(self, "a", a)
@@ -68,37 +63,41 @@ class CollisionConfig:
         return self.zeta * np.asarray(self.a, dtype=float) ** 2
 
 
+def _check_count(n: float) -> None:
+    if not n <= MAX_COLLISIONS:
+        raise ValueError(f"{n:.6g} collisions exceed the cap of {MAX_COLLISIONS} per trajectory")
+
+
 def collision_hamiltonian(a: Sequence[float], nu: float = 1.0) -> np.ndarray:
-    a1, a2, a3 = (float(v) for v in a)
-    return nu * (a1 * kron(SX, BATH_OPS["x"])
-                 + a2 * kron(SY, BATH_OPS["y"])
-                 + a3 * kron(SZ, BATH_OPS["z"]))
+    """nu (a1 XIX + a2 YXI + a3 ZXX) on system (x) ancilla."""
+    return nu * build_generic_pauli_dilation(*(float(v) for v in a)).h
 
 
-def collision_unitary(cfg: CollisionConfig) -> np.ndarray:
-    return mat_exp_hermitian(collision_hamiltonian(cfg.a, cfg.nu), cfg.dt)
-
-
-def _collision_step(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    ancilla = np.outer(ANCILLA_STATE, ANCILLA_STATE.conj())
-    return partial_trace_env(u @ kron(rho, ancilla) @ u.conj().T, 2, 4)
+def collision_channel(cfg: CollisionConfig) -> PauliChannel:
+    """One collision as the Pauli channel p_i = a_i^2 sin^2(sqrt(xi) nu dt) / xi."""
+    a = np.asarray(cfg.a)
+    xi = float(a @ a)
+    if xi == 0.0:
+        return PauliChannel.identity()
+    theta = math.sqrt(xi) * cfg.nu * cfg.dt
+    return PauliChannel((math.cos(theta) ** 2, *(a ** 2 * (math.sin(theta) ** 2 / xi))))
 
 
 def collision_map(cfg: CollisionConfig, rho) -> np.ndarray:
-    """One exact collision: Tr_E[U (rho (x) |11><11|) U+]."""
-    a = validate_density_matrix(rho)
-    return _collision_step(collision_unitary(cfg), a)
+    """One collision: Tr_E[U (rho (x) |11><11|) U+]."""
+    return collision_channel(cfg).apply(rho)
 
 
 def simulate_semigroup(cfg: CollisionConfig, rho0) -> list[np.ndarray]:
     """States after 0..n collisions with a fresh ancilla each step."""
     state = validate_density_matrix(rho0)
-    u = collision_unitary(cfg)
-    trajectory = [state]
-    for _ in range(cfg.n):
-        state = _collision_step(u, state)
-        trajectory.append(state)
-    return trajectory
+    _check_count(cfg.n)
+    coeffs = np.einsum("aij,ji->a", _PAULI_BASIS, state)
+    scalings = np.concatenate(([1.0], collision_channel(cfg).bloch_scaling()))
+    powers = scalings ** np.arange(cfg.n + 1)[:, None]
+    trajectory = 0.5 * np.einsum("ka,aij->kij", powers * coeffs, _PAULI_BASIS)
+    trajectory[0] = state  # the input itself, not its Pauli re-expansion
+    return list(trajectory)
 
 
 @dataclass
@@ -115,41 +114,41 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
                        rho0=None) -> list[ConvergenceEntry]:
     """Trajectory error against the exact semigroup for each dt.
 
-    The reference is the closed-form Pauli semigroup with rates
-    gamma_i = zeta a_i^2 applied to rho0 at every collision time.
+    Each rung runs round(t_final / dt) collisions.  For qubit states the
+    trace distance is half the Euclidean distance of the Bloch vectors, so
+    the states lambda^k r0 are compared with the closed-form semigroup
+    exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in one pass.
     """
     if rho0 is None:
         rho0 = bloch_state(np.array([1.0, 1.0, 1.0]) / math.sqrt(3))
-    rho0 = validate_density_matrix(rho0)
-    lv = PauliLiouvillian(tuple(cfg.rates()))
+    r0 = bloch_vector(validate_density_matrix(rho0))
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
+    gamma = cfg.rates()
+    decay = 2.0 * (gamma.sum() - gamma)
     entries = []
     for dt in dts:
-        n = int(round(t_final / dt))
-        run = replace(cfg, dt=float(dt), n=n)
-        trajectory = simulate_semigroup(run, rho0)
-        errors = []
-        for k, state in enumerate(trajectory):
-            t = k * dt
-            exact = semigroup_channel(lv, t).apply(rho0)
-            errors.append((t, trace_distance(state, exact)))
-        entries.append(ConvergenceEntry(float(dt), errors))
+        run = replace(cfg, dt=float(dt))
+        steps = t_final / run.dt
+        _check_count(steps)
+        run = replace(run, n=int(round(steps)))
+        t = np.arange(run.n + 1) * run.dt
+        states = collision_channel(run).bloch_scaling() ** np.arange(run.n + 1)[:, None] * r0
+        exact = np.exp(-np.outer(t, decay)) * r0
+        errors = 0.5 * np.linalg.norm(states - exact, axis=1)
+        entries.append(ConvergenceEntry(run.dt, list(zip(t.tolist(), errors.tolist()))))
     return entries
 
 
 def fit_decay_rates(cfg: CollisionConfig) -> np.ndarray:
-    """Recover gamma_i from log-linear decay of the Bloch components.
+    """Recover gamma_i from the decay of the Bloch components.
 
-    Simulates from r0 = (1,1,1)/sqrt(3), fits the slope of log r_i(t), and
-    inverts slope_i = -2 sum_{j != i} gamma_j.
+    Each component decays geometrically, r_i(k dt) = lambda_i^k r_i(0), so
+    the log-linear slope is exactly log(lambda_i) / dt; inverting
+    slope_i = -2 sum_{j != i} gamma_j gives the rates.
     """
-    r0 = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-    trajectory = simulate_semigroup(cfg, bloch_state(r0))
-    times = cfg.dt * np.arange(len(trajectory))
-    slopes = np.empty(3)
-    for i in range(3):
-        series = np.array([bloch_vector(state)[i] / r0[i] for state in trajectory])
-        if series.min() <= 0:
-            raise ValueError("Bloch component crossed zero; cannot fit a decay rate")
-        slopes[i] = np.polyfit(times, np.log(series), 1)[0]
-    u = -slopes / 2.0
+    scalings = collision_channel(cfg).bloch_scaling()
+    if scalings.min() <= 0:
+        raise ValueError("Bloch component crossed zero; cannot fit a decay rate")
+    u = -np.log(scalings) / (2.0 * cfg.dt)
     return u.sum() / 2.0 - u

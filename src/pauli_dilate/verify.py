@@ -371,21 +371,25 @@ def check_schedule_round_trip() -> CheckResult:
 
 
 def check_collision_bath_conditions() -> CheckResult:
-    psi = collisions.ANCILLA_STATE
+    psi = linalg.basis_state("11")
     worst = 0.0
-    ops = list(collisions.BATH_OPS.values())
+    ops = [pauli_mod.to_matrix(pauli_mod.pauli(s)) for s in ("IX", "XI", "XX")]
     for b in ops:
         worst = max(worst, abs(complex(psi.conj() @ b @ psi)))
     for i, bi in enumerate(ops):
         for j, bj in enumerate(ops):
             c = complex(psi.conj() @ bi.conj().T @ bj @ psi)
             worst = max(worst, abs(c - (1.0 if i == j else 0.0)))
+    # the closed-form collision channel against the dilation it stands for
     cfg = collisions.CollisionConfig((0.7, 0.5, 0.3), 1.0, 0.05, 4)
-    state = channels.bloch_state(np.array([0.2, -0.3, 0.4]))
+    pd = dynamics.PhysicalDilation(collisions.collision_hamiltonian(cfg.a, cfg.nu), psi, 2, 4)
+    v = dynamics.isometry_at(pd, cfg.dt)
+    channel = collisions.collision_channel(cfg)
+    fast = exact = channels.bloch_state(np.array([0.2, -0.3, 0.4]))
     for _ in range(cfg.n):
-        state = collisions.collision_map(cfg, state)
-        worst = max(worst, abs(float(np.trace(state).real) - 1.0))
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(state).min())))
+        fast = channel.apply(fast)
+        exact = dilations.channel_of_isometry(v, exact)
+        worst = max(worst, linalg.frob_dist(fast, exact))
     return _result("collision-bath-conditions", worst, 1e-12)
 
 

@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pauli_dilate.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -192,6 +196,53 @@ class TestCollideCommand:
     def test_rejects_missing_fields(self, capsys):
         code, _, _ = run_cli(["collide", "--in", '{"a":[0,0,1],"zeta":1.0}'], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("desc", [
+        '{"a":[NaN,0,0],"zeta":1,"dt":0.1,"n":3}',
+        '{"a":[0,Infinity,0],"zeta":1,"dt":0.1,"n":3}',
+        '{"a":[0,0,1],"zeta":NaN,"dt":0.1,"n":3}',
+        '{"a":[0,0,1],"zeta":Infinity,"dt":0.1,"n":3}',
+        '{"a":[0,0,1],"zeta":1,"dt":NaN,"n":3}',
+        '{"a":[0,0,1],"zeta":1,"dt":Infinity,"n":3}',
+        '{"a":[0,0,1],"zeta":1,"dt":0.1,"n":Infinity}',
+        '{"a":[0,0,1],"zeta":1,"dt":0.1,"n":NaN}',
+        '{"a":[0,0,1],"zeta":1,"dt":0.1,"n":2.5}',
+        '{"a":[0,0,1],"zeta":1,"dts":[],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":0.1,"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1,0],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1,-0.05],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1,NaN],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1,Infinity],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":0}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":-1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":NaN}',
+        '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":Infinity}',
+        '{"a":[0,0,1],"zeta":1,"dts":[1e-9],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dt":1e-9,"n":10000000}',
+    ])
+    def test_rejects_bad_values_with_one_line(self, capsys, desc):
+        code, out, err = run_cli(["collide", "--in", desc], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("golden, desc", [
+        ("collide_trajectory.csv", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'),
+        ("collide_ladder.csv", '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'),
+    ])
+    def test_readme_examples_match_golden(self, capsys, golden, desc):
+        # dt and t are exact; trace distances may move by rounding in the last digits
+        want = (GOLDEN / golden).read_text().splitlines()
+        code, out, _ = run_cli(["collide", "--in", desc], capsys)
+        assert code == 0
+        got = out.splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            *got_keys, got_err = got_row.split(",")
+            *want_keys, want_err = want_row.split(",")
+            assert got_keys == want_keys
+            assert abs(float(got_err) - float(want_err)) <= 1e-13
 
 
 class TestVerifyCommand:

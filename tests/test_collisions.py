@@ -2,33 +2,60 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pauli_dilate.channels import PauliLiouvillian, bloch_state, bloch_vector, semigroup_channel
+from pauli_dilate.channels import (
+    PauliChannel,
+    PauliLiouvillian,
+    bloch_state,
+    bloch_vector,
+    semigroup_channel,
+)
 from pauli_dilate.collisions import (
-    ANCILLA_STATE,
-    BATH_OPS,
+    MAX_COLLISIONS,
     CollisionConfig,
+    collision_channel,
     collision_hamiltonian,
     collision_map,
     convergence_report,
     fit_decay_rates,
     simulate_semigroup,
 )
-from pauli_dilate.linalg import frob_dist, trace_distance
-from pauli_dilate.pauli import SIGMA, pauli, pauli_basis_expand, pauli_commutant
+from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env, trace_distance
+from pauli_dilate.pauli import SIGMA, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+
+# Brute-force oracle: the collision as an explicit unitary on system (x) ancilla,
+# with bath operators B_x = IX, B_y = XI, B_z = XX and a fresh |11> ancilla per step.
+BATH_OPS = [to_matrix(pauli(s)) for s in ("IX", "XI", "XX")]
+ANCILLA_STATE = basis_state("11")
+
+
+def bath_hamiltonian(a, nu):
+    return nu * sum(w * np.kron(s, b) for w, s, b in zip(a, SIGMA, BATH_OPS))
+
+
+def brute_force_trajectory(cfg, rho0):
+    """States after 0..n collisions: rho -> Tr_E[U (rho (x) |11><11|) U+]."""
+    u = scipy.linalg.expm(-1j * cfg.dt * bath_hamiltonian(cfg.a, cfg.nu))
+    ancilla = np.outer(ANCILLA_STATE, ANCILLA_STATE.conj())
+    states = [np.asarray(rho0, dtype=complex)]
+    for _ in range(cfg.n):
+        states.append(partial_trace_env(u @ np.kron(states[-1], ancilla) @ u.conj().T, 2, 4))
+    return states
 
 
 class TestBathOperators:
     def test_zero_mean_in_ancilla_state(self):
         psi = ANCILLA_STATE
-        for b in BATH_OPS.values():
+        for b in BATH_OPS:
             assert abs(complex(psi.conj() @ b @ psi)) == 0
 
     def test_two_point_function_is_kronecker_delta(self):
         psi = ANCILLA_STATE
-        ops = list(BATH_OPS.values())
-        for i, bi in enumerate(ops):
-            for j, bj in enumerate(ops):
+        for i, bi in enumerate(BATH_OPS):
+            for j, bj in enumerate(BATH_OPS):
                 c = complex(psi.conj() @ bi.conj().T @ bj @ psi)
                 assert abs(c - (1.0 if i == j else 0.0)) == 0
 
@@ -36,6 +63,10 @@ class TestBathOperators:
         h = collision_hamiltonian((0.7, 0.5, 0.3), nu=2.0)
         allowed = set(pauli_commutant([pauli(s) for s in ("ZZZ", "XZI", "YIZ")], 3))
         assert set(pauli_basis_expand(h)) <= allowed
+
+    def test_collision_hamiltonian_equals_bath_coupling(self):
+        a, nu = (0.7, -0.5, 0.3), 2.5
+        assert np.array_equal(collision_hamiltonian(a, nu), bath_hamiltonian(a, nu))
 
 
 class TestConfig:
@@ -52,6 +83,12 @@ class TestConfig:
         dict(a=(0, 0, 1), zeta=1.0, dt=0.0, n=1),
         dict(a=(0, 0, 1), zeta=1.0, dt=0.1, n=0),
         dict(a=(0, 1), zeta=1.0, dt=0.1, n=1),
+        dict(a=(math.nan, 0, 0), zeta=1.0, dt=0.1, n=1),
+        dict(a=(0, math.inf, 0), zeta=1.0, dt=0.1, n=1),
+        dict(a=(0, 0, 1), zeta=math.nan, dt=0.1, n=1),
+        dict(a=(0, 0, 1), zeta=math.inf, dt=0.1, n=1),
+        dict(a=(0, 0, 1), zeta=1.0, dt=math.nan, n=1),
+        dict(a=(0, 0, 1), zeta=1.0, dt=math.inf, n=1),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -61,6 +98,7 @@ class TestConfig:
 class TestCollisionMap:
     def test_zero_weights_do_nothing(self):
         cfg = CollisionConfig((0, 0, 0), 1.0, 0.1, 1)
+        assert collision_channel(cfg) == PauliChannel.identity()
         rho = bloch_state((0.2, -0.1, 0.4))
         assert frob_dist(collision_map(cfg, rho), rho) < 1e-15
 
@@ -99,6 +137,11 @@ class TestCollisionMap:
             assert abs(np.trace(state).real - 1) < 1e-12
             assert np.linalg.eigvalsh(state).min() > -1e-12
 
+    def test_matches_dilation_unitary(self):
+        cfg = CollisionConfig((0.7, 0.5, 0.3), 1.3, 0.09, 1)
+        rho = bloch_state((0.3, -0.2, 0.4))
+        assert frob_dist(collision_map(cfg, rho), brute_force_trajectory(cfg, rho)[1]) < 1e-14
+
 
 class TestTrajectories:
     def test_trajectory_length_and_start(self):
@@ -124,6 +167,34 @@ class TestTrajectories:
         rates = fit_decay_rates(cfg)
         target = cfg.rates()
         assert np.max(np.abs(rates - target) / target) < 0.02
+
+    def test_refuses_trajectories_over_the_cap(self):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 1e-9, MAX_COLLISIONS + 1)
+        with pytest.raises(ValueError, match="cap"):
+            simulate_semigroup(cfg, bloch_state((1.0, 0, 0)))
+
+
+weights = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@given(a=st.tuples(weights, weights, weights), zeta=st.floats(0.1, 3.0),
+       dt=st.floats(1e-3, 0.3), n=st.integers(1, 1000),
+       r=st.tuples(weights, weights, weights))
+def test_closed_form_matches_brute_force(a, zeta, dt, n, r):
+    cfg = CollisionConfig(a, zeta, dt, n)
+    r0 = np.array(r) / max(1.0, np.linalg.norm(r))
+    rho0 = bloch_state(r0)
+    oracle = brute_force_trajectory(cfg, rho0)
+    fast = simulate_semigroup(cfg, rho0)
+    assert len(fast) == n + 1
+    assert max(np.max(np.abs(x - y)) for x, y in zip(fast, oracle)) < 1e-12
+
+    [entry] = convergence_report(cfg, [dt], n * dt, rho0)
+    assert len(entry.errors) == n + 1
+    lv = PauliLiouvillian(tuple(cfg.rates()))
+    for k, ((t, err), state) in enumerate(zip(entry.errors, oracle)):
+        assert t == k * dt
+        assert abs(err - trace_distance(state, semigroup_channel(lv, t).apply(rho0))) < 1e-12
 
 
 class TestConvergence:
@@ -154,3 +225,19 @@ class TestConvergence:
         cfg = CollisionConfig((0, 0, 1), 1.0, 1e-3, 1000)
         entries = convergence_report(cfg, [1e-3], 1.0)
         assert entries[0].max_error < 1e-3
+
+    @pytest.mark.parametrize("dts, t_final", [
+        ([1e-9], 1.0),
+        ([0.1, 1e-9], 1.0),
+        ([0.1], math.inf),
+    ])
+    def test_refuses_rungs_over_the_cap(self, dts, t_final):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
+        with pytest.raises(ValueError):
+            convergence_report(cfg, dts, t_final)
+
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan])
+    def test_rejects_bad_final_time(self, t_final):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
+        with pytest.raises(ValueError, match="t_final"):
+            convergence_report(cfg, [0.1], t_final)
