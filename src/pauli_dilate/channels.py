@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, frob_dist, hermiticity_defect
-from .pauli import ID2, SIGMA, SX, SY, SZ
+from .linalg import DEFAULT_TOL, as_complex_matrix, as_reals, frob_dist, hermiticity_defect
+from .pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ
 
 PROB_TOL = 1e-12
 
@@ -73,6 +73,8 @@ class PauliChannel:
         p = tuple(float(v) for v in self.p)
         if len(p) != 4:
             raise ValueError("need 4 probabilities (pI, px, py, pz)")
+        if not all(math.isfinite(v) for v in p):
+            raise ValueError(f"probabilities must be finite, got {p}")
         if min(p) < -PROB_TOL:
             raise ValueError(f"negative probability in {p}")
         if abs(sum(p) - 1.0) > PROB_TOL:
@@ -98,10 +100,9 @@ class PauliChannel:
 
     def kraus_ops(self) -> list[np.ndarray]:
         """K_a = sqrt(p_a) sigma_a in fixed order (I, x, y, z); zeros dropped."""
-        mats = (ID2, SX, SY, SZ)
         return [
             math.sqrt(max(p, 0.0)) * m
-            for p, m in zip(self.p, mats)
+            for p, m in zip(self.p, PAULI_BASIS)
             if p > 0.0
         ]
 
@@ -135,6 +136,8 @@ class PauliLiouvillian:
         g = tuple(float(v) for v in self.gamma)
         if len(g) != 3:
             raise ValueError("need 3 rates (gx, gy, gz)")
+        if not all(math.isfinite(v) for v in g):
+            raise ValueError(f"rates must be finite, got {g}")
         if min(g) < 0:
             raise ValueError(f"negative rate in {g}")
         object.__setattr__(self, "gamma", g)
@@ -204,17 +207,11 @@ def channel_from_descriptor(desc: dict):
         raise ValueError("channel descriptor must be an object with a 'type' field")
     kind = desc["type"]
     if kind == "pauli":
-        p = desc.get("p")
-        if not isinstance(p, Sequence) or len(p) != 4:
-            raise ValueError("'pauli' descriptor needs \"p\": [pI, px, py, pz]")
-        return PauliChannel(tuple(float(v) for v in p))
+        return PauliChannel(as_reals(desc.get("p"), "'pauli' field \"p\"", 4))
     if kind == "phase_damping":
-        return PauliChannel.phase_damping(float(desc["p"]))
+        return PauliChannel.phase_damping(as_reals(desc.get("p"), "'phase_damping' field \"p\""))
     if kind == "depolarizing":
-        return PauliChannel.depolarizing(float(desc["p"]))
+        return PauliChannel.depolarizing(as_reals(desc.get("p"), "'depolarizing' field \"p\""))
     if kind == "liouvillian":
-        g = desc.get("gamma")
-        if not isinstance(g, Sequence) or len(g) != 3:
-            raise ValueError("'liouvillian' descriptor needs \"gamma\": [gx, gy, gz]")
-        return PauliLiouvillian(tuple(float(v) for v in g))
+        return PauliLiouvillian(as_reals(desc.get("gamma"), "'liouvillian' field \"gamma\"", 3))
     raise ValueError(f"unknown channel type {kind!r}")

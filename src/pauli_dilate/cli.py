@@ -28,7 +28,7 @@ from .dilations import (
     solve_su2_generators,
 )
 from .dynamics import channel_at_time, dilation_from_descriptor
-from .linalg import DEFAULT_TOL, ToleranceError, eig_rank
+from .linalg import DEFAULT_TOL, ToleranceError, as_reals, eig_rank
 from .pauli import pauli, pauli_commutant
 
 
@@ -79,16 +79,19 @@ def _emit(text: str, out: str | None) -> None:
 def _load_descriptor(arg: str | None) -> dict:
     if not arg:
         raise ValueError("missing input descriptor (--in)")
-    text = arg if arg.lstrip().startswith("{") else Path(arg).read_text()
+    text = arg if arg.lstrip().startswith(("{", "[")) else Path(arg).read_text()
     try:
-        return json.loads(text)
+        desc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON descriptor: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise ValueError(f"descriptor must be an object, got {type(desc).__name__}")
+    return desc
 
 
 def _family_isometry(desc: dict, ch: PauliChannel):
     if desc.get("type") == "phase_damping":
-        return phase_damping_isometry(float(desc["p"]))
+        return phase_damping_isometry(ch.p[3])
     return pauli_channel_isometry(ch.p)
 
 
@@ -157,7 +160,8 @@ def cmd_commutant(args) -> int:
     desc = _load_descriptor(args.input)
     gens = desc.get("generators")
     qubits = desc.get("qubits")
-    if not isinstance(gens, list) or not isinstance(qubits, int):
+    if (not isinstance(gens, list) or not all(isinstance(s, str) for s in gens)
+            or not isinstance(qubits, int)):
         raise ValueError('commutant descriptor needs "generators": [...] and "qubits": n')
     strings = [pauli(s) for s in gens]
     result = pauli_commutant(strings, qubits)
@@ -193,17 +197,15 @@ def cmd_evolve(args) -> int:
 
 def cmd_collide(args) -> int:
     desc = _load_descriptor(args.input)
-    a = desc.get("a")
-    zeta = desc.get("zeta")
-    if not isinstance(a, list) or len(a) != 3 or zeta is None:
-        raise ValueError('collide descriptor needs "a": [ax, ay, az] and "zeta"')
+    a = as_reals(desc.get("a"), '"a"', 3)
+    zeta = as_reals(desc.get("zeta"), '"zeta"')
     if "dts" in desc:
-        t_final = float(desc.get("t_final", 1.0))
+        t_final = as_reals(desc.get("t_final", 1.0), '"t_final"')
         dts = desc["dts"]
         if not isinstance(dts, list) or not dts:
             raise ValueError('"dts" must be a non-empty list of collision durations')
-        dts = [float(v) for v in dts]
-        cfg = CollisionConfig(tuple(float(v) for v in a), float(zeta), dts[0], 1)
+        dts = [as_reals(v, '"dts" entry') for v in dts]
+        cfg = CollisionConfig(a, zeta, dts[0], 1)
         entries = convergence_report(cfg, dts, t_final)
         lines = ["dt,max_trace_distance"]
         for entry in entries:
@@ -212,10 +214,10 @@ def cmd_collide(args) -> int:
         return 0
     if "dt" not in desc or "n" not in desc:
         raise ValueError('collide descriptor needs "dt" and "n" (or "dts" and "t_final")')
-    n = float(desc["n"])
+    n = as_reals(desc["n"], '"n"')
     if not n.is_integer():
         raise ValueError(f'"n" must be a whole number of collisions, got {n}')
-    cfg = CollisionConfig(tuple(float(v) for v in a), float(zeta), float(desc["dt"]), int(n))
+    cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'), int(n))
     entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
     lines = ["dt,t,trace_distance"]
     for t, err in entries[0].errors:

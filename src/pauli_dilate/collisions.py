@@ -21,10 +21,9 @@ import numpy as np
 
 from .channels import PauliChannel, bloch_state, bloch_vector, validate_density_matrix
 from .dynamics import build_generic_pauli_dilation
-from .pauli import ID2, SIGMA
+from .pauli import PAULI_BASIS
 
 MAX_COLLISIONS = 10**6
-_PAULI_BASIS = np.array((ID2, *SIGMA))
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,10 @@ def simulate_semigroup(cfg: CollisionConfig, rho0) -> list[np.ndarray]:
     """States after 0..n collisions with a fresh ancilla each step."""
     state = validate_density_matrix(rho0)
     _check_count(cfg.n)
-    coeffs = np.einsum("aij,ji->a", _PAULI_BASIS, state)
+    coeffs = np.einsum("aij,ji->a", PAULI_BASIS, state)
     scalings = np.concatenate(([1.0], collision_channel(cfg).bloch_scaling()))
     powers = scalings ** np.arange(cfg.n + 1)[:, None]
-    trajectory = 0.5 * np.einsum("ka,aij->kij", powers * coeffs, _PAULI_BASIS)
+    trajectory = 0.5 * np.einsum("ka,aij->kij", powers * coeffs, PAULI_BASIS)
     trajectory[0] = state  # the input itself, not its Pauli re-expansion
     return list(trajectory)
 

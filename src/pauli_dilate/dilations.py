@@ -28,7 +28,7 @@ from .linalg import (
     kron,
     partial_trace_env,
 )
-from .pauli import ID2, SIGMA, SX, SY, SZ, multiply, pauli, pauli_group, to_matrix
+from .pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ, multiply, pauli, pauli_group, to_matrix
 
 _AXES = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0])}
 
@@ -51,8 +51,7 @@ class Isometry:
             raise ValueError("V+ V deviates from the identity beyond 1e-10")
 
     def defect(self) -> float:
-        a = np.asarray(self.v)
-        return float(np.linalg.norm(a.conj().T @ a - np.eye(self.dim_s)))
+        return float(np.linalg.norm(self.v.conj().T @ self.v - np.eye(self.dim_s)))
 
 
 @dataclass(frozen=True)
@@ -162,13 +161,9 @@ def dilation_from_kraus(kraus: Sequence[np.ndarray],
         phases = [1.0] * len(ops)
     if len(phases) != len(ops) or any(abs(abs(complex(p)) - 1) > 1e-12 for p in phases):
         raise ValueError("phases must be unit complex numbers, one per Kraus operator")
-    dim_e = len(ops)
-    v = np.zeros((dim_s * dim_e, dim_s), dtype=np.complex128)
-    for j, (k, ph) in enumerate(zip(ops, phases)):
-        col = np.zeros((dim_e, 1), dtype=np.complex128)
-        col[j, 0] = complex(ph)
-        v += np.kron(k, col)
-    return Isometry(v, dim_s, dim_e)
+    # row (i, j) of V is row i of the j-th phased Kraus operator
+    v = np.stack([complex(ph) * k for k, ph in zip(ops, phases)], axis=1)
+    return Isometry(v.reshape(dim_s * len(ops), dim_s), dim_s, len(ops))
 
 
 def phase_damping_isometry(p: float, alt_phases: bool = False) -> Isometry:
@@ -183,13 +178,7 @@ def phase_damping_isometry(p: float, alt_phases: bool = False) -> Isometry:
 
 def pauli_channel_isometry(p: Sequence[float]) -> Isometry:
     """8x2 isometry of a generic Pauli channel, keeping all four Kraus slots."""
-    pi, px, py, pz = (float(v) for v in p)
-    kraus = [
-        math.sqrt(pi) * ID2,
-        math.sqrt(px) * SX,
-        math.sqrt(py) * SY,
-        math.sqrt(pz) * SZ,
-    ]
+    kraus = [math.sqrt(float(q)) * s for q, s in zip(p, PAULI_BASIS, strict=True)]
     return dilation_from_kraus(kraus)
 
 

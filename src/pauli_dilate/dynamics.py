@@ -20,14 +20,14 @@ from .dilations import Isometry, channel_of_isometry, defining_pauli_rep, solve_
 from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
+    as_reals,
     basis_state,
     frob_dist,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
-    partial_trace_env,
 )
-from .pauli import ID2, SIGMA, pauli, to_matrix
+from .pauli import ID2, PAULI_BASIS, SZ, pauli, to_matrix
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
@@ -50,7 +50,7 @@ class PhysicalDilation:
             raise ValueError("Hamiltonian is not Hermitian within 1e-12")
         if psi.shape != (self.dim_e,):
             raise ValueError("environment state dimension mismatch")
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("environment state is not normalized")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "psi_e", psi)
@@ -105,20 +105,15 @@ class ChannelFit:
         return PauliChannel(tuple(self.probs))
 
 
-_PAULI_BASIS = (ID2,) + SIGMA
-
-
 def fit_pauli_transfer(v: Isometry) -> ChannelFit:
     """Project the induced map onto the Pauli transfer matrix.
 
-    The probabilities invert the Bloch-scaling relation; the leakage is the
-    Frobenius norm of everything the diagonal Pauli model cannot carry.
+    r[b, a] = Tr(s_b Tr_E[V s_a V+]) / 2 is one contraction over the Pauli
+    basis.  The probabilities invert the Bloch-scaling relation; the leakage
+    is the Frobenius norm of everything the diagonal Pauli model cannot carry.
     """
-    r = np.zeros((4, 4), dtype=np.complex128)
-    for a, s_in in enumerate(_PAULI_BASIS):
-        out = partial_trace_env(v.v @ s_in @ v.v.conj().T, v.dim_s, v.dim_e)
-        for b, s_out in enumerate(_PAULI_BASIS):
-            r[b, a] = np.trace(s_out @ out) / 2.0
+    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    r = np.einsum("bki,iej,ajl,kel->ba", PAULI_BASIS, v3, PAULI_BASIS, v3.conj()) / 2.0
     lam = np.real(np.diag(r)[1:])
     model = np.diag(np.concatenate(([1.0], lam))).astype(np.complex128)
     leakage = float(np.linalg.norm(r - model))
@@ -188,23 +183,24 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
         if name == "depolarizing":
             return build_depolarizing_dilation()
         if name == "generic":
-            a = desc.get("a")
-            if not isinstance(a, Sequence) or len(a) != 3:
-                raise ValueError("'generic' builder needs \"a\": [a1, a2, a3]")
-            return build_generic_pauli_dilation(*(float(v) for v in a))
+            a = as_reals(desc.get("a"), "'generic' field \"a\"", 3)
+            return build_generic_pauli_dilation(*a)
         raise ValueError(f"unknown builder {name!r}")
     if "hamiltonian" in desc:
         terms = desc["hamiltonian"]
-        if not terms:
-            raise ValueError("empty Hamiltonian")
-        labels = [t[0] for t in terms]
-        n = len(labels[0])
-        if any(len(l) != n for l in labels):
+        if not isinstance(terms, (list, tuple)) or not terms:
+            raise ValueError('"hamiltonian" needs a non-empty list of [string, coefficient] terms')
+        for term in terms:
+            if not (isinstance(term, (list, tuple)) and len(term) == 2
+                    and isinstance(term[0], str)):
+                raise ValueError(f"Hamiltonian term {term!r} is not a [string, coefficient] pair")
+        n = len(terms[0][0])
+        if any(len(l) != n for l, _ in terms):
             raise ValueError("Hamiltonian strings must share one length")
         psi_label = desc.get("psiE")
         if not isinstance(psi_label, str) or len(psi_label) != n - 1:
             raise ValueError("psiE label must cover the environment qubits")
-        h = _string_hamiltonian([(l, float(c)) for l, c in terms])
+        h = _string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
         return PhysicalDilation(h, basis_state(psi_label), 2, 2 ** (n - 1))
     raise ValueError("dilation descriptor needs 'builder' or 'hamiltonian'")
 
@@ -306,19 +302,19 @@ def schedule_for_target(p_target: Callable[[float], float], t_final: float,
 
 def replay_schedule(sched: Schedule,
                     pd: PhysicalDilation | None = None) -> list[ChannelFit]:
-    """Evolve segment by segment and fit the channel at each segment end.
+    """Fit the channel at each segment end of the coupling f(t) H.
 
-    The base generator defaults to the phase damping dilation; segment k
-    contributes exp(-i f_k H dt_k), multiplied in order.
+    The base generator defaults to the phase damping dilation.  Every segment
+    is f_k H with the same H, so the segments commute and the evolution up to
+    boundary k is exp(-i H Theta_k) with Theta_k = sum_{j <= k} f_j dt_j.
     """
     if pd is None:
         pd = build_phase_damping_dilation()
-    boundaries = [t for t, _ in sched.knots[1:]] + [sched.t_final]
-    u = np.eye(pd.dim_s * pd.dim_e, dtype=np.complex128)
+    starts, values = np.array(sched.knots).T
+    ends = np.append(starts[1:], sched.t_final)
     fits = []
-    for (t_start, f), t_end in zip(sched.knots, boundaries):
-        u = mat_exp_hermitian(f * pd.h, t_end - t_start) @ u
-        fit = fit_pauli_transfer(Isometry(u @ pd.embed(), pd.dim_s, pd.dim_e))
+    for theta, t_end in zip(np.cumsum(values * (ends - starts)), ends.tolist()):
+        fit = fit_pauli_transfer(isometry_at(pd, theta))
         fit.t = t_end
         fits.append(fit)
     return fits
@@ -387,11 +383,10 @@ def alternate_initial_state_demo(times: Sequence[float] = (0.4, 0.7, 1.3)) -> Al
     representation flips sign on the x and y sectors and leaves |0> fixed.
     """
     pd = PhysicalDilation(_string_hamiltonian([("ZX", 1.0)]), basis_state("0"), 2, 2)
-    sz = to_matrix(pauli("Z"))
     expected_rep = {}
     for g in defining_pauli_rep().labels:
         factor = g.lstrip("+-i")
-        expected_rep[g] = ID2 if factor in ("I", "Z") else -sz
+        expected_rep[g] = ID2 if factor in ("I", "Z") else -SZ
 
     max_leak = 0.0
     max_prob = 0.0

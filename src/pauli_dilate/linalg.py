@@ -9,7 +9,6 @@ matrix in this package is written in that convention.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-10
 
@@ -26,6 +25,23 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def as_reals(value, field: str, count: int | None = None):
+    """A descriptor field as one float, or as a tuple of `count` floats.
+
+    Anything else, a missing (None) field included, raises a one-line
+    ValueError naming the field, the expected form and the value received.
+    """
+    try:
+        if count is None:
+            return float(value)
+        if isinstance(value, (list, tuple)) and len(value) == count:
+            return tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    form = "a number" if count is None else f"a list of {count} numbers"
+    raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -61,11 +77,12 @@ def hermiticity_defect(m) -> float:
 
 
 def mat_exp_hermitian(h, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) for a Hermitian generator h."""
+    """Unitary exp(-i h t) = V exp(-i w t) V+ from the eigendecomposition h = V w V+."""
     a = as_complex_matrix(h)
     if hermiticity_defect(a) > 1e-12:
         raise ValueError("generator is not Hermitian within 1e-12")
-    return scipy.linalg.expm(-1j * float(t) * a)
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
 
 
 def eig_rank(h, tol: float = DEFAULT_TOL) -> int:

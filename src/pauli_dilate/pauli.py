@@ -21,6 +21,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 FACTOR_MATS = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 SIGMA = (SX, SY, SZ)
+PAULI_BASIS = np.array((ID2, *SIGMA))  # (I, x, y, z) stacked as a 4x2x2 array
 
 PHASES = (1, -1, 1j, -1j)
 _PHASE_PREFIX = {1: "", -1: "-", 1j: "+i", -1j: "-i"}

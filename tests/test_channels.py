@@ -293,6 +293,14 @@ class TestDescriptors:
         {"p": 0.3},
         {"type": "pauli", "p": [1, 0, 0]},
         {"type": "liouvillian", "gamma": [1, 2]},
+        {"type": "pauli", "p": [math.nan, 0, 0, 0]},
+        {"type": "phase_damping", "p": math.nan},
+        {"type": "liouvillian", "gamma": [math.nan, 0, 0]},
+        {"type": "pauli", "p": [math.inf, 0, 0, 0]},
+        {"type": "liouvillian", "gamma": [math.inf, 0, 0]},
+        {"type": "phase_damping"},
+        {"type": "depolarizing", "p": None},
+        {"type": "pauli", "p": [None, 0, 0, 1]},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

@@ -219,6 +219,9 @@ class TestCollideCommand:
         '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":Infinity}',
         '{"a":[0,0,1],"zeta":1,"dts":[1e-9],"t_final":1}',
         '{"a":[0,0,1],"zeta":1,"dt":1e-9,"n":10000000}',
+        '{"a":[0,0,1],"zeta":null,"dt":0.1,"n":3}',
+        '{"a":[0,0,1],"zeta":1,"dts":[null],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dt":null,"n":3}',
     ])
     def test_rejects_bad_values_with_one_line(self, capsys, desc):
         code, out, err = run_cli(["collide", "--in", desc], capsys)
@@ -226,23 +229,39 @@ class TestCollideCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("golden, desc", [
-        ("collide_trajectory.csv", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'),
-        ("collide_ladder.csv", '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'),
+    @pytest.mark.parametrize("golden, argv", [
+        pytest.param("collide_trajectory.csv",
+                     ["collide", "--in", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'],
+                     id='collide_trajectory.csv-{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'),
+        pytest.param("collide_ladder.csv",
+                     ["collide", "--in",
+                      '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'],
+                     id='collide_ladder.csv-'
+                        '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'),
+        pytest.param("evolve_depolarizing.csv",
+                     ["evolve", "--in", '{"builder":"depolarizing"}',
+                      "--tmax", "3.14", "--samples", "50"],
+                     id="evolve_depolarizing.csv"),
+        pytest.param("evolve_phase_damping.csv",
+                     ["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1"}', "--strict"],
+                     id="evolve_phase_damping.csv"),
     ])
-    def test_readme_examples_match_golden(self, capsys, golden, desc):
-        # dt and t are exact; trace distances may move by rounding in the last digits
+    def test_readme_examples_match_golden(self, capsys, golden, argv):
+        # the dt and t columns are exact; computed columns may move by rounding
+        # in the last digits
         want = (GOLDEN / golden).read_text().splitlines()
-        code, out, _ = run_cli(["collide", "--in", desc], capsys)
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         got = out.splitlines()
         assert got[0] == want[0]
         assert len(got) == len(want)
+        exact = [name in ("dt", "t") for name in want[0].split(",")]
         for got_row, want_row in zip(got[1:], want[1:]):
-            *got_keys, got_err = got_row.split(",")
-            *want_keys, want_err = want_row.split(",")
-            assert got_keys == want_keys
-            assert abs(float(got_err) - float(want_err)) <= 1e-13
+            for is_exact, g, w in zip(exact, got_row.split(","), want_row.split(",")):
+                if is_exact:
+                    assert g == w
+                else:
+                    assert abs(float(g) - float(w)) <= 1e-13
 
 
 class TestVerifyCommand:
@@ -273,6 +292,37 @@ class TestCliContract:
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run_cli(["channel", "--in", '{"type":"phase_damping","p":0.1}'], capsys)
         assert '"probabilities": [0.9, 0, 0, 0.1]' in out
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["evolve", "--in", '{"hamiltonian":[[1,2]]}'], "[1, 2]"),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",null]],"psiE":"1"}'], "'ZX'"),
+        (["evolve", "--in", '{"builder":"generic","a":[1,null,2]}'], '"a"'),
+        (["channel", "--in", '{"type":"phase_damping"}'], '"p"'),
+        (["channel", "--in", '{"type":"pauli","p":[null,0,0,1]}'], '"p"'),
+        (["channel", "--in", '{"type":"pauli","p":[NaN,0,0,0]}'], "finite"),
+        (["channel", "--in", '{"type":"phase_damping","p":NaN}'], "finite"),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[NaN,0,0]}'], "finite"),
+        (["channel", "--in", "[1]"], "must be an object"),
+        (["channel", "--in", " [1]"], "must be an object"),
+        (["commutant", "--in", '{"generators":[1],"qubits":1}'], "generators"),
+    ])
+    def test_bad_descriptors_exit_one_with_one_line(self, capsys, argv, needle):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_cli_never_loads_scipy(self):
+        # scipy is a test-only dependency: importing and running the CLI must not pull it in
+        code = ("import os, sys\n"
+                "from pauli_dilate.cli import main\n"
+                "main(['evolve', '--in', '{\"builder\":\"depolarizing\"}', '--samples', '3',"
+                " '--out', os.devnull])\n"
+                "print('scipy' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
 
     def test_deterministic_output(self, tmp_path):
         # byte-identical CSV and JSON across runs of the installed module

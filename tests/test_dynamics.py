@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pauli_dilate.dilations import defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry
+from pauli_dilate.dilations import (
+    Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry,
+)
 from pauli_dilate.dynamics import (
     TIME_GRID,
     PhysicalDilation,
@@ -14,6 +17,7 @@ from pauli_dilate.dynamics import (
     build_phase_damping_dilation,
     channel_at_time,
     dilation_from_descriptor,
+    fit_pauli_transfer,
     isometry_at,
     krylov_subspace,
     replay_schedule,
@@ -22,8 +26,31 @@ from pauli_dilate.dynamics import (
     schedule_for_target,
     symmetrize_full,
 )
-from pauli_dilate.linalg import basis_state, frob_dist, kron
-from pauli_dilate.pauli import SX, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+from pauli_dilate.linalg import basis_state, frob_dist, haar_unitary, kron
+from pauli_dilate.pauli import ID2, SX, SY, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+
+
+def replay_by_products(sched, pd):
+    """Oracle: U(t_k) as the running product of exp(-i f_j H dt_j), segment by segment."""
+    boundaries = [t for t, _ in sched.knots[1:]] + [sched.t_final]
+    u = np.eye(pd.dim_s * pd.dim_e, dtype=np.complex128)
+    out = []
+    for (t_start, f), t_end in zip(sched.knots, boundaries):
+        u = scipy.linalg.expm(-1j * f * (t_end - t_start) * pd.h) @ u
+        out.append((t_end, u @ pd.embed()))
+    return out
+
+
+def transfer_by_traces(v):
+    """Oracle: r[b, a] = Tr(s_b phi[s_a]) / 2 with phi applied through its Kraus slices."""
+    kraus = [v.v[e::v.dim_e] for e in range(v.dim_e)]
+    basis = (ID2, SX, SY, SZ)
+    r = np.zeros((4, 4), dtype=np.complex128)
+    for a, s_in in enumerate(basis):
+        out = sum(k @ s_in @ k.conj().T for k in kraus)
+        for b, s_out in enumerate(basis):
+            r[b, a] = np.trace(s_out @ out) / 2
+    return r
 
 
 def generic_probs(a, t):
@@ -40,6 +67,10 @@ class TestPhysicalDilationType:
     def test_validates_state_norm(self):
         with pytest.raises(ValueError):
             PhysicalDilation(np.zeros((4, 4)), np.array([1.0, 1.0]), 2, 2)
+
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError):
+            PhysicalDilation(np.zeros((4, 4)), np.array([math.nan, 0.0]), 2, 2)
 
 
 class TestPhaseDampingBuilder:
@@ -327,6 +358,23 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_for_target(lambda t: 0.5, 1.0, 10)
 
+    @pytest.mark.parametrize("sched", [
+        schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200),
+        Schedule(((0.0, 1.0), (0.3, -0.5), (0.7, 2.5), (1.2, 0.0), (1.5, -1.25)), 1.9),
+    ], ids=["target", "signed"])
+    @pytest.mark.parametrize("pd", [
+        build_phase_damping_dilation(),
+        build_depolarizing_dilation(),
+        build_generic_pauli_dilation(0.6, -0.5, 0.3),
+    ], ids=["phase_damping", "depolarizing", "generic"])
+    def test_replay_matches_segment_products(self, sched, pd):
+        fits = replay_schedule(sched, pd)
+        oracle = replay_by_products(sched, pd)
+        assert len(fits) == len(oracle)
+        for fit, (t_end, v) in zip(fits, oracle):
+            assert fit.t == t_end
+            assert frob_dist(fit.isometry.v, v) < 1e-12
+
 
 class TestDescriptors:
     def test_builder_names(self):
@@ -354,10 +402,37 @@ class TestDescriptors:
         {"hamiltonian": [["ZX", 1.0]], "psiE": "11"},
         {"hamiltonian": [["ZX", 1.0], ["ZXX", 1.0]], "psiE": "1"},
         {"hamiltonian": [["+iZX", 1.0]], "psiE": "1"},
+        {"hamiltonian": [[1, 2]], "psiE": "1"},
+        {"hamiltonian": "ZX", "psiE": "1"},
+        {"hamiltonian": [["ZX", None]], "psiE": "1"},
+        {"hamiltonian": [["ZX", 1.0, 2.0]], "psiE": "1"},
+        {"builder": "generic", "a": [0.5, None, 0.3]},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             dilation_from_descriptor(bad)
+
+
+class TestPauliTransfer:
+    @pytest.mark.parametrize("desc", [
+        {"builder": "depolarizing"},
+        {"builder": "generic", "a": [0.6, -0.5, 0.3]},
+        {"hamiltonian": [["XI", 1.0], ["ZX", 0.4], ["YZ", 0.7]], "psiE": "1"},
+        {"hamiltonian": [["XIX", 0.3], ["YZI", 0.8], ["ZXY", -0.6]], "psiE": "10"},
+    ])
+    def test_matches_trace_loop_on_dilations(self, desc):
+        pd = dilation_from_descriptor(desc)
+        for t in (0.0, 0.37, 1.9, 4.4):
+            v = isometry_at(pd, t)
+            assert np.max(np.abs(fit_pauli_transfer(v).transfer - transfer_by_traces(v))) < 1e-14
+
+    @pytest.mark.parametrize("dim_e", [1, 2, 4])
+    def test_matches_trace_loop_on_random_isometries(self, rng, dim_e):
+        for _ in range(10):
+            u = haar_unitary(2 * dim_e, rng)
+            v = Isometry(u[:, :2], 2, dim_e)
+            fit = fit_pauli_transfer(v)
+            assert np.max(np.abs(fit.transfer - transfer_by_traces(v))) < 1e-14
 
 
 def test_channel_at_time_rejects_negative_time():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,6 +30,12 @@ dyadic_complex = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
 def two_by_two(entries=finite_complex):
     return st.lists(entries, min_size=4, max_size=4).map(
         lambda v: np.array(v, dtype=np.complex128).reshape(2, 2))
+
+
+def hermitian(dim):
+    return st.lists(finite_complex, min_size=dim * dim, max_size=dim * dim).map(
+        lambda v: np.array(v, dtype=np.complex128).reshape(dim, dim)).map(
+        lambda z: 0.5 * (z + z.conj().T))
 
 
 class TestKron:
@@ -121,6 +128,12 @@ class TestMatExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             mat_exp_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
+
+    @given(st.sampled_from([2, 4, 8]).flatmap(hermitian),
+           st.floats(-4.0, 4.0, allow_nan=False))
+    def test_matches_scipy_expm(self, h, t):
+        # oracle: scaling-and-squaring Pade exponential of the full matrix
+        assert frob_dist(mat_exp_hermitian(h, t), scipy.linalg.expm(-1j * t * h)) < 1e-12
 
 
 class TestNormsAndRank:
