@@ -37,7 +37,6 @@ from .dynamics import (
     KrylovSubspace,
     PhysicalDilation,
     Schedule,
-    alternate_initial_state_demo,
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
@@ -46,7 +45,6 @@ from .dynamics import (
     krylov_subspace,
     replay_schedule,
     restricted_commutator_norm,
-    rotating_phase_demo,
     schedule_for_target,
     symmetrize_full,
 )

@@ -165,20 +165,12 @@ def semigroup_channel(lv: PauliLiouvillian, t: float) -> PauliChannel:
     return PauliChannel(tuple(probs_from_scaling(semigroup_scalings(lv.gamma, t))))
 
 
-def _rep_matrices(rep) -> list[np.ndarray]:
-    mats = getattr(rep, "mats", rep)
-    if isinstance(mats, dict):
-        return [np.asarray(m) for m in mats.values()]
-    return [np.asarray(m) for m in mats]
-
-
 def check_covariance(channel, rep, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Test phi[g rho g+] == g phi[rho] g+ over a group representation.
 
-    `channel` may be a PauliChannel or a Kraus-operator list; `rep` may be a
-    GroupRep, a label->matrix dict, or a bare matrix iterable.  The check
-    runs over a spanning set of four Hermitian states; returns (ok, max
-    residual in Frobenius norm).
+    `channel` may be a PauliChannel or a Kraus-operator list; `rep` is a
+    GroupRep.  The check runs over a spanning set of four Hermitian states;
+    returns (ok, max residual in Frobenius norm).
     """
     if isinstance(channel, PauliChannel):
         kraus = channel.kraus_ops()
@@ -186,7 +178,7 @@ def check_covariance(channel, rep, tol: float = DEFAULT_TOL) -> tuple[bool, floa
         kraus = [as_complex_matrix(k) for k in channel]
     probes = [0.5 * ID2, 0.5 * (ID2 + SX), 0.5 * (ID2 + SY), 0.5 * (ID2 + SZ)]
     worst = 0.0
-    for g in _rep_matrices(rep):
+    for g in rep.mats.values():
         for rho in probes:
             lhs = kraus_apply(kraus, g @ rho @ g.conj().T)
             rhs = g @ kraus_apply(kraus, rho) @ g.conj().T

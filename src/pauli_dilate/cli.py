@@ -31,6 +31,9 @@ from .dynamics import channel_at_time, dilation_from_descriptor
 from .linalg import DEFAULT_TOL, ToleranceError, as_reals, eig_rank
 from .pauli import pauli, pauli_commutant
 
+# evolve fits one channel per sample, about 0.2 ms each: 10**5 samples take ~20 s
+MAX_SAMPLES = 10**5
+
 
 def _fmt_real(x: float) -> str:
     v = float(x)
@@ -89,6 +92,15 @@ def _load_descriptor(arg: str | None) -> dict:
     return desc
 
 
+def _tmax(args, default: float) -> float:
+    """--tmax, or the default when it is not given."""
+    if args.tmax is None:
+        return default
+    if not (math.isfinite(args.tmax) and args.tmax >= 0):
+        raise ValueError(f"--tmax must be a finite nonnegative time, got {args.tmax}")
+    return args.tmax
+
+
 def _family_isometry(desc: dict, ch: PauliChannel):
     if desc.get("type") == "phase_damping":
         return phase_damping_isometry(ch.p[3])
@@ -99,7 +111,7 @@ def cmd_channel(args) -> int:
     desc = _load_descriptor(args.input)
     obj = channel_from_descriptor(desc)
     if isinstance(obj, PauliLiouvillian):
-        obj = semigroup_channel(obj, args.tmax if args.tmax is not None else 1.0)
+        obj = semigroup_channel(obj, _tmax(args, 1.0))
     choi = obj.choi()
     report = {
         "probabilities": list(obj.p),
@@ -161,7 +173,7 @@ def cmd_commutant(args) -> int:
     gens = desc.get("generators")
     qubits = desc.get("qubits")
     if (not isinstance(gens, list) or not all(isinstance(s, str) for s in gens)
-            or not isinstance(qubits, int)):
+            or not isinstance(qubits, int) or isinstance(qubits, bool)):
         raise ValueError('commutant descriptor needs "generators": [...] and "qubits": n')
     strings = [pauli(s) for s in gens]
     result = pauli_commutant(strings, qubits)
@@ -176,10 +188,11 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    desc = _load_descriptor(args.input)
-    pd = dilation_from_descriptor(desc)
-    tmax = args.tmax if args.tmax is not None else 2 * math.pi
+    tmax = _tmax(args, 2 * math.pi)
     samples = args.samples
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
+    pd = dilation_from_descriptor(_load_descriptor(args.input))
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     lines = ["t,pI,px,py,pz,leakage"]
     worst_leak = 0.0

@@ -16,18 +16,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import PauliChannel, probs_from_scaling
-from .dilations import Isometry, channel_of_isometry, defining_pauli_rep, solve_env_rep
+from .dilations import Isometry
 from .linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
     as_reals,
     basis_state,
-    frob_dist,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
 )
-from .pauli import ID2, PAULI_BASIS, SZ, pauli, to_matrix
+from .pauli import PAULI_BASIS, pauli, to_matrix
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
@@ -97,9 +96,6 @@ class ChannelFit:
     probs: np.ndarray        # fitted (pI, px, py, pz), unclamped
     lam: np.ndarray          # fitted Bloch scalings
     leakage: float           # norm of the non-Pauli part of the transfer
-
-    def apply(self, rho) -> np.ndarray:
-        return channel_of_isometry(self.isometry, rho)
 
     def pauli_channel(self) -> PauliChannel:
         return PauliChannel(tuple(self.probs))
@@ -194,9 +190,10 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
             if not (isinstance(term, (list, tuple)) and len(term) == 2
                     and isinstance(term[0], str)):
                 raise ValueError(f"Hamiltonian term {term!r} is not a [string, coefficient] pair")
-        n = len(terms[0][0])
-        if any(len(l) != n for l, _ in terms):
+        lengths = {pauli(l).n_qubits for l, _ in terms}  # a phase prefix is no qubit
+        if len(lengths) != 1:
             raise ValueError("Hamiltonian strings must share one length")
+        n, = lengths
         psi_label = desc.get("psiE")
         if not isinstance(psi_label, str) or len(psi_label) != n - 1:
             raise ValueError("psiE label must cover the environment qubits")
@@ -318,96 +315,3 @@ def replay_schedule(sched: Schedule,
         fit.t = t_end
         fits.append(fit)
     return fits
-
-
-@dataclass
-class RotatingPhaseReport:
-    """Differences observed after adding a commuting free environment term."""
-
-    max_prob_diff: float
-    max_rep_diff: float
-    rep_diff_at_zero: float
-
-
-def rotating_phase_demo(pd: PhysicalDilation, h_env,
-                        prob_times: Sequence[float] = tuple(TIME_GRID),
-                        rep_times: Sequence[float] = (0.4, 0.7, 1.3)) -> RotatingPhaseReport:
-    """Add I (x) h_env to the generator and measure what changes.
-
-    The channel must be untouched, and the solved environment representation
-    of the rotated dilation must equal the conjugation of the static one by
-    exp(-i h_env t).  Rejects h_env that fails to commute with H.
-    """
-    he = as_complex_matrix(h_env)
-    lifted = kron(np.eye(pd.dim_s), he)
-    if np.linalg.norm(pd.h @ lifted - lifted @ pd.h) > 1e-12:
-        raise ValueError("free environment term must commute with the generator")
-    rotated = PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
-
-    max_prob = 0.0
-    for t in prob_times:
-        base = channel_at_time(pd, t)
-        rot = channel_at_time(rotated, t)
-        max_prob = max(max_prob, float(np.max(np.abs(base.probs - rot.probs))))
-
-    sys_rep = defining_pauli_rep()
-    base_rep = solve_env_rep(isometry_at(pd, rep_times[0]), sys_rep).rep
-    max_rep = 0.0
-    for t in rep_times:
-        rot_rep = solve_env_rep(isometry_at(rotated, t), sys_rep).rep
-        w = mat_exp_hermitian(he, t)
-        for g in sys_rep.labels:
-            expected = w @ base_rep.mats[g] @ w.conj().T
-            max_rep = max(max_rep, frob_dist(rot_rep.mats[g], expected))
-    w0 = mat_exp_hermitian(he, 0.0)
-    at_zero = max(frob_dist(w0 @ base_rep.mats[g] @ w0.conj().T, base_rep.mats[g])
-                  for g in sys_rep.labels)
-    return RotatingPhaseReport(max_prob, max_rep, at_zero)
-
-
-@dataclass
-class AlternateStateReport:
-    """Phase damping dilation restarted from |0> instead of |1>."""
-
-    max_leakage: float
-    max_prob_err: float
-    isometry_err: float
-    rep_diff: float
-    invariance_residual: float
-
-
-def alternate_initial_state_demo(times: Sequence[float] = (0.4, 0.7, 1.3)) -> AlternateStateReport:
-    """Run H = Z (x) X from |psi_E> = |0> and verify the induced structure.
-
-    The channel stays phase damping with p = sin^2(t); the environment
-    representation flips sign on the x and y sectors and leaves |0> fixed.
-    """
-    pd = PhysicalDilation(_string_hamiltonian([("ZX", 1.0)]), basis_state("0"), 2, 2)
-    expected_rep = {}
-    for g in defining_pauli_rep().labels:
-        factor = g.lstrip("+-i")
-        expected_rep[g] = ID2 if factor in ("I", "Z") else -SZ
-
-    max_leak = 0.0
-    max_prob = 0.0
-    iso_err = 0.0
-    for t in times:
-        fit = channel_at_time(pd, t)
-        max_leak = max(max_leak, fit.leakage)
-        want = np.array([math.cos(t) ** 2, 0.0, 0.0, math.sin(t) ** 2])
-        max_prob = max(max_prob, float(np.max(np.abs(fit.probs - want))))
-        vt = np.array([
-            [-1j * math.sin(t), 0],
-            [math.cos(t), 0],
-            [0, 1j * math.sin(t)],
-            [0, math.cos(t)],
-        ])
-        iso_err = max(iso_err, frob_dist(fit.isometry.v, vt))
-
-    sys_rep = defining_pauli_rep()
-    sol = solve_env_rep(isometry_at(pd, times[0]), sys_rep)
-    rep_diff = max(frob_dist(sol.rep.mats[g], expected_rep[g]) for g in sys_rep.labels)
-    psi = pd.psi_e
-    invariance = max(float(np.linalg.norm(sol.rep.mats[g] @ psi - psi))
-                     for g in sys_rep.labels)
-    return AlternateStateReport(max_leak, max_prob, iso_err, rep_diff, invariance)

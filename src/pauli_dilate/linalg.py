@@ -44,10 +44,6 @@ def as_reals(value, field: str, count: int | None = None):
     raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, left factor = system slot."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))

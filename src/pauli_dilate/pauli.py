@@ -34,6 +34,9 @@ _FACTOR_MUL = {
     ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
 
+# pauli_commutant enumerates 4^n strings: 8 qubits take about half a second
+MAX_COMMUTANT_QUBITS = 8
+
 # symplectic bit pairs (x, z); Y carries both bits
 _SYMPLECTIC = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -136,6 +139,8 @@ def pauli_basis_expand(m, tol: float = 1e-12) -> dict[PauliString, complex]:
 
 def pauli_commutant(generators: Iterable[PauliString], qubits: int) -> list[PauliString]:
     """Phase-free strings commuting with every generator, in enumeration order."""
+    if not 1 <= qubits <= MAX_COMMUTANT_QUBITS:
+        raise ValueError(f"qubits must be between 1 and {MAX_COMMUTANT_QUBITS}, got {qubits}")
     gens = list(generators)
     for g in gens:
         if g.n_qubits != qubits:

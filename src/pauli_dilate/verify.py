@@ -18,6 +18,74 @@ from . import channels, collisions, dilations, dynamics, linalg
 from . import pauli as pauli_mod
 
 
+# Closed forms the checks compare against, written once.  Plain tuples, so
+# importing this module does no numeric work.
+
+# pi_E(g) of the minimal dilations, by factor letter of g; the phase of g drops
+# out of V g = (g (x) pi_E(g)) V.  Every entry is diagonal, so the tables hold
+# diagonals: phase damping (dim_e 2) and the depolarizing family (dim_e 4).
+_ENV_REP_DIAG = {
+    2: {"I": (1, 1), "X": (1, -1), "Y": (1, -1), "Z": (1, 1)},
+    4: {"I": (1, 1, 1, 1), "X": (1, 1, -1, -1), "Y": (1, -1, 1, -1), "Z": (1, -1, -1, 1)},
+}
+
+# rotation generator J_z on the depolarizing environment
+_JZ = ((0, 0, 0, 0), (0, 0, -2j, 0), (0, 2j, 0, 0), (0, 0, 0, 0))
+
+# symmetry generators of the phase damping (two-qubit) and depolarizing
+# (three-qubit) dilations, and what their Pauli commutants must hold
+_DEPH_SYMMETRY = ("ZI", "XZ", "YZ")
+_DEPH_COMMUTANT = ("II", "IZ", "ZX", "ZY")
+_DEP_SYMMETRY = ("ZZZ", "XZI", "YIZ")
+_DEP_COMMUTANT_SIZE = 16
+_DEP_GENERATOR_TERMS = ("XIX", "YXI", "ZXX")
+
+
+def _phase_damping_v(p: float):
+    """Isometry of the Kraus pair {sqrt(1-p) I, sqrt(p) Z}."""
+    r, q = math.sqrt(1 - p), math.sqrt(p)
+    return ((r, 0), (q, 0), (0, r), (0, -q))
+
+
+def _depolarizing_v(p: float):
+    """Isometry of the Kraus set sqrt(1-p) I, sqrt(p/3) (X, Y, Z)."""
+    r, q = math.sqrt(1 - p), math.sqrt(p / 3)
+    return ((r, 0), (0, q), (0, -1j * q), (q, 0),
+            (0, r), (q, 0), (1j * q, 0), (0, -q))
+
+
+def _law(a, t: float) -> np.ndarray:
+    """(pI, px, py, pz) at time t of the generator a1 XIX + a2 YXI + a3 ZXX:
+    p_i = a_i^2 sin^2(sqrt(xi) t) / xi with xi = sum a_i^2.  Phase damping,
+    Z (x) X, is a = (0, 0, 1); depolarizing is a = (1, 1, 1)."""
+    xi = sum(v * v for v in a)
+    s = math.sin(math.sqrt(xi) * t) ** 2 / xi
+    return np.array([1 - xi * s, a[0] ** 2 * s, a[1] ** 2 * s, a[2] ** 2 * s])
+
+
+def _builders():
+    """Each dilation builder with the weights a of its time law."""
+    return {
+        "phase_damping": (dynamics.build_phase_damping_dilation(), (0, 0, 1)),
+        "depolarizing": (dynamics.build_depolarizing_dilation(), (1, 1, 1)),
+        "generic": (dynamics.build_generic_pauli_dilation(0.6, 0.5, 0.3), (0.6, 0.5, 0.3)),
+    }
+
+
+def _canonical_env_rep(dim_e: int, xy_sign: int = 1) -> dict[str, np.ndarray]:
+    """pi_E of the builder family with that environment, by group label.
+
+    xy_sign = -1 flips the x and y sectors: the phase damping dilation run
+    from |psi_E> = |0> instead of |1>.
+    """
+    out = {}
+    for g in pauli_mod.pauli_group():
+        factor = g.factors[0]
+        sign = xy_sign if factor in "XY" else 1
+        out[str(g)] = sign * np.diag(np.array(_ENV_REP_DIAG[dim_e][factor], dtype=complex))
+    return out
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -131,22 +199,8 @@ def check_semigroup_derivative() -> CheckResult:
 
 
 def check_isometry_closed_forms() -> CheckResult:
-    worst = 0.0
-    p = 0.3
-    v = dilations.phase_damping_isometry(p)
-    expected = np.array([
-        [math.sqrt(1 - p), 0], [math.sqrt(p), 0],
-        [0, math.sqrt(1 - p)], [0, -math.sqrt(p)],
-    ])
-    worst = max(worst, linalg.frob_dist(v.v, expected))
-    q = math.sqrt(p / 3)
-    r = math.sqrt(1 - p)
-    vd = dilations.depolarizing_isometry(p)
-    expected_dep = np.array([
-        [r, 0], [0, q], [0, -1j * q], [q, 0],
-        [0, r], [q, 0], [1j * q, 0], [0, -q],
-    ])
-    worst = max(worst, linalg.frob_dist(vd.v, expected_dep))
+    worst = max(linalg.frob_dist(dilations.phase_damping_isometry(0.3).v, _phase_damping_v(0.3)),
+                linalg.frob_dist(dilations.depolarizing_isometry(0.3).v, _depolarizing_v(0.3)))
     return _result("isometry-closed-forms", worst, 1e-12)
 
 
@@ -154,18 +208,10 @@ def check_environment_representations() -> CheckResult:
     sys_rep = dilations.defining_pauli_rep()
     worst = 0.0
     sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    for g in sys_rep.labels:
-        factor = g.lstrip("+-i")
-        want = pauli_mod.ID2 if factor in ("I", "Z") else pauli_mod.SZ
-        worst = max(worst, linalg.frob_dist(sol.rep.mats[g], want))
     sol_dep = dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep)
-    expected_env = {
-        "I": np.eye(4), "X": np.diag([1, 1, -1, -1]),
-        "Y": np.diag([1, -1, 1, -1]), "Z": np.diag([1, -1, -1, 1]),
-    }
-    for g in sys_rep.labels:
-        want = expected_env[g.lstrip("+-i")]
-        worst = max(worst, linalg.frob_dist(sol_dep.rep.mats[g], want))
+    for solved, want in ((sol, _canonical_env_rep(2)), (sol_dep, _canonical_env_rep(4))):
+        for g in sys_rep.labels:
+            worst = max(worst, linalg.frob_dist(solved.rep.mats[g], want[g]))
     worst = max(worst, dilations.pauli_rep_law_defect(sol.rep))
     worst = max(worst, dilations.pauli_rep_law_defect(sol_dep.rep))
     return _result("environment-representations", worst, 1e-10)
@@ -188,10 +234,7 @@ def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
 
 def check_su2_generators() -> CheckResult:
     gens = dilations.solve_su2_generators(dilations.depolarizing_isometry(0.3))
-    jz = np.zeros((4, 4), dtype=complex)
-    jz[1, 2] = -2j
-    jz[2, 1] = 2j
-    worst = linalg.frob_dist(gens.jz, jz)
+    worst = linalg.frob_dist(gens.jz, _JZ)
     worst = max(worst, linalg.frob_dist(
         gens.jx @ gens.jy - gens.jy @ gens.jx, 2j * gens.jz))
     spectrum = np.sort(np.linalg.eigvalsh(gens.along((0.0, 0.0, 1.0))))
@@ -200,51 +243,22 @@ def check_su2_generators() -> CheckResult:
 
 
 def check_pauli_commutants() -> CheckResult:
-    deph = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in ("ZI", "XZ", "YZ")], 2)
-    expected = [pauli_mod.pauli(s) for s in ("II", "IZ", "ZX", "ZY")]
-    ok = deph == expected
-    dep = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in ("ZZZ", "XZI", "YIZ")], 3)
-    ok = ok and len(dep) == 16
-    ok = ok and all(pauli_mod.pauli(s) in dep for s in ("XIX", "YXI", "ZXX"))
+    deph = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in _DEPH_SYMMETRY], 2)
+    ok = deph == [pauli_mod.pauli(s) for s in _DEPH_COMMUTANT]
+    dep = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in _DEP_SYMMETRY], 3)
+    ok = ok and len(dep) == _DEP_COMMUTANT_SIZE
+    ok = ok and all(pauli_mod.pauli(s) in dep for s in _DEP_GENERATOR_TERMS)
     return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
-
-
-def _builders():
-    return {
-        "phase_damping": (dynamics.build_phase_damping_dilation(),
-                          lambda t: np.array([math.cos(t) ** 2, 0, 0, math.sin(t) ** 2])),
-        "depolarizing": (dynamics.build_depolarizing_dilation(),
-                         lambda t: channels.PauliChannel.depolarizing(
-                             math.sin(math.sqrt(3) * t) ** 2).p),
-        "generic": (dynamics.build_generic_pauli_dilation(0.6, 0.5, 0.3),
-                    lambda t: _generic_probs((0.6, 0.5, 0.3), t)),
-    }
-
-
-def _generic_probs(a, t):
-    xi = sum(v * v for v in a)
-    s = math.sin(math.sqrt(xi) * t) ** 2 / xi
-    return np.array([1 - xi * s, a[0] ** 2 * s, a[1] ** 2 * s, a[2] ** 2 * s])
 
 
 def check_builder_time_laws() -> CheckResult:
     worst = 0.0
-    for pd, law in _builders().values():
+    for pd, a in _builders().values():
         for t in dynamics.TIME_GRID:
             fit = dynamics.channel_at_time(pd, t)
             worst = max(worst, fit.leakage)
-            worst = max(worst, float(np.max(np.abs(fit.probs - np.asarray(law(t))))))
+            worst = max(worst, float(np.max(np.abs(fit.probs - _law(a, t)))))
     return _result("builder-time-laws", worst, 1e-10)
-
-
-def _canonical_env_rep(dim_e: int) -> dilations.GroupRep:
-    """Reference representation of the builder family with that environment."""
-    sys_rep = dilations.defining_pauli_rep()
-    if dim_e == 2:
-        return dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep).rep
-    if dim_e == 4:
-        return dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep).rep
-    raise ValueError(f"no reference representation for dim_e={dim_e}")
 
 
 def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None,
@@ -260,16 +274,19 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
     targets = [pd] if pd is not None else [b for b, _ in _builders().values()]
     worst = 0.0
     for target in targets:
+        if target.dim_e not in _ENV_REP_DIAG:
+            return CheckResult("invariant-environment-state", False, math.inf, 1e-10,
+                               f"no reference representation for dim_e={target.dim_e}")
         canonical = _canonical_env_rep(target.dim_e)
         for g in sys_rep.labels:
             worst = max(worst, float(np.linalg.norm(
-                canonical.mats[g] @ target.psi_e - target.psi_e)))
+                canonical[g] @ target.psi_e - target.psi_e)))
         try:
             sol = dilations.solve_env_rep(dynamics.isometry_at(target, t_ref), sys_rep)
         except (linalg.ToleranceError, ValueError) as exc:
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
         for g in sys_rep.labels:
-            worst = max(worst, linalg.frob_dist(sol.rep.mats[g], canonical.mats[g]))
+            worst = max(worst, linalg.frob_dist(sol.rep.mats[g], canonical[g]))
             worst = max(worst, float(np.linalg.norm(
                 sol.rep.mats[g] @ target.psi_e - target.psi_e)))
     return _result("invariant-environment-state", worst, 1e-10)
@@ -282,8 +299,8 @@ def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None 
     if pd is not None:
         cases.append((pd, [pauli_mod.pauli(s) for s in generators]))
     else:
-        deph_gens = [pauli_mod.pauli(s) for s in ("ZI", "XZ", "YZ")]
-        dep_gens = [pauli_mod.pauli(s) for s in ("ZZZ", "XZI", "YIZ")]
+        deph_gens = [pauli_mod.pauli(s) for s in _DEPH_SYMMETRY]
+        dep_gens = [pauli_mod.pauli(s) for s in _DEP_SYMMETRY]
         builders = _builders()
         cases.append((builders["phase_damping"][0], deph_gens))
         cases.append((builders["depolarizing"][0], dep_gens))
@@ -326,29 +343,79 @@ def check_restricted_su2_conservation() -> CheckResult:
 
 
 def check_full_symmetrization() -> CheckResult:
-    dep, law = _builders()["depolarizing"]
+    dep, a = _builders()["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     sym = dynamics.symmetrize_full(dep, k)
     worst = 0.0
     for t in dynamics.TIME_GRID:
         fit = dynamics.channel_at_time(sym, t)
-        worst = max(worst, float(np.max(np.abs(fit.probs - np.asarray(law(t))))))
+        worst = max(worst, float(np.max(np.abs(fit.probs - _law(a, t)))))
     for s in _su2_total_generators():
         worst = max(worst, float(np.linalg.norm(s @ sym.h - sym.h @ s)))
     return _result("full-symmetrization", worst, 1e-9)
 
 
-def check_rotating_phase_freedom() -> CheckResult:
-    pd, _ = _builders()["phase_damping"]
-    report = dynamics.rotating_phase_demo(pd, pauli_mod.SX)
-    worst = max(report.max_prob_diff, report.max_rep_diff, report.rep_diff_at_zero)
+def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
+                                 h_env=pauli_mod.SX) -> CheckResult:
+    """A free environment term I (x) h_env that commutes with H is redundant.
+
+    The channel must be untouched, and the environment representation solved
+    from the rotated dilation must be the static one conjugated by
+    W(t) = exp(-i h_env t).  A term that fails to commute with H fails the
+    check, with the commutator norm as its residual.
+    """
+    if pd is None:
+        pd, _ = _builders()["phase_damping"]
+    lifted = linalg.kron(np.eye(pd.dim_s), h_env)
+    commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
+    if commutator > 1e-12:
+        return CheckResult("rotating-phase-freedom", False, commutator, 1e-9,
+                           "free environment term does not commute with H")
+    rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
+    worst = 0.0
+    for t in dynamics.TIME_GRID:
+        base = dynamics.channel_at_time(pd, t)
+        rot = dynamics.channel_at_time(rotated, t)
+        worst = max(worst, float(np.max(np.abs(base.probs - rot.probs))))
+    sys_rep = dilations.defining_pauli_rep()
+    rep_times = (0.4, 0.7, 1.3)
+    base_rep = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep
+    for t in rep_times:
+        rot_rep = dilations.solve_env_rep(dynamics.isometry_at(rotated, t), sys_rep).rep
+        w = linalg.mat_exp_hermitian(h_env, t)
+        for g in sys_rep.labels:
+            worst = max(worst, linalg.frob_dist(rot_rep.mats[g],
+                                                w @ base_rep.mats[g] @ w.conj().T))
+    w0 = linalg.mat_exp_hermitian(h_env, 0.0)
+    for g in sys_rep.labels:
+        worst = max(worst, linalg.frob_dist(w0 @ base_rep.mats[g] @ w0.conj().T,
+                                            base_rep.mats[g]))
     return _result("rotating-phase-freedom", worst, 1e-9)
 
 
 def check_alternate_initial_state() -> CheckResult:
-    report = dynamics.alternate_initial_state_demo()
-    worst = max(report.max_leakage, report.max_prob_err, report.isometry_err,
-                report.rep_diff, report.invariance_residual)
+    """H = Z (x) X run from |psi_E> = |0> instead of |1>.
+
+    The channel stays phase damping with p = sin^2(t); the environment
+    representation is the two-dimensional one with the x and y sectors
+    flipped, and it leaves |0> fixed.
+    """
+    pd = dynamics.PhysicalDilation(dynamics.build_phase_damping_dilation().h,
+                                   linalg.basis_state("0"), 2, 2)
+    times = (0.4, 0.7, 1.3)
+    worst = 0.0
+    for t in times:
+        fit = dynamics.channel_at_time(pd, t)
+        s, c = math.sin(t), math.cos(t)
+        isometry = ((-1j * s, 0), (c, 0), (0, 1j * s), (0, c))
+        worst = max(worst, fit.leakage, float(np.max(np.abs(fit.probs - _law((0, 0, 1), t)))),
+                    linalg.frob_dist(fit.isometry.v, isometry))
+    sys_rep = dilations.defining_pauli_rep()
+    sol = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep)
+    flipped = _canonical_env_rep(2, xy_sign=-1)
+    for g in sys_rep.labels:
+        worst = max(worst, linalg.frob_dist(sol.rep.mats[g], flipped[g]),
+                    float(np.linalg.norm(sol.rep.mats[g] @ pd.psi_e - pd.psi_e)))
     return _result("alternate-initial-state", worst, 1e-9)
 
 
@@ -357,7 +424,7 @@ def check_strong_conservation_triviality() -> CheckResult:
     conserved = dilations.check_strong_conservation(kraus, pauli_mod.SZ)
     sys_rep = dilations.defining_pauli_rep()
     sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    worst = linalg.frob_dist(sol.rep.mats["Z"], np.eye(2))
+    worst = linalg.frob_dist(sol.rep.mats["Z"], _canonical_env_rep(2)["Z"])
     return CheckResult("strong-conservation-triviality", conserved and worst <= 1e-10,
                        worst, 1e-10)
 

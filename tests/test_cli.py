@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pauli_dilate.cli import main
+from pauli_dilate.cli import MAX_SAMPLES, main
+from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,6 +155,17 @@ class TestEvolveCommand:
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[1:] == ["1", "0", "0", "0", "0"]
 
+    def test_phase_prefix_is_no_qubit(self, capsys):
+        curves = []
+        for label in ("ZX", "-ZX"):
+            desc = json.dumps({"hamiltonian": [[label, 1.0]], "psiE": "1"})
+            code, out, err = run_cli(["evolve", "--in", desc], capsys)
+            assert code == 0, err
+            curves.append([[float(v) for v in line.split(",")[1:5]]
+                           for line in out.splitlines()[1:]])
+        assert len(curves[0]) == 25
+        assert np.max(np.abs(np.array(curves[0]) - np.array(curves[1]))) < 1e-12
+
     def test_strict_mode_flags_non_pauli_dynamics(self, capsys):
         # a pure system rotation is unitary, not a Pauli mixture
         args = ["evolve", "--in", '{"hamiltonian":[["XI",1.0]],"psiE":"1"}',
@@ -263,6 +276,58 @@ class TestCollideCommand:
                 else:
                     assert abs(float(g) - float(w)) <= 1e-13
 
+    @pytest.mark.parametrize("golden, argv", [
+        ("channel_phase_damping.json",
+         ["channel", "--in", '{"type":"phase_damping","p":0.3}']),
+        ("dilate_depolarizing.json", ["dilate", "--in", '{"type":"depolarizing","p":0.3}']),
+        ("rep_pauli.json", ["rep", "--in", '{"type":"pauli","p":[0.4,0.3,0.2,0.1]}']),
+        ("commutant_phase_damping.json",
+         ["commutant", "--in", '{"generators":["ZI","XZ","YZ"],"qubits":2}']),
+        ("verify.txt", ["verify"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_readme_reports_match_golden(self, capsys, golden, argv):
+        # keys, strings, integers, check names, statuses, tolerances and the
+        # summary line are exact; computed reals may move by rounding
+        want = (GOLDEN / golden).read_text()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        if golden.endswith(".json"):
+            assert_same_report(json.loads(out), json.loads(want))
+            return
+        got_lines, want_lines = out.splitlines(), want.splitlines()
+        assert len(got_lines) == len(want_lines)
+        assert got_lines[-1] == want_lines[-1]
+        number = r"-?\d+\.?\d*(?:e[-+]\d+)?"
+        for g, w in zip(got_lines[:-1], want_lines[:-1]):
+            g_head, g_res, g_tol, g_detail = re.fullmatch(
+                rf"(\S+ \S+ +)residual=({number}) (tol=\S+)(.*)", g).groups()
+            w_head, w_res, w_tol, w_detail = re.fullmatch(
+                rf"(\S+ \S+ +)residual=({number}) (tol=\S+)(.*)", w).groups()
+            assert (g_head, g_tol) == (w_head, w_tol)
+            assert re.sub(number, "#", g_detail) == re.sub(number, "#", w_detail)
+            for a, b in zip([g_res, *re.findall(number, g_detail)],
+                            [w_res, *re.findall(number, w_detail)]):
+                assert abs(float(a) - float(b)) <= 1e-13
+
+
+def assert_same_report(got, want):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want)
+        for key in want:
+            assert_same_report(got[key], want[key])
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+    elif isinstance(want, (str, bool)) or want is None:
+        assert got == want and type(got) is type(want)
+    elif isinstance(want, int) and isinstance(got, int):
+        assert got == want
+    else:
+        # a real printed without a fraction parses as an int; it is still a real
+        assert isinstance(got, (int, float)) and not isinstance(got, bool)
+        assert abs(got - want) <= 1e-13
+
 
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
@@ -305,6 +370,16 @@ class TestCliContract:
         (["channel", "--in", "[1]"], "must be an object"),
         (["channel", "--in", " [1]"], "must be an object"),
         (["commutant", "--in", '{"generators":[1],"qubits":1}'], "generators"),
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "inf"], "--tmax"),
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "nan"], "--tmax"),
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "-1"], "--tmax"),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[0,0,1]}', "--tmax", "nan"],
+         "--tmax"),
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--samples", str(MAX_SAMPLES + 1)],
+         "--samples"),
+        (["commutant", "--in", json.dumps({"generators": ["Z" * (MAX_COMMUTANT_QUBITS + 1)],
+                                           "qubits": MAX_COMMUTANT_QUBITS + 1})], "qubits"),
+        (["commutant", "--in", '{"generators":["Z"],"qubits":true}'], "qubits"),
     ])
     def test_bad_descriptors_exit_one_with_one_line(self, capsys, argv, needle):
         code, out, err = run_cli(argv, capsys)

@@ -11,7 +11,6 @@ from pauli_dilate.dynamics import (
     TIME_GRID,
     PhysicalDilation,
     Schedule,
-    alternate_initial_state_demo,
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
@@ -22,7 +21,6 @@ from pauli_dilate.dynamics import (
     krylov_subspace,
     replay_schedule,
     restricted_commutator_norm,
-    rotating_phase_demo,
     schedule_for_target,
     symmetrize_full,
 )
@@ -295,28 +293,6 @@ class TestSymmetrizeFull:
         bad = KrylovSubspace(np.column_stack([basis_state("111"), basis_state("110")]), 2)
         with pytest.raises(ValueError):
             symmetrize_full(pd, bad)
-
-
-class TestRotatingPhase:
-    def test_free_environment_term_is_redundant(self):
-        report = rotating_phase_demo(build_phase_damping_dilation(), SX)
-        assert report.max_prob_diff < 1e-10
-        assert report.max_rep_diff < 1e-9
-        assert report.rep_diff_at_zero < 1e-12
-
-    def test_rejects_non_commuting_term(self):
-        with pytest.raises(ValueError):
-            rotating_phase_demo(build_phase_damping_dilation(), SZ)
-
-
-class TestAlternateInitialState:
-    def test_structure_of_zero_initialized_dilation(self):
-        report = alternate_initial_state_demo()
-        assert report.max_leakage < 1e-10
-        assert report.max_prob_err < 1e-10
-        assert report.isometry_err < 1e-12
-        assert report.rep_diff < 1e-9
-        assert report.invariance_residual < 1e-10
 
 
 class TestSchedule:
