@@ -136,8 +136,8 @@ class PauliLiouvillian:
         g = tuple(float(v) for v in self.gamma)
         if len(g) != 3:
             raise ValueError("need 3 rates (gx, gy, gz)")
-        if not all(math.isfinite(v) for v in g):
-            raise ValueError(f"rates must be finite, got {g}")
+        if not math.isfinite(2.0 * sum(g)):  # NaN, inf and sums past the float range
+            raise ValueError(f"rates gamma must be finite, and so must twice their sum, got {g}")
         if min(g) < 0:
             raise ValueError(f"negative rate in {g}")
         object.__setattr__(self, "gamma", g)
@@ -155,7 +155,8 @@ class PauliLiouvillian:
 def semigroup_scalings(gamma, t: float) -> np.ndarray:
     """lambda_i(t) = exp(-2 t sum_{j != i} gamma_j)."""
     g = np.asarray(gamma, dtype=float)
-    return np.exp(-2.0 * t * (g.sum() - g))
+    with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
+        return np.exp(-t * (2.0 * (g.sum() - g)))
 
 
 def semigroup_channel(lv: PauliLiouvillian, t: float) -> PauliChannel:

@@ -92,13 +92,13 @@ def _load_descriptor(arg: str | None) -> dict:
     return desc
 
 
-def _tmax(args, default: float) -> float:
-    """--tmax, or the default when it is not given."""
-    if args.tmax is None:
+def _nonneg(value: float | None, default: float, flag: str) -> float:
+    """A flag that must be finite and nonnegative, or the default when it is not given."""
+    if value is None:
         return default
-    if not (math.isfinite(args.tmax) and args.tmax >= 0):
-        raise ValueError(f"--tmax must be a finite nonnegative time, got {args.tmax}")
-    return args.tmax
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{flag} must be finite and nonnegative, got {value}")
+    return value
 
 
 def _family_isometry(desc: dict, ch: PauliChannel):
@@ -108,10 +108,10 @@ def _family_isometry(desc: dict, ch: PauliChannel):
 
 
 def cmd_channel(args) -> int:
-    desc = _load_descriptor(args.input)
-    obj = channel_from_descriptor(desc)
+    tmax = _nonneg(args.tmax, 1.0, "--tmax")
+    obj = channel_from_descriptor(_load_descriptor(args.input))
     if isinstance(obj, PauliLiouvillian):
-        obj = semigroup_channel(obj, _tmax(args, 1.0))
+        obj = semigroup_channel(obj, tmax)
     choi = obj.choi()
     report = {
         "probabilities": list(obj.p),
@@ -141,17 +141,12 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
     desc = _load_descriptor(args.input)
     ch = channel_from_descriptor(desc)
     if not isinstance(ch, PauliChannel):
         raise ValueError("rep expects a channel descriptor, not a Liouvillian")
     v = _family_isometry(desc, ch)
-    rank = eig_rank(ch.choi())
-    if rank != v.dim_e:
-        raise ValueError(
-            f"dilation is not minimal (Kraus rank {rank}, environment dim {v.dim_e}); "
-            "remove vanishing probabilities first")
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     sol = solve_env_rep(v, defining_pauli_rep(), tol=tol)
     report = rep_report(sol)
     report["channel"] = {"probabilities": list(ch.p)}
@@ -188,12 +183,12 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    tmax = _tmax(args, 2 * math.pi)
+    tmax = _nonneg(args.tmax, 2 * math.pi, "--tmax")
+    tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
     samples = args.samples
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
     pd = dilation_from_descriptor(_load_descriptor(args.input))
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     lines = ["t,pI,px,py,pz,leakage"]
     worst_leak = 0.0
     for t in np.linspace(0.0, tmax, samples):
@@ -242,13 +237,15 @@ def cmd_collide(args) -> int:
 def cmd_verify(args) -> int:
     results = verify_mod.run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
-    all_ok = True
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         extra = f" {r.detail}" if r.detail else ""
-        print(f"{status} {r.name:<{width}} residual={r.residual:.3e} tol={r.tol:.1e}{extra}")
-        all_ok = all_ok and r.passed
-    print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({len(results)} total)")
+        lines.append(f"{status} {r.name:<{width}} "
+                     f"residual={r.residual:.3e} tol={r.tol:.1e}{extra}")
+    all_ok = all(r.passed for r in results)
+    lines.append(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({len(results)} total)")
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if all_ok else 2
 
 
@@ -265,48 +262,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of single-qubit Pauli channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, func, help, needs_input=True, tol=False):
+        """A subcommand with --out, plus --in and --tol where it reads them."""
+        p = sub.add_parser(name, help=help)
         if needs_input:
             p.add_argument("--in", dest="input", metavar="FILE|JSON",
                            help="JSON descriptor path or inline JSON")
         p.add_argument("--out", dest="output", metavar="FILE",
                        help="output path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help=f"tolerance override (default {DEFAULT_TOL:g})")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("channel", help="probabilities, scalings, Kraus rank, Choi spectrum")
-    common(p)
+    p = command("channel", cmd_channel, "probabilities, scalings, Kraus rank, Choi spectrum")
     p.add_argument("--tmax", type=float, default=None,
-                   help="evaluation time for Liouvillian descriptors")
-    p.set_defaults(func=cmd_channel)
-
-    p = sub.add_parser("dilate", help="minimal dilation isometry of a channel")
-    common(p)
-    p.set_defaults(func=cmd_dilate)
-
-    p = sub.add_parser("rep", help="solve the environment representation")
-    common(p)
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("commutant", help="enumerate the Pauli commutant of a string set")
-    common(p)
-    p.set_defaults(func=cmd_commutant)
-
-    p = sub.add_parser("evolve", help="time series of fitted channel probabilities")
-    common(p)
-    p.add_argument("--tmax", type=float, default=None)
+                   help="evaluation time for Liouvillian descriptors (default 1)")
+    command("dilate", cmd_dilate, "minimal dilation isometry of a channel")
+    command("rep", cmd_rep, "solve the environment representation", tol=True)
+    command("commutant", cmd_commutant, "enumerate the Pauli commutant of a string set")
+    p = command("evolve", cmd_evolve, "time series of fitted channel probabilities", tol=True)
+    p.add_argument("--tmax", type=float, default=None, help="final time (default 2 pi)")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when non-Pauli leakage exceeds the tolerance")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("collide", help="collision-model convergence tables")
-    common(p)
-    p.set_defaults(func=cmd_collide)
-
-    p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    common(p, needs_input=False)
-    p.set_defaults(func=cmd_verify)
+    command("collide", cmd_collide, "collision-model convergence tables")
+    p = command("verify", cmd_verify, "run the cross-module invariant suite", needs_input=False)
+    p.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
 
     return parser
 

@@ -43,12 +43,18 @@ class CollisionConfig:
         a = tuple(float(v) for v in self.a)
         if len(a) != 3:
             raise ValueError("need 3 Lindblad weights")
-        if not all(math.isfinite(v) for v in a):
-            raise ValueError(f"Lindblad weights must be finite, got {a}")
+        xi = sum(v * v for v in a)
+        if not math.isfinite(xi):  # NaN, inf and squares past the float range
+            raise ValueError(f"Lindblad weights a must be finite, and so must their squares, "
+                             f"got {a}")
         if not (math.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"collision duration must be finite and positive, got {self.dt}")
+        # the largest decay rate 2 zeta xi and the collision angle sqrt(xi) nu dt stay finite
+        if not math.isfinite(2.0 * self.zeta * xi + math.sqrt(xi) * self.nu * self.dt):
+            raise ValueError(f"zeta = {self.zeta} and dt = {self.dt} overflow the rates or the "
+                             f"collision angle for weights {a}")
         if self.n < 1:
             raise ValueError("need at least one collision")
         object.__setattr__(self, "a", a)
@@ -133,7 +139,8 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
         run = replace(run, n=int(round(steps)))
         t = np.arange(run.n + 1) * run.dt
         states = collision_channel(run).bloch_scaling() ** np.arange(run.n + 1)[:, None] * r0
-        exact = np.exp(-np.outer(t, decay)) * r0
+        with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
+            exact = np.exp(-np.outer(t, decay)) * r0
         errors = 0.5 * np.linalg.norm(states - exact, axis=1)
         entries.append(ConvergenceEntry(run.dt, list(zip(t.tolist(), errors.tolist()))))
     return entries

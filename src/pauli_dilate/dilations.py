@@ -8,8 +8,8 @@ pi_E(g) with
     V pi_S(g) = (pi_S(g) (x) pi_E(g)) V
 
 whenever V is minimal (environment dimension equals the Kraus rank).  The
-solver below recovers pi_E(g) element by element via linear least squares
-on the vectorized unknown.
+solver below recovers pi_E(g) for all elements at once, from one linear
+least-squares solve against the environment slices of V.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .linalg import (
     kron,
     partial_trace_env,
 )
-from .pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ, multiply, pauli, pauli_group, to_matrix
+from .pauli import ID2, PAULI_BASIS, SX, SY, SZ, multiply, pauli, pauli_group, to_matrix
 
 _AXES = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0])}
 
@@ -200,20 +200,24 @@ def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
     return [np.ascontiguousarray(t3[:, e, :]) for e in range(v.dim_e)]
 
 
-def _env_slices(mat: np.ndarray, dim_s: int, dim_e: int) -> np.ndarray:
-    # (dim_s*dim_e, dim_s) -> (dim_e, dim_s*dim_s), env index first
-    return mat.reshape(dim_s, dim_e, dim_s).transpose(1, 0, 2).reshape(dim_e, dim_s * dim_s)
+def _solve_env_operators(v: Isometry, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares X_k with (I (x) X_k) V = rhs_k, rhs of shape (k, dim_s, dim_e, dim_s).
 
-
-def _solve_env_operator(v: Isometry, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares X with (I (x) X) V = rhs; returns (X, residual)."""
-    t = _env_slices(v.v, v.dim_s, v.dim_e)
-    r = _env_slices(rhs, v.dim_s, v.dim_e)
-    if np.linalg.matrix_rank(t, tol=1e-10) < v.dim_e:
-        raise ValueError("isometry is not minimal; environment operator is underdetermined")
-    x_t, *_ = np.linalg.lstsq(t.T, r.T, rcond=None)
-    x = x_t.T
-    return x, float(np.linalg.norm(x @ t - r))
+    One lstsq against the environment slices of V solves the whole stack.  Its
+    squared singular values are the Choi spectrum, so minimality is decided here.
+    Returns the operators (k, dim_e, dim_e) and their residuals (k,).
+    """
+    ds, de, n = v.dim_s, v.dim_e, len(rhs)
+    # a row per system index pair (i, j); a column per slot e of V, per (k, e) of rhs
+    a = v.v.reshape(ds, de, ds).transpose(0, 2, 1).reshape(ds * ds, de)
+    b = rhs.transpose(1, 3, 0, 2).reshape(ds * ds, n * de)
+    x, _, _, s = np.linalg.lstsq(a, b, rcond=None)
+    rank = int(np.sum(s ** 2 > DEFAULT_TOL))
+    if rank < de:
+        raise ValueError(f"dilation is not minimal (Kraus rank {rank}, environment dim {de}); "
+                         "remove vanishing probabilities first")
+    residuals = np.linalg.norm((a @ x - b).reshape(ds * ds, n, de), axis=(0, 2))
+    return x.reshape(de, n, de).transpose(1, 2, 0), residuals
 
 
 def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> EnvRepSolution:
@@ -222,17 +226,14 @@ def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> E
     Raises ToleranceError when any residual exceeds tol, which signals a
     non-covariant channel or a non-minimal dilation.
     """
-    id_e = np.eye(v.dim_e)
-    mats: dict[str, np.ndarray] = {}
-    residuals: dict[str, float] = {}
-    defects: dict[str, float] = {}
-    for g in sys_rep.labels:
-        pi_s = sys_rep.mats[g]
-        rhs = kron(pi_s.conj().T, id_e) @ v.v @ pi_s
-        x, res = _solve_env_operator(v, rhs)
-        mats[g] = x
-        residuals[g] = res
-        defects[g] = frob_dist(x.conj().T @ x, id_e)
+    pi_s = np.array([sys_rep.mats[g] for g in sys_rep.labels])
+    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    # (pi_g+ (x) I) V pi_g for every g at once
+    rhs = np.einsum("gai,aeb,gbj->giej", pi_s.conj(), v3, pi_s)
+    xs, res = _solve_env_operators(v, rhs)
+    mats = dict(zip(sys_rep.labels, xs))
+    residuals = dict(zip(sys_rep.labels, res.tolist()))
+    defects = {g: frob_dist(x.conj().T @ x, np.eye(v.dim_e)) for g, x in mats.items()}
     worst = max(residuals.values())
     if worst > tol:
         raise ToleranceError(
@@ -251,14 +252,11 @@ def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators
     for a four-dimensional environment the linear system alone is square
     and always solvable.
     """
-    id_e = np.eye(v.dim_e)
-    gens = []
-    residuals = []
-    for s in SIGMA:
-        rhs = v.v @ s - kron(s, id_e) @ v.v
-        j, res = _solve_env_operator(v, rhs)
-        gens.append(j)
-        residuals.append(max(res, frob_dist(j, j.conj().T)))
+    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    sigma = PAULI_BASIS[1:]
+    rhs = np.einsum("iej,ajk->aiek", v3, sigma) - np.einsum("aik,kej->aiej", sigma, v3)
+    gens, res = _solve_env_operators(v, rhs)
+    residuals = tuple(max(r, frob_dist(j, j.conj().T)) for r, j in zip(res.tolist(), gens))
     jx, jy, jz = gens
     algebra = max(
         frob_dist(jx @ jy - jy @ jx, 2j * jz),
@@ -270,7 +268,7 @@ def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators
         raise ToleranceError(
             f"rotation-generator defect {worst:.3e} exceeds {tol:.1e}; "
             "the channel has no rotation-covariant structure")
-    return SU2Generators(jx, jy, jz, tuple(residuals))
+    return SU2Generators(jx, jy, jz, residuals)
 
 
 def check_strong_conservation(kraus: Iterable[np.ndarray], j, tol: float = 1e-12) -> bool:

@@ -132,6 +132,9 @@ def channel_at_time(pd: PhysicalDilation, t: float) -> ChannelFit:
 
 
 def _string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
+    if not math.isfinite(sum(abs(float(c)) for _, c in terms)):  # bounds every entry of the sum
+        raise ValueError("Hamiltonian coefficients must be finite, and so must the sum of "
+                         f"their magnitudes, got {[float(c) for _, c in terms]}")
     mats = []
     for label, coeff in terms:
         p = pauli(label)
@@ -195,8 +198,9 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
             raise ValueError("Hamiltonian strings must share one length")
         n, = lengths
         psi_label = desc.get("psiE")
-        if not isinstance(psi_label, str) or len(psi_label) != n - 1:
-            raise ValueError("psiE label must cover the environment qubits")
+        if n < 2 or not isinstance(psi_label, str) or len(psi_label) != n - 1:
+            raise ValueError("psiE label must cover the environment qubits, and every "
+                             "Hamiltonian string needs the system qubit and at least one of them")
         h = _string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
         return PhysicalDilation(h, basis_state(psi_label), 2, 2 ** (n - 1))
     raise ValueError("dilation descriptor needs 'builder' or 'hamiltonian'")

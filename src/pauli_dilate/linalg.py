@@ -78,6 +78,9 @@ def mat_exp_hermitian(h, t: float) -> np.ndarray:
     if hermiticity_defect(a) > 1e-12:
         raise ValueError("generator is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(a)
+    top = float(max(-w[0], w[-1]))  # eigh sorts w ascending
+    if not np.isfinite(float(t) * top):
+        raise ValueError(f"exp(-i h t) overflows: t = {t} times the eigenvalue {top:.6g}")
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
 
 

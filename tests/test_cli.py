@@ -337,6 +337,12 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "all checks passed" in lines[-1]
 
+    def test_report_goes_to_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "verify.txt"
+        code, out, _ = run_cli(["verify", "--out", str(out_file)], capsys)
+        assert code == 0 and out == ""
+        assert out_file.read_text().splitlines()[-1] == "all checks passed (25 total)"
+
 
 class TestCliContract:
     def test_unknown_command_exits_one(self, capsys):
@@ -380,13 +386,45 @@ class TestCliContract:
         (["commutant", "--in", json.dumps({"generators": ["Z" * (MAX_COMMUTANT_QUBITS + 1)],
                                            "qubits": MAX_COMMUTANT_QUBITS + 1})], "qubits"),
         (["commutant", "--in", '{"generators":["Z"],"qubits":true}'], "qubits"),
+        (["channel", "--in", '{"type":"phase_damping","p":0.3}', "--tmax", "nan"], "--tmax"),
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--strict", "--tol", "nan"], "--tol"),
+        (["rep", "--in", '{"type":"depolarizing","p":0.3}', "--tol", "-1"], "--tol"),
+        (["evolve", "--in", '{"hamiltonian":[["Z",1.0]],"psiE":""}'], "psiE"),
+        (["collide", "--in", '{"a":[1e200,1,1],"zeta":1,"dt":0.1,"n":3}'], "weights a"),
+        (["collide", "--in", '{"a":[1,1,1],"zeta":1e308,"dt":0.1,"n":3}'], "zeta"),
+        (["collide", "--in", '{"a":[1,1,1],"zeta":1e308,"dts":[0.1],"t_final":1}'], "zeta"),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[1e308,1e308,1]}'], "gamma"),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",1e308],["ZX",1e308]],"psiE":"1"}'],
+         "coefficients"),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",1e308]],"psiE":"1"}'], "overflows"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_descriptors_exit_one_with_one_line(self, capsys, argv, needle):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("argv", [
+        ["channel", "--in", '{"type":"depolarizing","p":0.3}', "--tol", "1e-3"],
+        ["dilate", "--in", '{"type":"depolarizing","p":0.3}', "--seed", "3"],
+        ["rep", "--in", '{"type":"depolarizing","p":0.3}', "--seed", "3"],
+        ["commutant", "--in", '{"generators":["ZX"],"qubits":2}', "--tol", "1e-3"],
+        ["collide", "--in", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":2}', "--seed", "3"],
+        ["verify", "--tol", "1e-3"],
+    ])
+    def test_unread_flags_are_rejected(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_liouvillian_at_huge_time_decays_fully(self, capsys):
+        # the exponent overflows to -inf; exp takes it to the limit 0, with no NaN
+        report = run_json(["channel", "--in", '{"type":"liouvillian","gamma":[0,0,1]}',
+                           "--tmax", "1e308"], capsys)
+        assert report["bloch_scaling"] == [0.0, 0.0, 1.0]
 
     def test_cli_never_loads_scipy(self):
         # scipy is a test-only dependency: importing and running the CLI must not pull it in

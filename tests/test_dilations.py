@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauli_dilate.channels import PauliChannel, kraus_apply
 from pauli_dilate.dilations import (
@@ -16,11 +18,18 @@ from pauli_dilate.dilations import (
     pauli_channel_isometry,
     pauli_rep_law_defect,
     phase_damping_isometry,
+    _solve_env_operators,
     solve_env_rep,
     solve_su2_generators,
 )
+from pauli_dilate.dynamics import (
+    build_depolarizing_dilation,
+    build_generic_pauli_dilation,
+    build_phase_damping_dilation,
+    isometry_at,
+)
 from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
-from pauli_dilate.pauli import ID2, SX, SY, SZ
+from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
 
 
 def expected_phase_damping_v(p):
@@ -215,6 +224,82 @@ class TestEnvRepresentation:
         v = pauli_channel_isometry((1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             solve_env_rep(v, defining_pauli_rep())
+
+
+def _loop_solve(v, rhs):
+    """The per-element reference solver: one rank test and one lstsq per right-hand side."""
+    def slices(m):
+        return m.reshape(v.dim_s, v.dim_e, v.dim_s).transpose(1, 0, 2).reshape(v.dim_e, -1)
+
+    t, r = slices(v.v), slices(rhs)
+    if np.linalg.matrix_rank(t, tol=1e-10) < v.dim_e:
+        raise ValueError("isometry is not minimal")
+    x = np.linalg.lstsq(t.T, r.T, rcond=None)[0].T
+    return x, float(np.linalg.norm(x @ t - r))
+
+
+_probabilities = st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4).map(
+    lambda w: tuple(np.array(w) / sum(w)))
+
+
+@st.composite
+def covariant_isometries(draw):
+    """Random Pauli isometries, the same rotated on the environment, and the builders."""
+    kind = draw(st.sampled_from(["pauli", "rotated", "phase_damping", "depolarizing", "generic"]))
+    if kind in ("pauli", "rotated"):
+        v = pauli_channel_isometry(draw(_probabilities))
+        if kind == "rotated":
+            w = haar_unitary(4, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+            v = Isometry(kron(ID2, w) @ v.v, 2, 4)
+        return v
+    if kind == "phase_damping":  # p(t) = sin^2 t stays inside (0, 1)
+        return isometry_at(build_phase_damping_dilation(), draw(st.floats(0.1, 1.4)))
+    if kind == "depolarizing":
+        return isometry_at(build_depolarizing_dilation(), draw(st.floats(0.1, 0.8)))
+    a = draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3))
+    return isometry_at(build_generic_pauli_dilation(*a), draw(st.floats(0.1, 0.8)))
+
+
+class TestStackedSolve:
+    """One lstsq per isometry agrees with one solve per group element."""
+
+    @given(covariant_isometries())
+    def test_env_rep_matches_per_element_solves(self, v):
+        sys_rep = defining_pauli_rep()
+        sol = solve_env_rep(v, sys_rep)
+        id_e = np.eye(v.dim_e)
+        for g in sys_rep.labels:
+            pi_s = sys_rep.mats[g]
+            x, res = _loop_solve(v, kron(pi_s.conj().T, id_e) @ v.v @ pi_s)
+            assert frob_dist(sol.rep.mats[g], x) < 1e-12
+            assert abs(sol.residuals[g] - res) < 1e-12
+            assert abs(sol.unitarity_defects[g] - frob_dist(x.conj().T @ x, id_e)) < 1e-12
+
+    @given(covariant_isometries())
+    def test_generator_stack_matches_per_element_solves(self, v):
+        id_e = np.eye(v.dim_e)
+        rhs = np.array([v.v @ s - kron(s, id_e) @ v.v for s in SIGMA])
+        gens, res = _solve_env_operators(v, rhs.reshape(3, 2, v.dim_e, 2))
+        for s, j, r in zip(SIGMA, gens, res):
+            x, want = _loop_solve(v, v.v @ s - kron(s, id_e) @ v.v)
+            assert frob_dist(j, x) < 1e-12
+            assert abs(r - want) < 1e-12
+
+    def test_su2_generators_match_per_element_solves(self):
+        v = depolarizing_isometry(0.3)
+        gens = solve_su2_generators(v)
+        for s, j in zip(SIGMA, (gens.jx, gens.jy, gens.jz)):
+            x, _ = _loop_solve(v, v.v @ s - kron(s, np.eye(4)) @ v.v)
+            assert frob_dist(j, x) < 1e-12
+
+    def test_vanishing_kraus_weight_is_not_minimal(self):
+        # a weight of 1e-11 puts the Choi eigenvalue 2e-11 below DEFAULT_TOL
+        v = pauli_channel_isometry((0.5, 0.25, 0.25 - 1e-11, 1e-11))
+        with pytest.raises(ValueError, match="minimal"):
+            solve_env_rep(v, defining_pauli_rep())
+        v = pauli_channel_isometry((1 - 3e-11, 1e-11, 1e-11, 1e-11))
+        with pytest.raises(ValueError, match="minimal"):
+            solve_su2_generators(v)
 
 
 class TestSU2Generators:
