@@ -17,7 +17,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, as_reals, frob_dist, hermiticity_defect
+from .linalg import (
+    DEFAULT_TOL,
+    as_complex_matrix,
+    as_reals,
+    check_keys,
+    frob_dist,
+    hermiticity_defect,
+)
 from .pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ
 
 PROB_TOL = 1e-12
@@ -195,10 +202,13 @@ def channel_from_descriptor(desc: dict):
       {"type": "phase_damping", "p": x}
       {"type": "depolarizing", "p": x}
       {"type": "liouvillian", "gamma": [gx, gy, gz]}
+    A key that the form does not read is rejected.
     """
     if not isinstance(desc, dict) or "type" not in desc:
         raise ValueError("channel descriptor must be an object with a 'type' field")
     kind = desc["type"]
+    if kind in ("pauli", "phase_damping", "depolarizing", "liouvillian"):
+        check_keys(desc, f"a {kind!r} channel", ("type", "gamma" if kind == "liouvillian" else "p"))
     if kind == "pauli":
         return PauliChannel(as_reals(desc.get("p"), "'pauli' field \"p\"", 4))
     if kind == "phase_damping":

@@ -22,6 +22,7 @@ from .linalg import (
     as_complex_matrix,
     as_reals,
     basis_state,
+    check_keys,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
@@ -101,15 +102,26 @@ class ChannelFit:
         return PauliChannel(tuple(self.probs))
 
 
+# Pauli change of basis of the single-qubit Liouville space: the transfer
+# matrix of a map with Liouville matrix S is _LEFT @ S @ _RIGHT / 2, where
+# _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
+_LEFT = PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
+_RIGHT = PAULI_BASIS.reshape(4, 4).T
+
+
 def fit_pauli_transfer(v: Isometry) -> ChannelFit:
     """Project the induced map onto the Pauli transfer matrix.
 
-    r[b, a] = Tr(s_b Tr_E[V s_a V+]) / 2 is one contraction over the Pauli
-    basis.  The probabilities invert the Bloch-scaling relation; the leakage
-    is the Frobenius norm of everything the diagonal Pauli model cannot carry.
+    The map rho -> Tr_E[V rho V+] has the Liouville matrix
+    S[(i, k), (j, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]), one contraction
+    of V with its conjugate over the environment index.  A change to the
+    Pauli basis turns it into r[b, a] = Tr(s_b Tr_E[V s_a V+]) / 2.  The
+    probabilities invert the Bloch-scaling relation; the leakage is the
+    Frobenius norm of everything the diagonal Pauli model cannot carry.
     """
     v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
-    r = np.einsum("bki,iej,ajl,kel->ba", PAULI_BASIS, v3, PAULI_BASIS, v3.conj()) / 2.0
+    liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
+    r = _LEFT @ liouville @ _RIGHT / 2.0
     lam = np.real(np.diag(r)[1:])
     model = np.diag(np.concatenate(([1.0], lam))).astype(np.complex128)
     leakage = float(np.linalg.norm(r - model))
@@ -119,7 +131,9 @@ def fit_pauli_transfer(v: Isometry) -> ChannelFit:
 
 def isometry_at(pd: PhysicalDilation, t: float) -> Isometry:
     u = mat_exp_hermitian(pd.h, t)
-    return Isometry(u @ pd.embed(), pd.dim_s, pd.dim_e)
+    d = pd.dim_s * pd.dim_e
+    # u @ pd.embed(): contract each column block of u with psi_E, building no kron
+    return Isometry(u.reshape(d, pd.dim_s, pd.dim_e) @ pd.psi_e, pd.dim_s, pd.dim_e)
 
 
 def channel_at_time(pd: PhysicalDilation, t: float) -> ChannelFit:
@@ -172,11 +186,15 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
       {"builder": "phase_damping" | "depolarizing"}
       {"builder": "generic", "a": [a1, a2, a3]}
       {"hamiltonian": [["ZX", 1.0], ...], "psiE": "1"}
+    A key that the form does not read is rejected.
     """
     if not isinstance(desc, dict):
         raise ValueError("dilation descriptor must be an object")
     if "builder" in desc:
         name = desc["builder"]
+        if name in ("phase_damping", "depolarizing", "generic"):
+            keys = ("builder", "a") if name == "generic" else ("builder",)
+            check_keys(desc, f"the {name!r} builder", keys)
         if name == "phase_damping":
             return build_phase_damping_dilation()
         if name == "depolarizing":
@@ -186,6 +204,7 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
             return build_generic_pauli_dilation(*a)
         raise ValueError(f"unknown builder {name!r}")
     if "hamiltonian" in desc:
+        check_keys(desc, "a custom Hamiltonian", ("hamiltonian", "psiE"))
         terms = desc["hamiltonian"]
         if not isinstance(terms, (list, tuple)) or not terms:
             raise ValueError('"hamiltonian" needs a non-empty list of [string, coefficient] terms')

@@ -44,6 +44,13 @@ def as_reals(value, field: str, count: int | None = None):
     raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
 
 
+def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:
+    """Reject a descriptor key that `form` does not read, naming it and the keys it reads."""
+    for key in desc:
+        if key not in keys:
+            raise ValueError(f"{form} does not read key {key!r} (its keys: {', '.join(keys)})")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product, left factor = system slot."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
@@ -75,7 +82,7 @@ def hermiticity_defect(m) -> float:
 def mat_exp_hermitian(h, t: float) -> np.ndarray:
     """Unitary exp(-i h t) = V exp(-i w t) V+ from the eigendecomposition h = V w V+."""
     a = as_complex_matrix(h)
-    if hermiticity_defect(a) > 1e-12:
+    if np.linalg.norm(a - a.conj().T) > 1e-12:  # hermiticity_defect, without a second coercion
         raise ValueError("generator is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(a)
     top = float(max(-w[0], w[-1]))  # eigh sorts w ascending

@@ -301,6 +301,8 @@ class TestDescriptors:
         {"type": "phase_damping"},
         {"type": "depolarizing", "p": None},
         {"type": "pauli", "p": [None, 0, 0, 1]},
+        {"type": "depolarizing", "p": 0.3, "gamma": [1, 1, 1]},
+        {"type": "liouvillian", "gamma": [1, 1, 1], "p": 0.3},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

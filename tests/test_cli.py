@@ -397,6 +397,20 @@ class TestCliContract:
         (["evolve", "--in", '{"hamiltonian":[["ZX",1e308],["ZX",1e308]],"psiE":"1"}'],
          "coefficients"),
         (["evolve", "--in", '{"hamiltonian":[["ZX",1e308]],"psiE":"1"}'], "overflows"),
+        (["collide", "--in", '{"a":[1,1,1],"zeta":1,"dts":[0.1],"t_final":0.2,"dt":-5,"n":"x"}'],
+         "'dt'"),
+        (["collide", "--in", '{"a":[1,1,1],"zeta":1,"dt":0.1,"n":3,"t_final":1}'], "'t_final'"),
+        (["collide", "--in", '{"a":[1,1,1],"zeta":1,"dt":0.1,"n":3,"gamma":1}'], "'gamma'"),
+        (["evolve", "--in", '{"builder":"depolarizing","a":[1,2,3]}'], "'a'"),
+        (["evolve", "--in", '{"builder":"phase_damping","psiE":"1"}'], "'psiE'"),
+        (["evolve", "--in", '{"builder":"generic","a":[1,2,3],"hamiltonian":[["ZX",1]]}'],
+         "'hamiltonian'"),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1","a":[1,2,3]}'], "'a'"),
+        (["channel", "--in", '{"type":"depolarizing","p":0.3,"gamma":[1,1,1]}'], "'gamma'"),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[1,1,1],"p":0.3}'], "'p'"),
+        (["dilate", "--in", '{"type":"pauli","p":[1,0,0,0],"tmax":1}'], "'tmax'"),
+        (["rep", "--in", '{"type":"phase_damping","p":0.3,"q":0.1}'], "'q'"),
+        (["commutant", "--in", '{"generators":["ZX"],"qubits":2,"type":"pauli"}'], "'type'"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_descriptors_exit_one_with_one_line(self, capsys, argv, needle):

@@ -63,6 +63,9 @@ DESCRIPTORS = {
                 "dts": field(st.lists(numbers, min_size=1, max_size=3)),
                 "t_final": field(numbers)},
 }
+# keys of other forms, and one no form reads, added to a quarter of the descriptors of
+# every command: a key that the descriptor's form does not read exits 1
+STRAY_KEYS = ["type", "builder", "a", "dt", "n", "dts", "t_final", "psiE", "tmax", "unknown"]
 FLAGS = {
     "channel": ["--tmax"],
     "rep": ["--tol"],
@@ -74,6 +77,8 @@ FLAG_VALUES = ["0", "0.5", "3", "1e-3", "0.5", "3", "1e-3", "-1", "1e308", "nan"
 @st.composite
 def argvs(draw, command):
     desc = {k: draw(v) for k, v in DESCRIPTORS[command].items() if draw(st.integers(0, 3))}
+    if draw(st.integers(0, 3)) == 0:
+        desc[draw(st.sampled_from(STRAY_KEYS))] = draw(values)
     argv = [command, "--in", json.dumps(desc)]
     flags = FLAGS.get(command, [])
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=2)) if flags else []:

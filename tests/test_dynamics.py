@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauli_dilate.dilations import (
     Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry,
@@ -383,6 +385,9 @@ class TestDescriptors:
         {"hamiltonian": [["ZX", None]], "psiE": "1"},
         {"hamiltonian": [["ZX", 1.0, 2.0]], "psiE": "1"},
         {"builder": "generic", "a": [0.5, None, 0.3]},
+        {"builder": "depolarizing", "a": [1, 2, 3]},
+        {"builder": "generic", "a": [1, 2, 3], "psiE": "11"},
+        {"hamiltonian": [["ZX", 1.0]], "psiE": "1", "builder2": "generic"},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -409,6 +414,27 @@ class TestPauliTransfer:
             v = Isometry(u[:, :2], 2, dim_e)
             fit = fit_pauli_transfer(v)
             assert np.max(np.abs(fit.transfer - transfer_by_traces(v))) < 1e-14
+
+
+complex_entries = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def superposed_dilations(draw):
+    """A random Hermitian H on 2 x dim_e with a normalized, generally non-basis psi_E."""
+    dim_e = draw(st.sampled_from([1, 2, 4]))
+    d = 2 * dim_e
+    z = np.array(draw(st.lists(complex_entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    psi = np.array(draw(st.lists(complex_entries, min_size=dim_e, max_size=dim_e).filter(
+        lambda v: np.linalg.norm(v) > 0.1)))
+    return PhysicalDilation(0.5 * (z + z.conj().T), psi / np.linalg.norm(psi), 2, dim_e)
+
+
+@given(superposed_dilations(), st.floats(0.0, 4.0))
+def test_isometry_at_matches_expm_times_embedding(pd, t):
+    # oracle: the full propagator times the kron injection |phi> -> |phi> (x) |psi_E>
+    v = isometry_at(pd, t)
+    assert frob_dist(v.v, scipy.linalg.expm(-1j * t * pd.h) @ pd.embed()) < 1e-12
 
 
 def test_channel_at_time_rejects_negative_time():
