@@ -124,6 +124,16 @@ class PauliChannel:
                 out += np.kron(e, kraus_apply(kraus, e))
         return out
 
+    def choi_spectrum(self) -> tuple[list[float], int]:
+        """Choi eigenvalues 2 p_a, descending, and the Kraus rank: the count above DEFAULT_TOL.
+
+        The Choi matrix is sum_a p_a |sigma_a>><<sigma_a| over the vectorized
+        Paulis, which are orthogonal with squared norm 2.  The rank uses the
+        threshold that the dilation solver applies to the same spectrum.
+        """
+        spectrum = sorted((2.0 * p for p in self.p), reverse=True)
+        return spectrum, sum(v > DEFAULT_TOL for v in spectrum)
+
     def bloch_scaling(self) -> np.ndarray:
         pi, px, py, pz = self.p
         return np.array([pi + px - py - pz, pi - px + py - pz, pi - px - py + pz])

@@ -20,15 +20,15 @@ from . import verify as verify_mod
 from .channels import PauliChannel, PauliLiouvillian, channel_from_descriptor, semigroup_channel
 from .collisions import CollisionConfig, convergence_report
 from .dilations import (
+    Isometry,
     defining_pauli_rep,
-    pauli_channel_isometry,
-    phase_damping_isometry,
+    dilation_from_kraus,
     rep_report,
     solve_env_rep,
     solve_su2_generators,
 )
 from .dynamics import channel_at_time, dilation_from_descriptor
-from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys, eig_rank
+from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 from .pauli import pauli, pauli_commutant
 
 # evolve fits one channel per sample, about 0.12 ms each: 10**5 samples take ~12 s
@@ -101,10 +101,12 @@ def _nonneg(value: float | None, default: float, flag: str) -> float:
     return value
 
 
-def _family_isometry(desc: dict, ch: PauliChannel):
-    if desc.get("type") == "phase_damping":
-        return phase_damping_isometry(ch.p[3])
-    return pauli_channel_isometry(ch.p)
+def _minimal_dilation(args, command: str) -> tuple[PauliChannel, Isometry]:
+    """The channel of --in and its dilation stacked from the nonzero Kraus slots."""
+    ch = channel_from_descriptor(_load_descriptor(args.input))
+    if not isinstance(ch, PauliChannel):
+        raise ValueError(f"{command} expects a channel descriptor, not a Liouvillian")
+    return ch, dilation_from_kraus(ch.kraus_ops())
 
 
 def cmd_channel(args) -> int:
@@ -112,27 +114,23 @@ def cmd_channel(args) -> int:
     obj = channel_from_descriptor(_load_descriptor(args.input))
     if isinstance(obj, PauliLiouvillian):
         obj = semigroup_channel(obj, tmax)
-    choi = obj.choi()
+    spectrum, rank = obj.choi_spectrum()
     report = {
         "probabilities": list(obj.p),
         "bloch_scaling": list(obj.bloch_scaling()),
-        "kraus_rank": eig_rank(choi),
-        "choi_eigenvalues": sorted((float(v) for v in np.linalg.eigvalsh(choi)), reverse=True),
+        "kraus_rank": rank,
+        "choi_eigenvalues": spectrum,
     }
     _emit(_render_json(report) + "\n", args.output)
     return 0
 
 
 def cmd_dilate(args) -> int:
-    desc = _load_descriptor(args.input)
-    ch = channel_from_descriptor(desc)
-    if not isinstance(ch, PauliChannel):
-        raise ValueError("dilate expects a channel descriptor, not a Liouvillian")
-    v = _family_isometry(desc, ch)
+    ch, v = _minimal_dilation(args, "dilate")
     report = {
         "dim_system": v.dim_s,
         "dim_env": v.dim_e,
-        "kraus_rank": eig_rank(ch.choi()),
+        "kraus_rank": ch.choi_spectrum()[1],
         "isometry_defect": v.defect(),
         "isometry": [list(row) for row in v.v],
     }
@@ -142,11 +140,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_rep(args) -> int:
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
-    desc = _load_descriptor(args.input)
-    ch = channel_from_descriptor(desc)
-    if not isinstance(ch, PauliChannel):
-        raise ValueError("rep expects a channel descriptor, not a Liouvillian")
-    v = _family_isometry(desc, ch)
+    ch, v = _minimal_dilation(args, "rep")
     sol = solve_env_rep(v, defining_pauli_rep(), tol=tol)
     report = rep_report(sol)
     report["channel"] = {"probabilities": list(ch.p)}

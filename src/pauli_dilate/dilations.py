@@ -166,14 +166,9 @@ def dilation_from_kraus(kraus: Sequence[np.ndarray],
     return Isometry(v.reshape(dim_s * len(ops), dim_s), dim_s, len(ops))
 
 
-def phase_damping_isometry(p: float, alt_phases: bool = False) -> Isometry:
-    """4x2 isometry of the phase damping channel from {sqrt(1-p) I, sqrt(p) Z}.
-
-    With alt_phases=True the second environment basis vector is rotated by
-    -i, the variant produced by Hamiltonian evolution.
-    """
-    kraus = [math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ]
-    return dilation_from_kraus(kraus, phases=(1, -1j) if alt_phases else None)
+def phase_damping_isometry(p: float) -> Isometry:
+    """4x2 isometry of the phase damping channel from {sqrt(1-p) I, sqrt(p) Z}."""
+    return dilation_from_kraus([math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ])
 
 
 def pauli_channel_isometry(p: Sequence[float]) -> Isometry:

@@ -123,7 +123,7 @@ def fit_pauli_transfer(v: Isometry) -> ChannelFit:
     liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
     r = _LEFT @ liouville @ _RIGHT / 2.0
     lam = np.real(np.diag(r)[1:])
-    model = np.diag(np.concatenate(([1.0], lam))).astype(np.complex128)
+    model = np.diag([1.0, *lam])
     leakage = float(np.linalg.norm(r - model))
     return ChannelFit(t=math.nan, isometry=v, transfer=r,
                       probs=probs_from_scaling(lam), lam=lam, leakage=leakage)

@@ -91,14 +91,6 @@ def mat_exp_hermitian(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
 
 
-def eig_rank(h, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above tol for a Hermitian PSD matrix."""
-    a = as_complex_matrix(h)
-    if hermiticity_defect(a) > DEFAULT_TOL:
-        raise ValueError("eig_rank requires a Hermitian input")
-    return int(np.sum(np.linalg.eigvalsh(a) > tol))
-
-
 def trace_distance(a, b) -> float:
     """Half the trace norm of the (Hermitian) difference of two states."""
     diff = as_complex_matrix(a) - as_complex_matrix(b)

@@ -18,11 +18,16 @@ from pauli_dilate.channels import (
     semigroup_channel,
 )
 from pauli_dilate.dilations import defining_pauli_rep, su2_sample_rep
-from pauli_dilate.linalg import eig_rank, frob_dist
+from pauli_dilate.linalg import frob_dist
 from pauli_dilate.pauli import ID2, SIGMA, SX, SZ
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda v: tuple(x / sum(v) for x in v))
+
+
+def choi_rank(ch: PauliChannel) -> int:
+    """Oracle Kraus rank: Choi eigenvalues from eigvalsh above 1e-10."""
+    return int(np.sum(np.linalg.eigvalsh(ch.choi()) > 1e-10))
 
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
@@ -122,13 +127,24 @@ class TestChoi:
 
     @pytest.mark.parametrize("p,rank", [(0.5, 2), (0.3, 2)])
     def test_phase_damping_rank(self, p, rank):
-        assert eig_rank(PauliChannel.phase_damping(p).choi()) == rank
+        ch = PauliChannel.phase_damping(p)
+        assert choi_rank(ch) == ch.choi_spectrum()[1] == rank
 
     def test_depolarizing_rank(self):
-        assert eig_rank(PauliChannel.depolarizing(0.3).choi()) == 4
+        ch = PauliChannel.depolarizing(0.3)
+        assert choi_rank(ch) == ch.choi_spectrum()[1] == 4
 
     def test_generic_full_rank(self):
-        assert eig_rank(PauliChannel((0.4, 0.3, 0.2, 0.1)).choi()) == 4
+        ch = PauliChannel((0.4, 0.3, 0.2, 0.1))
+        assert choi_rank(ch) == ch.choi_spectrum()[1] == 4
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4)
+           .filter(any))
+    def test_closed_form_spectrum_matches_eigvalsh(self, w):
+        ch = PauliChannel(tuple(x / sum(w) for x in w))
+        spectrum, rank = ch.choi_spectrum()
+        assert np.max(np.abs(np.array(spectrum) - np.linalg.eigvalsh(ch.choi())[::-1])) < 1e-14
+        assert rank == choi_rank(ch) == sum(x > 0 for x in w)
 
     @given(prob_vectors)
     def test_psd(self, p):

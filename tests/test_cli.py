@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pauli_dilate.cli import MAX_SAMPLES, main
-from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS
+from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,6 +71,14 @@ class TestDilateCommand:
         assert code == 1
 
 
+RANK_DEFICIENT = [
+    ('{"type":"pauli","p":[0.5,0.5,0,0]}', (0.5, 0.5, 0, 0)),
+    ('{"type":"pauli","p":[0.5,0.3,0.2,0]}', (0.5, 0.3, 0.2, 0)),
+    ('{"type":"depolarizing","p":0}', (1, 0, 0, 0)),
+    ('{"type":"phase_damping","p":1}', (0, 0, 0, 1)),
+]
+
+
 class TestRepCommand:
     def test_phase_damping_table(self, capsys):
         report = run_json(["rep", "--in", '{"type":"phase_damping","p":0.3}'], capsys)
@@ -100,9 +108,30 @@ class TestRepCommand:
             assert np.allclose(np.array(a["matrix"]), np.array(b["matrix"]), atol=1e-10)
 
     def test_non_minimal_rejected(self, capsys):
-        code, _, err = run_cli(["rep", "--in", '{"type":"pauli","p":[1,0,0,0]}'], capsys)
+        # a weight of 1e-11 keeps its slot but puts the Choi eigenvalue 2e-11 below 1e-10
+        desc = '{"type":"pauli","p":[0.5,0.25,0.24999999999,1e-11]}'
+        code, _, err = run_cli(["rep", "--in", desc], capsys)
         assert code == 1
         assert "minimal" in err
+
+    def test_zero_weight_slot_is_dropped(self, capsys):
+        # the channel above with its 1e-11 weight set to 0 (and moved to py to keep the sum)
+        report = run_json(["rep", "--in", '{"type":"pauli","p":[0.5,0.25,0.25,0]}'], capsys)
+        assert report["dim_env"] == 3
+
+    @pytest.mark.parametrize("desc, probs", RANK_DEFICIENT, ids=[d for d, _ in RANK_DEFICIENT])
+    def test_rank_deficient_channels(self, capsys, desc, probs):
+        slots = [a for a, q in enumerate(probs) if q > 0]
+        dilation = run_json(["dilate", "--in", desc], capsys)
+        assert dilation["dim_env"] == dilation["kraus_rank"] == len(slots)
+        report = run_json(["rep", "--in", desc], capsys)
+        assert report["dim_env"] == len(slots)
+        for element in report["elements"]:
+            g = to_matrix(pauli(element["label"]))
+            # pi_E(g) = diag(chi_a(g)): +1 where g commutes with sigma_a, -1 where not
+            chi = [1 if np.allclose(g @ PAULI_BASIS[a], PAULI_BASIS[a] @ g) else -1 for a in slots]
+            got = np.array([[complex(re, im) for re, im in row] for row in element["matrix"]])
+            assert np.allclose(got, np.diag(chi), atol=1e-12)
 
 
 class TestCommutantCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from pauli_dilate.dynamics import (
     isometry_at,
 )
 from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
-from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
+from pauli_dilate.pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ
 
 
 def expected_phase_damping_v(p):
@@ -88,8 +89,9 @@ class TestDilationFromKraus:
         assert frob_dist(v.v, expected_phase_damping_v(p)) < 1e-15
 
     def test_phase_damping_alt_phases(self):
+        # the phases of Hamiltonian evolution: the second environment vector rotated by -i
         p = 0.3
-        v = phase_damping_isometry(p, alt_phases=True)
+        v = dilation_from_kraus([math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ], phases=(1, -1j))
         expected = np.array([
             [math.sqrt(1 - p), 0],
             [-1j * math.sqrt(p), 0],
@@ -300,6 +302,29 @@ class TestStackedSolve:
         v = pauli_channel_isometry((1 - 3e-11, 1e-11, 1e-11, 1e-11))
         with pytest.raises(ValueError, match="minimal"):
             solve_su2_generators(v)
+
+
+_SLOT_SUBSETS = [s for n in range(1, 5) for s in itertools.combinations(range(4), n)]
+
+
+class TestMinimalPauliDilation:
+    """Stacking the nonzero Kraus slots gives pi_E(g) = diag(chi_a(g)) over the kept slots a."""
+
+    @pytest.mark.parametrize("slots", _SLOT_SUBSETS, ids=lambda s: "".join("Ixyz"[a] for a in s))
+    @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+    def test_env_rep_is_commutation_character(self, slots, weights):
+        w = [weights[a] if a in slots else 0.0 for a in range(4)]
+        ch = PauliChannel(tuple(x / sum(w) for x in w))
+        v = dilation_from_kraus(ch.kraus_ops())
+        assert v.dim_e == len(slots)
+        sys_rep = defining_pauli_rep()
+        sol = solve_env_rep(v, sys_rep)
+        for g in sys_rep.labels:
+            m = sys_rep.mats[g]
+            # chi_a(g) = +1 when g commutes with sigma_a, -1 when it anticommutes
+            chi = [1.0 if frob_dist(m @ PAULI_BASIS[a], PAULI_BASIS[a] @ m) < 1e-12 else -1.0
+                   for a in slots]
+            assert frob_dist(sol.rep.mats[g], np.diag(chi)) < 1e-12
 
 
 class TestSU2Generators:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pauli_dilate.linalg import (
     basis_index,
     basis_state,
-    eig_rank,
     frob_dist,
     haar_unitary,
     kron,
@@ -145,16 +144,6 @@ class TestNormsAndRank:
     def test_frob_dist_shape_mismatch(self):
         with pytest.raises(ValueError):
             frob_dist(np.eye(2), np.eye(3))
-
-    def test_eig_rank_identity(self):
-        assert eig_rank(np.eye(4)) == 4
-
-    def test_eig_rank_projector(self):
-        assert eig_rank(np.diag([1.0, 1.0, 0.0, 0.0])) == 2
-
-    def test_eig_rank_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_rank(np.array([[0, 1], [0, 0]]))
 
     def test_trace_distance(self):
         rho = np.diag([1.0, 0.0])
