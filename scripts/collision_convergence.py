@@ -32,9 +32,8 @@ def main():
         cfg = CollisionConfig(a, args.zeta, args.dts[0], 1)
         entries = convergence_report(cfg, args.dts, args.t_final)
         rows = ["dt,t,trace_distance"]
-        for entry in entries:
-            for t, err in entry.errors:
-                rows.append(f"{entry.dt:.12g},{t:.12g},{err:.12g}")
+        for entry in entries:  # errors: one (t, trace distance) row per collision count
+            rows.extend(f"{entry.dt:.12g},{t:.12g},{err:.12g}" for t, err in entry.errors.tolist())
         path = outdir / f"collide_{name}.csv"
         path.write_text("\n".join(rows) + "\n")
 

@@ -86,7 +86,8 @@ class PauliChannel:
             raise ValueError(f"negative probability in {p}")
         if abs(sum(p) - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {sum(p)}, not 1")
-        object.__setattr__(self, "p", p)
+        # a weight in [-PROB_TOL, 0) is rounding: store it as the 0 it stands for
+        object.__setattr__(self, "p", tuple(0.0 if v < 0.0 else v for v in p))
 
     @classmethod
     def identity(cls) -> "PauliChannel":
@@ -107,11 +108,7 @@ class PauliChannel:
 
     def kraus_ops(self) -> list[np.ndarray]:
         """K_a = sqrt(p_a) sigma_a in fixed order (I, x, y, z); zeros dropped."""
-        return [
-            math.sqrt(max(p, 0.0)) * m
-            for p, m in zip(self.p, PAULI_BASIS)
-            if p > 0.0
-        ]
+        return [math.sqrt(p) * m for p, m in zip(self.p, PAULI_BASIS) if p > 0.0]
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij E_ij (x) phi[E_ij], trace 2."""

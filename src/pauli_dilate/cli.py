@@ -24,6 +24,7 @@ from .dilations import (
     defining_pauli_rep,
     dilation_from_kraus,
     rep_report,
+    require_minimal,
     solve_env_rep,
     solve_su2_generators,
 )
@@ -40,6 +41,17 @@ def _fmt_real(x: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return f"{v:.12g}"
+
+
+def _csv_rows(table: np.ndarray, prefix: str = "") -> list[str]:
+    """Each row of a 2-D float table as one CSV line, every real as _fmt_real prints it.
+
+    `prefix` is prepended verbatim, so a constant column is formatted once per
+    table.  Adding 0.0 is _fmt_real's -0.0 normalization: IEEE arithmetic gives
+    -0.0 + 0.0 = +0.0.
+    """
+    line = prefix + ",".join(["{:.12g}"] * table.shape[1])
+    return [line.format(*row) for row in (table + 0.0).tolist()]
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -101,12 +113,19 @@ def _nonneg(value: float | None, default: float, flag: str) -> float:
     return value
 
 
-def _minimal_dilation(args, command: str) -> tuple[PauliChannel, Isometry]:
-    """The channel of --in and its dilation stacked from the nonzero Kraus slots."""
+def _minimal_dilation(args, command: str) -> tuple[PauliChannel, Isometry, int]:
+    """The channel of --in, its dilation stacked from the nonzero Kraus slots, its Kraus rank.
+
+    A weight in (0, 5e-11] keeps a slot that the Kraus rank does not count;
+    such a dilation is not minimal and is rejected.
+    """
     ch = channel_from_descriptor(_load_descriptor(args.input))
     if not isinstance(ch, PauliChannel):
         raise ValueError(f"{command} expects a channel descriptor, not a Liouvillian")
-    return ch, dilation_from_kraus(ch.kraus_ops())
+    v = dilation_from_kraus(ch.kraus_ops())
+    rank = ch.choi_spectrum()[1]
+    require_minimal(rank, v.dim_e)
+    return ch, v, rank
 
 
 def cmd_channel(args) -> int:
@@ -126,11 +145,11 @@ def cmd_channel(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    ch, v = _minimal_dilation(args, "dilate")
+    _, v, rank = _minimal_dilation(args, "dilate")
     report = {
         "dim_system": v.dim_s,
         "dim_env": v.dim_e,
-        "kraus_rank": ch.choi_spectrum()[1],
+        "kraus_rank": rank,
         "isometry_defect": v.defect(),
         "isometry": [list(row) for row in v.v],
     }
@@ -140,7 +159,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_rep(args) -> int:
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
-    ch, v = _minimal_dilation(args, "rep")
+    ch, v, _ = _minimal_dilation(args, "rep")
     sol = solve_env_rep(v, defining_pauli_rep(), tol=tol)
     report = rep_report(sol)
     report["channel"] = {"probabilities": list(ch.p)}
@@ -184,14 +203,13 @@ def cmd_evolve(args) -> int:
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
     pd = dilation_from_descriptor(_load_descriptor(args.input))
-    lines = ["t,pI,px,py,pz,leakage"]
+    table = np.empty((samples, 6))
     worst_leak = 0.0
-    for t in np.linspace(0.0, tmax, samples):
+    for row, t in zip(table, np.linspace(0.0, tmax, samples)):
         fit = channel_at_time(pd, t)
         worst_leak = max(worst_leak, fit.leakage)
-        row = [fit.t, *fit.probs, fit.leakage]
-        lines.append(",".join(_fmt_real(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.output)
+        row[0], row[1:5], row[5] = fit.t, fit.probs, fit.leakage
+    _emit("\n".join(["t,pI,px,py,pz,leakage", *_csv_rows(table)]) + "\n", args.output)
     if args.strict and worst_leak > tol:
         print(f"error: non-Pauli leakage {worst_leak:.3e} exceeds {tol:.1e}", file=sys.stderr)
         return 2
@@ -224,10 +242,8 @@ def cmd_collide(args) -> int:
         raise ValueError(f'"n" must be a whole number of collisions, got {n}')
     cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'), int(n))
     entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
-    lines = ["dt,t,trace_distance"]
-    for t, err in entries[0].errors:
-        lines.append(f"{_fmt_real(cfg.dt)},{_fmt_real(t)},{_fmt_real(err)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = _csv_rows(entries[0].errors, prefix=_fmt_real(cfg.dt) + ",")
+    _emit("\n".join(["dt,t,trace_distance", *rows]) + "\n", args.output)
     return 0
 
 
@@ -291,10 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of this process, built by the first main() call: parsing keeps no state in it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -107,12 +107,18 @@ def simulate_semigroup(cfg: CollisionConfig, rho0) -> list[np.ndarray]:
 
 @dataclass
 class ConvergenceEntry:
+    """One rung of a convergence table.
+
+    `errors` is an (n+1, 2) float array with one row (t_k, trace distance to
+    the exact semigroup at t_k) per collision count k = 0..n.
+    """
+
     dt: float
-    errors: list[tuple[float, float]]  # (t, trace distance to exact semigroup)
+    errors: np.ndarray
 
     @property
     def max_error(self) -> float:
-        return max(err for _, err in self.errors)
+        return float(self.errors[:, 1].max())
 
 
 def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: float,
@@ -142,7 +148,7 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
         with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
             exact = np.exp(-np.outer(t, decay)) * r0
         errors = 0.5 * np.linalg.norm(states - exact, axis=1)
-        entries.append(ConvergenceEntry(run.dt, list(zip(t.tolist(), errors.tolist()))))
+        entries.append(ConvergenceEntry(run.dt, np.column_stack((t, errors))))
     return entries
 
 

@@ -51,7 +51,10 @@ class Isometry:
             raise ValueError("V+ V deviates from the identity beyond 1e-10")
 
     def defect(self) -> float:
-        return float(np.linalg.norm(self.v.conj().T @ self.v - np.eye(self.dim_s)))
+        """Frobenius norm of V+ V - I."""
+        gram = self.v.conj().T @ self.v
+        gram.flat[:: self.dim_s + 1] -= 1.0  # the diagonal, without building an identity
+        return float(np.linalg.norm(gram))
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,13 @@ def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
     return [np.ascontiguousarray(t3[:, e, :]) for e in range(v.dim_e)]
 
 
+def require_minimal(kraus_rank: int, dim_e: int) -> None:
+    """Reject a dilation whose environment has a slot the Kraus rank does not count."""
+    if kraus_rank < dim_e:
+        raise ValueError(f"dilation is not minimal (Kraus rank {kraus_rank}, environment dim "
+                         f"{dim_e}); remove vanishing probabilities first")
+
+
 def _solve_env_operators(v: Isometry, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares X_k with (I (x) X_k) V = rhs_k, rhs of shape (k, dim_s, dim_e, dim_s).
 
@@ -207,10 +217,7 @@ def _solve_env_operators(v: Isometry, rhs: np.ndarray) -> tuple[np.ndarray, np.n
     a = v.v.reshape(ds, de, ds).transpose(0, 2, 1).reshape(ds * ds, de)
     b = rhs.transpose(1, 3, 0, 2).reshape(ds * ds, n * de)
     x, _, _, s = np.linalg.lstsq(a, b, rcond=None)
-    rank = int(np.sum(s ** 2 > DEFAULT_TOL))
-    if rank < de:
-        raise ValueError(f"dilation is not minimal (Kraus rank {rank}, environment dim {de}); "
-                         "remove vanishing probabilities first")
+    require_minimal(int(np.sum(s ** 2 > DEFAULT_TOL)), de)
     residuals = np.linalg.norm((a @ x - b).reshape(ds * ds, n, de), axis=(0, 2))
     return x.reshape(de, n, de).transpose(1, 2, 0), residuals
 

@@ -44,6 +44,15 @@ class TestPauliChannelBasics:
         with pytest.raises(ValueError):
             PauliChannel((0.5, 0.1, 0.1, 0.1))
 
+    def test_tolerated_negative_weight_is_stored_as_zero(self):
+        # -1e-13 passes the range check (PROB_TOL = 1e-12) and is kept as the 0 it stands for
+        ch = PauliChannel((0.5, 0.5000000000001, 0.0, -1e-13))
+        assert ch.p == (0.5, 0.5000000000001, 0.0, 0.0)
+        assert ch.choi_spectrum() == ([2 * 0.5000000000001, 1.0, 0.0, 0.0], 2)
+        assert len(ch.kraus_ops()) == 2
+        with pytest.raises(ValueError):
+            PauliChannel((0.5, 0.5, 1.1e-12, -1.1e-12))
+
     @given(prob_vectors)
     def test_unitality(self, p):
         ch = PauliChannel(p)

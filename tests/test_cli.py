@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pauli_dilate.cli import MAX_SAMPLES, main
+from pauli_dilate import cli
+from pauli_dilate.cli import MAX_SAMPLES, _csv_rows, _fmt_real, main
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +45,14 @@ class TestChannelCommand:
         report = run_json(["channel", "--in", '{"type":"depolarizing","p":0.75}'], capsys)
         assert np.allclose(report["bloch_scaling"], [0.0, 0.0, 0.0])
 
+    def test_tolerated_negative_weight_prints_zero(self, capsys):
+        # -1e-13 is within PROB_TOL of 0 and is stored as 0
+        report = run_json(["channel", "--in",
+                           '{"type":"pauli","p":[0.5,0.5000000000001,0,-1e-13]}'], capsys)
+        assert report["probabilities"] == [0.5, 0.5, 0, 0]
+        assert report["choi_eigenvalues"] == [1, 1, 0, 0]
+        assert report["kraus_rank"] == 2
+
     def test_liouvillian_needs_time(self, capsys):
         report = run_json(["channel", "--in",
                            '{"type":"liouvillian","gamma":[0,0,1]}', "--tmax", "0.5"], capsys)
@@ -69,6 +80,15 @@ class TestDilateCommand:
     def test_rejects_liouvillian(self, capsys):
         code, _, _ = run_cli(["dilate", "--in", '{"type":"liouvillian","gamma":[1,1,1]}'], capsys)
         assert code == 1
+
+    def test_non_minimal_rejected_like_rep(self, capsys):
+        # the 1e-11 weight keeps a slot that the Kraus rank (3) does not count
+        desc = '{"type":"pauli","p":[0.5,0.25,0.24999999999,1e-11]}'
+        code, out, err = run_cli(["dilate", "--in", desc], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: dilation is not minimal (Kraus rank 3, environment dim 4); "
+                       "remove vanishing probabilities first\n")
+        assert run_cli(["rep", "--in", desc], capsys) == (code, out, err)
 
 
 RANK_DEFICIENT = [
@@ -496,6 +516,51 @@ class TestCliContract:
             assert runs[0].returncode == 0, runs[0].stderr
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout
+
+
+README_CSV = [
+    ["collide", "--in", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'],
+    ["collide", "--in", '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'],
+    ["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "3.14", "--samples", "50"],
+    ["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1"}', "--strict"],
+]
+
+
+def fresh_process(argv):
+    run = subprocess.run([sys.executable, "-m", "pauli_dilate", *argv],
+                         capture_output=True, text=True, timeout=120)
+    return run.returncode, run.stdout
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and keeps nothing else between calls."""
+
+    reals = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+         1.0, -3.0, 1e15, 2.0 ** 60])
+
+    @given(rows=st.lists(st.lists(reals, min_size=3, max_size=3), min_size=1, max_size=8))
+    def test_csv_rows_match_fmt_real(self, rows):
+        want = [",".join(_fmt_real(v) for v in row) for row in rows]
+        assert _csv_rows(np.array(rows)) == want
+        assert _csv_rows(np.array(rows), prefix="0.05,") == ["0.05," + w for w in want]
+
+    def test_parser_built_once_and_failure_leaves_no_trace(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        argv = README_CSV[0]
+        assert run_cli(["collide", "--bogus"], capsys)[0] == 1
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == fresh_process(argv)
+        assert built == [1]
+
+    @pytest.mark.parametrize("argv", README_CSV, ids=lambda a: a[2])
+    def test_second_in_process_call_matches_fresh_process(self, capsys, argv):
+        first = run_cli(argv, capsys)
+        assert run_cli(argv, capsys) == first
+        assert first[:2] == fresh_process(argv)
 
 
 def test_verify_seed_changes_nothing_substantive(capsys):

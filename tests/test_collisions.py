@@ -191,10 +191,15 @@ def test_closed_form_matches_brute_force(a, zeta, dt, n, r):
 
     [entry] = convergence_report(cfg, [dt], n * dt, rho0)
     assert len(entry.errors) == n + 1
+    assert entry.errors.shape == (n + 1, 2) and entry.errors.dtype == np.float64
     lv = PauliLiouvillian(tuple(cfg.rates()))
+    distances = []
     for k, ((t, err), state) in enumerate(zip(entry.errors, oracle)):
         assert t == k * dt
-        assert abs(err - trace_distance(state, semigroup_channel(lv, t).apply(rho0))) < 1e-12
+        distances.append(trace_distance(state, semigroup_channel(lv, t).apply(rho0)))
+        assert abs(err - distances[-1]) < 1e-12
+    assert isinstance(entry.max_error, float)
+    assert abs(entry.max_error - max(distances)) < 1e-12
 
 
 class TestConvergence:

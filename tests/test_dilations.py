@@ -80,6 +80,15 @@ class TestIsometryType:
         with pytest.raises(ValueError):
             Isometry(np.eye(4), 2, 2)
 
+    @pytest.mark.parametrize("dim_s, dim_e", [(1, 1), (2, 1), (2, 2), (2, 4), (4, 2)])
+    def test_defect_is_distance_of_gram_to_identity(self, rng, dim_s, dim_e):
+        # the diagonal is shifted in place; the identity it replaces is the oracle, bit for bit
+        for _ in range(20):
+            v = Isometry(haar_unitary(dim_s * dim_e, rng)[:, :dim_s], dim_s, dim_e)
+            gram = v.v.conj().T @ v.v
+            assert v.defect() == float(np.linalg.norm(gram - np.eye(dim_s)))
+            assert v.defect() == v.defect()  # the stored matrix is not changed
+
 
 class TestDilationFromKraus:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
