@@ -15,15 +15,15 @@ from pauli_dilate.dynamics import (
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
-    channel_at_time,
+    channels_on_grid,
 )
 
 
 def sweep(pd, times):
+    grid = channels_on_grid(pd, times)
+    table = np.column_stack((grid.t, grid.probs, grid.leakage)).tolist()
     rows = ["t,pI,px,py,pz,leakage"]
-    for t in times:
-        fit = channel_at_time(pd, t)
-        rows.append(",".join(f"{v:.12g}" for v in (t, *fit.probs, fit.leakage)))
+    rows += [",".join(f"{v:.12g}" for v in row) for row in table]
     return "\n".join(rows) + "\n"
 
 

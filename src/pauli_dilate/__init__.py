@@ -34,6 +34,7 @@ from .dilations import (
     su2_sample_rep,
 )
 from .dynamics import (
+    ChannelGrid,
     KrylovSubspace,
     PhysicalDilation,
     Schedule,
@@ -41,6 +42,7 @@ from .dynamics import (
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
     channel_at_time,
+    channels_on_grid,
     isometry_at,
     krylov_subspace,
     replay_schedule,

@@ -63,11 +63,16 @@ def bloch_vector(rho) -> np.ndarray:
 
 
 def probs_from_scaling(lam) -> np.ndarray:
-    """Invert the Bloch-scaling map: probabilities (pI, px, py, pz)."""
-    lx, ly, lz = (float(v) for v in lam)
+    """Invert the Bloch-scaling map: probabilities (pI, px, py, pz).
+
+    An (n, 3) stack of scalings gives the (n, 4) stack of probabilities.
+    """
+    a = np.asarray(lam, dtype=float)
+    # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
+    lx, ly, lz = a.tolist() if a.ndim == 1 else a.T
     return 0.25 * np.array(
         [1 + lx + ly + lz, 1 + lx - ly - lz, 1 - lx + ly - lz, 1 - lx - ly + lz]
-    )
+    ).T
 
 
 @dataclass(frozen=True)
@@ -111,15 +116,12 @@ class PauliChannel:
         return [math.sqrt(p) * m for p, m in zip(self.p, PAULI_BASIS) if p > 0.0]
 
     def choi(self) -> np.ndarray:
-        """Choi matrix sum_ij E_ij (x) phi[E_ij], trace 2."""
-        out = np.zeros((4, 4), dtype=np.complex128)
-        kraus = self.kraus_ops()
-        for i in range(2):
-            for j in range(2):
-                e = np.zeros((2, 2), dtype=np.complex128)
-                e[i, j] = 1.0
-                out += np.kron(e, kraus_apply(kraus, e))
-        return out
+        """Choi matrix sum_ij E_ij (x) phi[E_ij], trace 2.
+
+        Entry ((i, a), (j, b)) is phi[E_ij][a, b] = sum_k K_k[a, i] conj(K_k[b, j]).
+        """
+        kraus = np.array(self.kraus_ops())
+        return np.einsum("kai,kbj->iajb", kraus, kraus.conj()).reshape(4, 4)
 
     def choi_spectrum(self) -> tuple[list[float], int]:
         """Choi eigenvalues 2 p_a, descending, and the Kraus rank: the count above DEFAULT_TOL.

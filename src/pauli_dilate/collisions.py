@@ -14,16 +14,20 @@ stepping is the test suite's oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channels import PauliChannel, bloch_state, bloch_vector, validate_density_matrix
+from .channels import PauliChannel, bloch_vector, validate_density_matrix
 from .dynamics import build_generic_pauli_dilation
 from .pauli import PAULI_BASIS
 
 MAX_COLLISIONS = 10**6
+
+# Bloch vector of the default initial state, (1, 1, 1) / sqrt(3) as it reads back
+# from its density matrix: the z component rounds one unit lower through 1 +- z
+_DEFAULT_BLOCH = (0.5773502691896258, 0.5773502691896258, 0.5773502691896257)
 
 
 @dataclass(frozen=True)
@@ -131,20 +135,23 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
     exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in one pass.
     """
     if rho0 is None:
-        rho0 = bloch_state(np.array([1.0, 1.0, 1.0]) / math.sqrt(3))
-    r0 = bloch_vector(validate_density_matrix(rho0))
+        r0 = np.array(_DEFAULT_BLOCH)
+    else:
+        r0 = bloch_vector(validate_density_matrix(rho0))
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
     gamma = cfg.rates()
     decay = 2.0 * (gamma.sum() - gamma)
     entries = []
     for dt in dts:
-        run = replace(cfg, dt=float(dt))
+        run = CollisionConfig(cfg.a, cfg.zeta, float(dt), cfg.n)  # the dt and overflow checks
         steps = t_final / run.dt
         _check_count(steps)
-        run = replace(run, n=int(round(steps)))
-        t = np.arange(run.n + 1) * run.dt
-        states = collision_channel(run).bloch_scaling() ** np.arange(run.n + 1)[:, None] * r0
+        n = round(steps)
+        if n < 1:
+            raise ValueError("need at least one collision")
+        t = np.arange(n + 1) * run.dt
+        states = collision_channel(run).bloch_scaling() ** np.arange(n + 1)[:, None] * r0
         with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
             exact = np.exp(-np.outer(t, decay)) * r0
         errors = 0.5 * np.linalg.norm(states - exact, axis=1)

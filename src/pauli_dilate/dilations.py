@@ -25,6 +25,7 @@ from .linalg import (
     ToleranceError,
     as_complex_matrix,
     frob_dist,
+    gram_defects,
     kron,
     partial_trace_env,
 )
@@ -70,8 +71,10 @@ class GroupRep:
         for g, m in mats.items():
             if m.shape != (self.space_dim, self.space_dim):
                 raise ValueError(f"representation matrix for {g} has shape {m.shape}")
-            if frob_dist(m.conj().T @ m, np.eye(self.space_dim)) > DEFAULT_TOL:
-                raise ValueError(f"representation matrix for {g} is not unitary")
+        stack = np.array(list(mats.values())).reshape(len(mats), self.space_dim, self.space_dim)
+        bad = np.flatnonzero(gram_defects(stack) > DEFAULT_TOL)
+        if bad.size:
+            raise ValueError(f"representation matrix for {list(mats)[bad[0]]} is not unitary")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "mats", mats)
 
@@ -110,14 +113,20 @@ def defining_pauli_rep() -> GroupRep:
 
 
 def pauli_rep_law_defect(rep: GroupRep) -> float:
-    """Max deviation from rep(g) rep(h) == rep(gh) over Pauli-group labels."""
-    worst = 0.0
-    parsed = {g: pauli(g) for g in rep.labels}
-    for g in rep.labels:
-        for h in rep.labels:
-            gh = str(multiply(parsed[g], parsed[h]))
-            worst = max(worst, frob_dist(rep.mats[g] @ rep.mats[h], rep.mats[gh]))
-    return worst
+    """Max deviation from rep(g) rep(h) == rep(gh) over Pauli-group labels.
+
+    All products rep(g) rep(h) form one (k, k, d, d) stack, compared with the
+    representation stack indexed by the group's product table.
+    """
+    parsed = [pauli(g) for g in rep.labels]
+    index = {g: i for i, g in enumerate(rep.labels)}  # a product outside the labels: KeyError
+    table = [[index[str(multiply(a, b))] for b in parsed] for a in parsed]
+    k, d = len(parsed), rep.space_dim
+    stack = np.array([rep.mats[g] for g in rep.labels]).reshape(k, d, d)
+    products = stack[:, None] @ stack[None, :]
+    defects = np.linalg.norm(products - stack[np.array(table, dtype=int).reshape(k, k)],
+                             axis=(2, 3))
+    return float(np.max(defects, initial=0.0))
 
 
 def rotation_unitary(theta: float, axis) -> np.ndarray:
@@ -235,7 +244,7 @@ def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> E
     xs, res = _solve_env_operators(v, rhs)
     mats = dict(zip(sys_rep.labels, xs))
     residuals = dict(zip(sys_rep.labels, res.tolist()))
-    defects = {g: frob_dist(x.conj().T @ x, np.eye(v.dim_e)) for g, x in mats.items()}
+    defects = dict(zip(sys_rep.labels, gram_defects(xs).tolist()))
     worst = max(residuals.values())
     if worst > tol:
         raise ToleranceError(

@@ -23,9 +23,11 @@ from .linalg import (
     as_reals,
     basis_state,
     check_keys,
+    gram_defects,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
+    mat_exp_hermitian_grid,
 )
 from .pauli import PAULI_BASIS, pauli, to_matrix
 
@@ -102,6 +104,34 @@ class ChannelFit:
         return PauliChannel(tuple(self.probs))
 
 
+@dataclass(frozen=True)
+class ChannelGrid:
+    """Pauli fits of the channels induced by one dilation on a grid of times.
+
+    Each array stacks the matching ChannelFit field along its first axis;
+    iterating (or indexing) gives the fits one ChannelFit row at a time.
+    """
+
+    t: np.ndarray            # (n,) time of each row
+    isometries: np.ndarray   # (n, dim_s * dim_e, dim_s)
+    transfer: np.ndarray     # (n, 4, 4) Pauli transfer matrices
+    probs: np.ndarray        # (n, 4) fitted (pI, px, py, pz), unclamped
+    lam: np.ndarray          # (n, 3) fitted Bloch scalings
+    leakage: np.ndarray      # (n,) norms of the non-Pauli parts
+    dim_s: int
+    dim_e: int
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> ChannelFit:
+        return ChannelFit(float(self.t[k]), Isometry(self.isometries[k], self.dim_s, self.dim_e),
+                          self.transfer[k], self.probs[k], self.lam[k], float(self.leakage[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 # Pauli change of basis of the single-qubit Liouville space: the transfer
 # matrix of a map with Liouville matrix S is _LEFT @ S @ _RIGHT / 2, where
 # _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
@@ -143,6 +173,43 @@ def channel_at_time(pd: PhysicalDilation, t: float) -> ChannelFit:
     fit = fit_pauli_transfer(isometry_at(pd, t))
     fit.t = float(t)
     return fit
+
+
+def channels_on_grid(pd: PhysicalDilation, times) -> ChannelGrid:
+    """channel_at_time at every time of a 1-d grid, from one eigendecomposition of H.
+
+    The checks of the per-time path hold at every time: the times are finite
+    and nonnegative, H is Hermitian within 1e-12, no phase t |w|max overflows,
+    and V+ V deviates from the identity by at most 1e-10.
+    """
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"times must be a 1-d grid, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("times must be finite and nonnegative")
+    return _grid_fits(pd, ts, ts)
+
+
+def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> ChannelGrid:
+    """Fit the channels of exp(-i H theta) for every theta, rows labelled by `labels`.
+
+    The isometries are the stacked form of isometry_at and the fits the
+    stacked form of fit_pauli_transfer.
+    """
+    n, ds, de = len(thetas), pd.dim_s, pd.dim_e
+    v = mat_exp_hermitian_grid(pd.h, thetas).reshape(n, ds * de, ds, de) @ pd.psi_e
+    if not np.all(gram_defects(v) <= DEFAULT_TOL):  # Isometry's check, NaN included
+        raise ValueError("V+ V deviates from the identity beyond 1e-10")
+    v4 = v.reshape(n, ds, de, ds)
+    liouville = np.einsum("tiej,tkel->tikjl", v4, v4.conj()).reshape(n, 4, 4)
+    r = _LEFT @ liouville @ _RIGHT / 2.0
+    lam = np.real(np.diagonal(r, axis1=1, axis2=2)[:, 1:])
+    model = np.zeros((n, 4, 4))
+    model[:, 0, 0] = 1.0
+    model[:, [1, 2, 3], [1, 2, 3]] = lam
+    leakage = np.linalg.norm(r - model, axis=(1, 2))
+    return ChannelGrid(np.asarray(labels, dtype=float), v, r, probs_from_scaling(lam), lam,
+                       leakage, ds, de)
 
 
 def _string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
@@ -320,21 +387,17 @@ def schedule_for_target(p_target: Callable[[float], float], t_final: float,
     return Schedule(knots, float(t_final))
 
 
-def replay_schedule(sched: Schedule,
-                    pd: PhysicalDilation | None = None) -> list[ChannelFit]:
+def replay_schedule(sched: Schedule, pd: PhysicalDilation | None = None) -> ChannelGrid:
     """Fit the channel at each segment end of the coupling f(t) H.
 
     The base generator defaults to the phase damping dilation.  Every segment
     is f_k H with the same H, so the segments commute and the evolution up to
-    boundary k is exp(-i H Theta_k) with Theta_k = sum_{j <= k} f_j dt_j.
+    boundary k is exp(-i H Theta_k) with Theta_k = sum_{j <= k} f_j dt_j.  The
+    grid holds one row per segment, at Theta_k, with t the segment's end; a
+    signed coupling may make Theta_k negative.
     """
     if pd is None:
         pd = build_phase_damping_dilation()
     starts, values = np.array(sched.knots).T
     ends = np.append(starts[1:], sched.t_final)
-    fits = []
-    for theta, t_end in zip(np.cumsum(values * (ends - starts)), ends.tolist()):
-        fit = fit_pauli_transfer(isometry_at(pd, theta))
-        fit.t = t_end
-        fits.append(fit)
-    return fits
+    return _grid_fits(pd, np.cumsum(values * (ends - starts)), ends)

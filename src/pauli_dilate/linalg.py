@@ -79,8 +79,21 @@ def hermiticity_defect(m) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def mat_exp_hermitian(h, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) = V exp(-i w t) V+ from the eigendecomposition h = V w V+."""
+def gram_defects(mats) -> np.ndarray:
+    """Frobenius norms of M+ M - I for each matrix of a (k, m, n) stack, one batched Gram."""
+    a = np.asarray(mats, dtype=np.complex128)
+    gram = np.conj(np.swapaxes(a, -1, -2)) @ a
+    idx = np.arange(a.shape[-1])
+    gram[:, idx, idx] -= 1.0
+    return np.linalg.norm(gram, axis=(-2, -1))
+
+
+def _checked_eigh(h, t) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition h = V w V+ of a generator whose exp(-i h t) stays finite.
+
+    Coerces h, requires Hermiticity within 1e-12 in Frobenius norm, and rejects
+    a time t (the largest one of a grid) whose phase t |w|max overflows.
+    """
     a = as_complex_matrix(h)
     if np.linalg.norm(a - a.conj().T) > 1e-12:  # hermiticity_defect, without a second coercion
         raise ValueError("generator is not Hermitian within 1e-12")
@@ -88,7 +101,24 @@ def mat_exp_hermitian(h, t: float) -> np.ndarray:
     top = float(max(-w[0], w[-1]))  # eigh sorts w ascending
     if not np.isfinite(float(t) * top):
         raise ValueError(f"exp(-i h t) overflows: t = {t} times the eigenvalue {top:.6g}")
+    return w, v
+
+
+def mat_exp_hermitian(h, t: float) -> np.ndarray:
+    """Unitary exp(-i h t) = V exp(-i w t) V+ from the eigendecomposition h = V w V+."""
+    w, v = _checked_eigh(h, t)
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
+
+
+def mat_exp_hermitian_grid(h, times) -> np.ndarray:
+    """exp(-i h t) for every t of a 1-d grid, stacked (n, d, d), from one eigendecomposition.
+
+    Each unitary is the product mat_exp_hermitian forms, V exp(-i w t) V+; the
+    overflow check is made once, at the largest |t|.
+    """
+    ts = np.asarray(times, dtype=float)
+    w, v = _checked_eigh(h, np.max(np.abs(ts), initial=0.0))
+    return (v * np.exp(-1j * np.multiply.outer(ts, w))[:, None, :]) @ v.conj().T
 
 
 def trace_distance(a, b) -> float:

@@ -126,15 +126,22 @@ def pauli_basis_expand(m, tol: float = 1e-12) -> dict[PauliString, complex]:
     """
     a = np.asarray(m, dtype=np.complex128)
     dim = a.shape[0]
-    if a.shape != (dim, dim) or dim & (dim - 1) or dim == 0:
+    if a.shape != (dim, dim) or dim & (dim - 1) or dim < 2:  # a string has at least one qubit
         raise ValueError("expected a square matrix with power-of-two dimension")
     n = dim.bit_length() - 1
-    out: dict[PauliString, complex] = {}
-    for p in iter_strings(n):
-        c = complex(np.trace(to_matrix(p) @ a)) / dim
-        if abs(c) > tol:
-            out[p] = c
-    return out
+    # Tr(P m) = sum over (i_k, j_k) of prod_k s_{a_k}[i_k, j_k] m[j, i]: pair the
+    # row and column bit of each qubit into one index of m^T, then contract that
+    # index with PAULI_BASIS qubit by qubit.  Each pass contracts the leading
+    # axis and moves the result to the back, so the n passes leave the string
+    # index (a_1, ..., a_n) in iter_strings order.
+    interleaved = [axis for k in range(n) for axis in (k, n + k)]
+    c = a.T.reshape((2,) * 2 * n).transpose(interleaved).reshape(-1)
+    basis = PAULI_BASIS.reshape(4, 4)
+    for _ in range(n):
+        c = (basis @ c.reshape(4, -1)).T
+    coeffs = (c.reshape(-1) / dim).tolist()
+    return {PauliString(1, factors): coeffs[i]
+            for i, factors in enumerate(product("IXYZ", repeat=n)) if abs(coeffs[i]) > tol}
 
 
 def pauli_commutant(generators: Iterable[PauliString], qubits: int) -> list[PauliString]:

@@ -101,26 +101,28 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
 
 def check_pauli_group_closure() -> CheckResult:
     elements = pauli_mod.pauli_group()
-    table = set((p.phase, p.factors) for p in elements)
-    ok = len(table) == 16
-    worst = 0.0
+    index = {(p.phase, p.factors): i for i, p in enumerate(elements)}
+    ok = len(index) == 16
+    mats = np.array([pauli_mod.to_matrix(p) for p in elements])
+    targets = []
     for a, b in product(elements, repeat=2):
         c = pauli_mod.multiply(a, b)
-        if (c.phase, c.factors) not in table:
-            ok = False
-        worst = max(worst, linalg.frob_dist(
-            pauli_mod.to_matrix(a) @ pauli_mod.to_matrix(b), pauli_mod.to_matrix(c)))
+        i = index.get((c.phase, c.factors))
+        ok = ok and i is not None
+        targets.append(pauli_mod.to_matrix(c) if i is None else mats[i])
+    # every entry is 0, +-1 or +-i, so the products are exact: any nonzero defect is a wrong product
+    products = (mats[:, None] @ mats[None, :]).reshape(-1, 2, 2)
+    worst = float(np.max(np.linalg.norm(products - np.array(targets), axis=(1, 2))))
     return CheckResult("pauli-group-closure", ok and worst == 0.0, worst, 0.0)
 
 
 def check_commutation_vs_matrices() -> CheckResult:
-    worst = 0.0
-    for a, b in product(pauli_mod.iter_strings(2), repeat=2):
-        ma, mb = pauli_mod.to_matrix(a), pauli_mod.to_matrix(b)
-        algebraic = pauli_mod.commutes(a, b)
-        numeric = linalg.frob_dist(ma @ mb, mb @ ma) < 1e-12
-        if algebraic != numeric:
-            worst = 1.0
+    strings = list(pauli_mod.iter_strings(2))
+    mats = np.array([pauli_mod.to_matrix(p) for p in strings])
+    products = mats[:, None] @ mats[None, :]  # [i, j] holds M_i M_j
+    numeric = np.linalg.norm(products - products.swapaxes(0, 1), axis=(2, 3)) < 1e-12
+    algebraic = np.array([[pauli_mod.commutes(a, b) for b in strings] for a in strings])
+    worst = 0.0 if np.array_equal(algebraic, numeric) else 1.0
     return _result("pauli-commutation-vs-matrices", worst, 0.0)
 
 
@@ -254,10 +256,9 @@ def check_pauli_commutants() -> CheckResult:
 def check_builder_time_laws() -> CheckResult:
     worst = 0.0
     for pd, a in _builders().values():
-        for t in dynamics.TIME_GRID:
-            fit = dynamics.channel_at_time(pd, t)
-            worst = max(worst, fit.leakage)
-            worst = max(worst, float(np.max(np.abs(fit.probs - _law(a, t)))))
+        grid = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
+        laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
+        worst = max(worst, float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
     return _result("builder-time-laws", worst, 1e-10)
 
 
@@ -346,10 +347,8 @@ def check_full_symmetrization() -> CheckResult:
     dep, a = _builders()["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     sym = dynamics.symmetrize_full(dep, k)
-    worst = 0.0
-    for t in dynamics.TIME_GRID:
-        fit = dynamics.channel_at_time(sym, t)
-        worst = max(worst, float(np.max(np.abs(fit.probs - _law(a, t)))))
+    laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
+    worst = float(np.max(np.abs(dynamics.channels_on_grid(sym, dynamics.TIME_GRID).probs - laws)))
     for s in _su2_total_generators():
         worst = max(worst, float(np.linalg.norm(s @ sym.h - sym.h @ s)))
     return _result("full-symmetrization", worst, 1e-9)
@@ -372,11 +371,9 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
         return CheckResult("rotating-phase-freedom", False, commutator, 1e-9,
                            "free environment term does not commute with H")
     rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
-    worst = 0.0
-    for t in dynamics.TIME_GRID:
-        base = dynamics.channel_at_time(pd, t)
-        rot = dynamics.channel_at_time(rotated, t)
-        worst = max(worst, float(np.max(np.abs(base.probs - rot.probs))))
+    base = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
+    rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
+    worst = float(np.max(np.abs(base.probs - rot.probs)))
     sys_rep = dilations.defining_pauli_rep()
     rep_times = (0.4, 0.7, 1.3)
     base_rep = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep
@@ -431,9 +428,8 @@ def check_strong_conservation_triviality() -> CheckResult:
 
 def check_schedule_round_trip() -> CheckResult:
     sched = dynamics.schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200)
-    worst = 0.0
-    for fit in dynamics.replay_schedule(sched):
-        worst = max(worst, abs(fit.probs[3] - math.sin(3 * fit.t) ** 2))
+    grid = dynamics.replay_schedule(sched)
+    worst = float(np.max(np.abs(grid.probs[:, 3] - np.sin(3 * grid.t) ** 2)))
     return _result("schedule-round-trip", worst, 1e-6)
 
 

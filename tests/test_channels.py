@@ -159,6 +159,16 @@ class TestChoi:
     def test_psd(self, p):
         assert np.linalg.eigvalsh(PauliChannel(p).choi()).min() > -1e-12
 
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=4, max_size=4)
+           .filter(any))
+    def test_matches_kron_sum_oracle(self, w):
+        # oracle: sum_ij E_ij (x) phi[E_ij], one Kronecker product per matrix unit
+        ch = PauliChannel(tuple(x / sum(w) for x in w))
+        kraus = ch.kraus_ops()
+        oracle = sum(np.kron(_unit(i, j), kraus_apply(kraus, _unit(i, j)))
+                     for i in range(2) for j in range(2))
+        assert frob_dist(ch.choi(), oracle) < 1e-14
+
 
 class TestBlochScaling:
     def test_identity(self):

@@ -30,7 +30,7 @@ from pauli_dilate.dynamics import (
     isometry_at,
 )
 from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
-from pauli_dilate.pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ
+from pauli_dilate.pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ, multiply, pauli
 
 
 def expected_phase_damping_v(p):
@@ -271,6 +271,29 @@ def covariant_isometries(draw):
     return isometry_at(build_generic_pauli_dilation(*a), draw(st.floats(0.1, 0.8)))
 
 
+def law_defect_by_pairs(rep):
+    """Oracle: one product and one Frobenius distance per ordered pair of labels."""
+    worst = 0.0
+    for g in rep.labels:
+        for h in rep.labels:
+            gh = str(multiply(pauli(g), pauli(h)))
+            worst = max(worst, frob_dist(rep.mats[g] @ rep.mats[h], rep.mats[gh]))
+    return worst
+
+
+def first_rep_error(labels, mats, dim):
+    """Oracle: GroupRep's message for the first bad element, checked one at a time,
+    shapes ahead of unitarity; None when every element passes."""
+    for g in labels:
+        if np.shape(mats[g]) != (dim, dim):
+            return f"representation matrix for {g} has shape {np.shape(mats[g])}"
+    for g in labels:
+        m = np.asarray(mats[g], dtype=complex)
+        if frob_dist(m.conj().T @ m, np.eye(dim)) > 1e-10:
+            return f"representation matrix for {g} is not unitary"
+    return None
+
+
 class TestStackedSolve:
     """One lstsq per isometry agrees with one solve per group element."""
 
@@ -285,6 +308,27 @@ class TestStackedSolve:
             assert frob_dist(sol.rep.mats[g], x) < 1e-12
             assert abs(sol.residuals[g] - res) < 1e-12
             assert abs(sol.unitarity_defects[g] - frob_dist(x.conj().T @ x, id_e)) < 1e-12
+
+    @given(covariant_isometries())
+    def test_unitarity_defects_match_per_element_grams(self, v):
+        sol = solve_env_rep(v, defining_pauli_rep())
+        id_e = np.eye(v.dim_e)
+        for g, x in sol.rep.mats.items():
+            assert abs(sol.unitarity_defects[g] - frob_dist(x.conj().T @ x, id_e)) < 1e-14
+
+    @given(covariant_isometries())
+    def test_law_defect_matches_pairwise_products(self, v):
+        rep = solve_env_rep(v, defining_pauli_rep()).rep
+        assert abs(pauli_rep_law_defect(rep) - law_defect_by_pairs(rep)) < 1e-14
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_law_defect_of_a_broken_law_matches_pairwise_products(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = defining_pauli_rep().labels
+        rep = GroupRep(labels, {g: haar_unitary(3, rng) for g in labels}, 3)
+        worst = law_defect_by_pairs(rep)
+        assert worst > 0.1
+        assert abs(pauli_rep_law_defect(rep) - worst) < 1e-14
 
     @given(covariant_isometries())
     def test_generator_stack_matches_per_element_solves(self, v):
@@ -403,6 +447,23 @@ class TestGroupRep:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             GroupRep(("a",), {"a": np.array([[1, 0], [0, 0.5]])}, 2)
+
+    @given(st.lists(st.sampled_from([0.0, 1e-13, 1e-8, 0.3]), min_size=16, max_size=16),
+           st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 15)))
+    def test_batched_checks_match_per_element_checks(self, scales, seed, bad_shape):
+        # (1 + s) U has unitarity defect about 2 sqrt(2) s: far below or far above 1e-10
+        rng = np.random.default_rng(seed)
+        labels = defining_pauli_rep().labels
+        mats = {g: (1 + s) * haar_unitary(2, rng) for g, s in zip(labels, scales)}
+        if bad_shape is not None:
+            mats[labels[bad_shape]] = np.eye(3)
+        want = first_rep_error(labels, mats, 2)
+        if want is None:
+            GroupRep(labels, mats, 2)
+        else:
+            with pytest.raises(ValueError) as exc:
+                GroupRep(labels, mats, 2)
+            assert str(exc.value) == want
 
 
 def test_kraus_basis_order_is_descending():

@@ -11,12 +11,14 @@ from pauli_dilate.dilations import (
 )
 from pauli_dilate.dynamics import (
     TIME_GRID,
+    ChannelFit,
     PhysicalDilation,
     Schedule,
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
     channel_at_time,
+    channels_on_grid,
     dilation_from_descriptor,
     fit_pauli_transfer,
     isometry_at,
@@ -435,6 +437,65 @@ def test_isometry_at_matches_expm_times_embedding(pd, t):
     # oracle: the full propagator times the kron injection |phi> -> |phi> (x) |psi_E>
     v = isometry_at(pd, t)
     assert frob_dist(v.v, scipy.linalg.expm(-1j * t * pd.h) @ pd.embed()) < 1e-12
+
+
+grid_times = st.one_of(
+    st.just([]),
+    # time 0 and a repeated time in every non-empty grid
+    st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6).map(lambda ts: [0.0, *ts, ts[0]]),
+)
+
+
+@given(superposed_dilations(), grid_times)
+def test_grid_matches_per_time_loop(pd, times):
+    # oracle: channel_at_time at each time, one eigendecomposition and one fit per time
+    grid = channels_on_grid(pd, times)
+    assert len(grid) == len(times)
+    assert grid.isometries.shape == (len(times), 2 * pd.dim_e, 2)
+    for k, t in enumerate(times):
+        fit = channel_at_time(pd, t)
+        assert grid.t[k] == fit.t
+        assert np.max(np.abs(grid.isometries[k] - fit.isometry.v)) < 1e-12
+        assert np.max(np.abs(grid.transfer[k] - fit.transfer)) < 1e-12
+        assert np.max(np.abs(grid.probs[k] - fit.probs)) < 1e-12
+        assert abs(grid.leakage[k] - fit.leakage) < 1e-12
+
+
+def test_grid_rows_are_channel_fits():
+    pd = build_depolarizing_dilation()
+    rows = list(channels_on_grid(pd, TIME_GRID[:4]))
+    for row, t in zip(rows, TIME_GRID[:4]):
+        fit = channel_at_time(pd, t)
+        assert isinstance(row, ChannelFit) and isinstance(row.isometry, Isometry)
+        assert row.t == fit.t and row.leakage == channels_on_grid(pd, [t]).leakage[0]
+        assert np.array_equal(row.probs, fit.probs)
+
+
+def _non_hermitian():
+    pd = build_phase_damping_dilation()
+    pd.h[0, 1] += 1.0
+    return pd
+
+
+def _denormalized():
+    pd = build_phase_damping_dilation()
+    pd.psi_e[:] *= 2.0
+    return pd
+
+
+@pytest.mark.parametrize("make_pd, times, message", [
+    (build_phase_damping_dilation, [0.0, -0.1], "finite and nonnegative"),
+    (build_phase_damping_dilation, [0.5, math.nan], "finite and nonnegative"),
+    (build_phase_damping_dilation, [math.inf], "finite and nonnegative"),
+    (build_phase_damping_dilation, [[0.0, 1.0]], "1-d grid"),
+    (lambda: PhysicalDilation(1e300 * to_matrix(pauli("ZX")), basis_state("1"), 2, 2),
+     [0.0, 1e10], "overflows"),
+    (_non_hermitian, [0.0], "not Hermitian"),
+    (_denormalized, [0.0, 1.0], "deviates from the identity"),
+], ids=["negative", "nan", "inf", "2-d", "overflow", "non-hermitian", "not-isometric"])
+def test_grid_rejects(make_pd, times, message):
+    with pytest.raises(ValueError, match=message):
+        channels_on_grid(make_pd(), times)
 
 
 def test_channel_at_time_rejects_negative_time():

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -159,6 +160,55 @@ class TestExpansion:
         rebuilt = sum((c * to_matrix(p) for p, c in out.items()),
                       start=np.zeros((4, 4), dtype=complex))
         assert frob_dist(rebuilt, m) < 1e-12
+
+
+def expand_by_traces(m, tol=1e-12):
+    """Oracle: one Kronecker-built string and one trace per phase-free string."""
+    a = np.asarray(m, dtype=complex)
+    dim = a.shape[0]
+    out = {}
+    for p in iter_strings(dim.bit_length() - 1):
+        c = complex(np.trace(to_matrix(p) @ a)) / dim
+        if abs(c) > tol:
+            out[p] = c
+    return out
+
+
+@st.composite
+def sparse_pauli_sums(draw):
+    """A random combination of a few strings on 1-3 qubits, so the tol drop matters."""
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=5))
+    coeffs = draw(st.lists(st.complex_numbers(min_magnitude=0.01, max_magnitude=2),
+                           min_size=len(labels), max_size=len(labels)))
+    m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for label, c in zip(labels, coeffs):
+        m += c * to_matrix(pauli(label))
+    return m
+
+
+class TestExpansionOracle:
+    """The qubit-by-qubit contraction agrees with a trace per string."""
+
+    @given(sparse_pauli_sums())
+    def test_sparse_sums(self, m):
+        fast, slow = pauli_basis_expand(m), expand_by_traces(m)
+        assert list(fast) == list(slow)
+        assert all(abs(fast[p] - slow[p]) < 1e-14 for p in slow)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        min_size=4 ** n, max_size=4 ** n)))
+    def test_dense_matrices(self, entries):
+        dim = math.isqrt(len(entries))
+        m = np.array(entries, dtype=complex).reshape(dim, dim)
+        fast, slow = pauli_basis_expand(m), expand_by_traces(m)
+        assert list(fast) == list(slow)
+        assert all(abs(fast[p] - slow[p]) < 1e-14 for p in slow)
+
+    def test_rejects_one_by_one(self):
+        with pytest.raises(ValueError):
+            pauli_basis_expand(np.eye(1))
 
 
 def _f2_rank(gens):
