@@ -6,7 +6,6 @@ from .channels import (
     bloch_state,
     bloch_vector,
     channel_from_descriptor,
-    check_covariance,
     probs_from_scaling,
     semigroup_channel,
 )
@@ -31,7 +30,6 @@ from .dilations import (
     phase_damping_isometry,
     solve_env_rep,
     solve_su2_generators,
-    su2_sample_rep,
 )
 from .dynamics import (
     ChannelGrid,

@@ -17,15 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    as_complex_matrix,
-    as_reals,
-    check_keys,
-    frob_dist,
-    hermiticity_defect,
-)
-from .pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ
+from .linalg import DEFAULT_TOL, as_complex_matrix, as_reals, check_keys
+from .pauli import ID2, PAULI_BASIS, SIGMA
 
 PROB_TOL = 1e-12
 
@@ -34,11 +27,25 @@ def validate_density_matrix(rho, dim: int = 2, tol: float = DEFAULT_TOL) -> np.n
     a = as_complex_matrix(rho)
     if a.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {a.shape}")
-    if hermiticity_defect(a) > tol:
+    return validate_density_matrices(a[None], dim, tol)[0]
+
+
+def validate_density_matrices(rhos, dim: int = 2, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """An (n, dim, dim) stack of density matrices, each held to validate_density_matrix's checks.
+
+    Hermiticity, trace and positivity are tested for the whole stack at once,
+    positivity from one batched eigvalsh; a failure raises the one-matrix message.
+    """
+    a = np.asarray(rhos, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1:] != (dim, dim):
+        raise ValueError(f"expected a stack of {dim}x{dim} density matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if np.any(np.linalg.norm(a - a.conj().swapaxes(1, 2), axis=(1, 2)) > tol):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(a) - 1.0) > tol:
+    if np.any(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0) > tol):
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(a).min() < -tol:
+    if np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return a
 
@@ -47,19 +54,64 @@ def kraus_apply(kraus: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
+def pauli_kraus(p) -> np.ndarray:
+    """K_a = sqrt(p_a) sigma_a in order (I, x, y, z), zero slots kept: shape (..., 4, 2, 2).
+
+    `p` holds valid weights, one 4-vector or an (n, 4) stack.
+    """
+    return np.sqrt(np.asarray(p, dtype=float))[..., None, None] * PAULI_BASIS
+
+
+def kraus_choi(kraus: np.ndarray) -> np.ndarray:
+    """Choi matrices sum_ij E_ij (x) phi[E_ij] of (..., k, 2, 2) Kraus stacks: (..., 4, 4).
+
+    Entry ((i, a), (j, b)) is phi[E_ij][a, b] = sum_k K_k[a, i] conj(K_k[b, j]).
+    """
+    out = np.einsum("...kai,...kbj->...iajb", kraus, kraus.conj())
+    return out.reshape(*out.shape[:-4], 4, 4)
+
+
+def kraus_action(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k+ for (..., k, 2, 2) Kraus stacks and (..., 2, 2) states."""
+    return np.einsum("...kab,...bc,...kdc->...ad", kraus, rho, kraus.conj())
+
+
+def bloch_states(r) -> np.ndarray:
+    """Density matrices (I + r . sigma) / 2 of an (n, 3) stack of Bloch vectors with |r| <= 1."""
+    v = np.asarray(r, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError("Bloch vector must have 3 components")
+    if np.any(np.linalg.norm(v, axis=1) > 1 + 1e-12):
+        raise ValueError("Bloch vector lies outside the unit ball")
+    return 0.5 * (ID2 + np.einsum("ni,iab->nab", v, PAULI_BASIS[1:]))
+
+
 def bloch_state(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 for a Bloch vector with |r| <= 1."""
     v = np.asarray(r, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
-    if np.linalg.norm(v) > 1 + 1e-12:
-        raise ValueError("Bloch vector lies outside the unit ball")
-    return 0.5 * (ID2 + v[0] * SX + v[1] * SY + v[2] * SZ)
+    return bloch_states(v[None])[0]
+
+
+def bloch_vectors(rhos: np.ndarray) -> np.ndarray:
+    """Bloch vectors tr(sigma_i rho) of an (n, 2, 2) stack of states: shape (n, 3)."""
+    return np.einsum("iab,nba->ni", PAULI_BASIS[1:], rhos).real
 
 
 def bloch_vector(rho) -> np.ndarray:
-    a = as_complex_matrix(rho)
-    return np.array([np.trace(s @ a).real for s in SIGMA])
+    return bloch_vectors(as_complex_matrix(rho)[None])[0]
+
+
+def scalings_from_probs(p) -> np.ndarray:
+    """Bloch scalings (lx, ly, lz) of probabilities (pI, px, py, pz).
+
+    An (n, 4) stack of probabilities gives the (n, 3) stack of scalings.
+    """
+    a = np.asarray(p, dtype=float)
+    # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
+    pi, px, py, pz = a.tolist() if a.ndim == 1 else a.T
+    return np.array([pi + px - py - pz, pi - px + py - pz, pi - px - py + pz]).T
 
 
 def probs_from_scaling(lam) -> np.ndarray:
@@ -108,20 +160,18 @@ class PauliChannel:
 
     def apply(self, rho) -> np.ndarray:
         """Kraus-sum action on a density matrix."""
-        a = validate_density_matrix(rho)
-        return kraus_apply(self.kraus_ops(), a)
+        return kraus_action(pauli_kraus(self.p), validate_density_matrix(rho))
 
     def kraus_ops(self) -> list[np.ndarray]:
-        """K_a = sqrt(p_a) sigma_a in fixed order (I, x, y, z); zeros dropped."""
-        return [math.sqrt(p) * m for p, m in zip(self.p, PAULI_BASIS) if p > 0.0]
+        """K_a = sqrt(p_a) sigma_a in fixed order (I, x, y, z); zeros dropped.
+
+        Dropping the zero slots keeps a dilation stacked from these operators minimal.
+        """
+        return [k for p, k in zip(self.p, pauli_kraus(self.p)) if p > 0.0]
 
     def choi(self) -> np.ndarray:
-        """Choi matrix sum_ij E_ij (x) phi[E_ij], trace 2.
-
-        Entry ((i, a), (j, b)) is phi[E_ij][a, b] = sum_k K_k[a, i] conj(K_k[b, j]).
-        """
-        kraus = np.array(self.kraus_ops())
-        return np.einsum("kai,kbj->iajb", kraus, kraus.conj()).reshape(4, 4)
+        """Choi matrix sum_ij E_ij (x) phi[E_ij], trace 2."""
+        return kraus_choi(pauli_kraus(self.p))
 
     def choi_spectrum(self) -> tuple[list[float], int]:
         """Choi eigenvalues 2 p_a, descending, and the Kraus rank: the count above DEFAULT_TOL.
@@ -134,8 +184,7 @@ class PauliChannel:
         return spectrum, sum(v > DEFAULT_TOL for v in spectrum)
 
     def bloch_scaling(self) -> np.ndarray:
-        pi, px, py, pz = self.p
-        return np.array([pi + px - py - pz, pi - px + py - pz, pi - px - py + pz])
+        return scalings_from_probs(self.p)
 
     def compose(self, other: "PauliChannel") -> "PauliChannel":
         """Channel composition; scalings multiply componentwise."""
@@ -180,27 +229,6 @@ def semigroup_channel(lv: PauliLiouvillian, t: float) -> PauliChannel:
     if t < 0:
         raise ValueError("time must be nonnegative")
     return PauliChannel(tuple(probs_from_scaling(semigroup_scalings(lv.gamma, t))))
-
-
-def check_covariance(channel, rep, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Test phi[g rho g+] == g phi[rho] g+ over a group representation.
-
-    `channel` may be a PauliChannel or a Kraus-operator list; `rep` is a
-    GroupRep.  The check runs over a spanning set of four Hermitian states;
-    returns (ok, max residual in Frobenius norm).
-    """
-    if isinstance(channel, PauliChannel):
-        kraus = channel.kraus_ops()
-    else:
-        kraus = [as_complex_matrix(k) for k in channel]
-    probes = [0.5 * ID2, 0.5 * (ID2 + SX), 0.5 * (ID2 + SY), 0.5 * (ID2 + SZ)]
-    worst = 0.0
-    for g in rep.mats.values():
-        for rho in probes:
-            lhs = kraus_apply(kraus, g @ rho @ g.conj().T)
-            rhs = g @ kraus_apply(kraus, rho) @ g.conj().T
-            worst = max(worst, frob_dist(lhs, rhs))
-    return worst <= tol, worst
 
 
 def channel_from_descriptor(desc: dict):

@@ -248,6 +248,8 @@ def cmd_collide(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     results = verify_mod.run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = []

@@ -29,9 +29,7 @@ from .linalg import (
     kron,
     partial_trace_env,
 )
-from .pauli import ID2, PAULI_BASIS, SX, SY, SZ, multiply, pauli, pauli_group, to_matrix
-
-_AXES = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0])}
+from .pauli import ID2, PAULI_BASIS, SZ, multiply, pauli, pauli_group, to_matrix
 
 
 @dataclass(frozen=True)
@@ -129,30 +127,6 @@ def pauli_rep_law_defect(rep: GroupRep) -> float:
     return float(np.max(defects, initial=0.0))
 
 
-def rotation_unitary(theta: float, axis) -> np.ndarray:
-    """exp(i theta r . sigma) on the system qubit."""
-    r = np.asarray(axis, dtype=float)
-    r = r / np.linalg.norm(r)
-    n_dot_sigma = r[0] * SX + r[1] * SY + r[2] * SZ
-    return math.cos(theta) * ID2 + 1j * math.sin(theta) * n_dot_sigma
-
-
-def su2_sample_rep(thetas: Sequence[float] = (0.3, 1.1, 2.7)) -> GroupRep:
-    """Deterministic sample of rotations: three angles about x, y, z and two
-    oblique unit vectors."""
-    axes = dict(_AXES)
-    axes["u"] = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-    axes["v"] = np.array([1.0, 2.0, 3.0]) / math.sqrt(14)
-    labels = []
-    mats = {}
-    for name, axis in axes.items():
-        for theta in thetas:
-            label = f"theta{theta:g}_{name}"
-            labels.append(label)
-            mats[label] = rotation_unitary(theta, axis)
-    return GroupRep(tuple(labels), mats, 2)
-
-
 def dilation_from_kraus(kraus: Sequence[np.ndarray],
                         phases: Sequence[complex] | None = None) -> Isometry:
     """Stack Kraus operators into the isometry V |phi> = sum_j K_j |phi> (x) |e_j>.
@@ -199,12 +173,6 @@ def channel_of_isometry(v: Isometry, rho) -> np.ndarray:
     if a.shape != (v.dim_s, v.dim_s):
         raise ValueError(f"expected a {v.dim_s}x{v.dim_s} input")
     return partial_trace_env(v.v @ a @ v.v.conj().T, v.dim_s, v.dim_e)
-
-
-def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
-    """Environment slices of V; Kraus operators of the induced channel."""
-    t3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
-    return [np.ascontiguousarray(t3[:, e, :]) for e in range(v.dim_e)]
 
 
 def require_minimal(kraus_rank: int, dim_e: int) -> None:

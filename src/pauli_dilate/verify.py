@@ -64,7 +64,11 @@ def _law(a, t: float) -> np.ndarray:
 
 
 def _builders():
-    """Each dilation builder with the weights a of its time law."""
+    """Each dilation builder with the weights a of its time law.
+
+    run_all builds this table once and hands it to every check that reads it;
+    a check called without one builds its own.
+    """
     return {
         "phase_damping": (dynamics.build_phase_damping_dilation(), (0, 0, 1)),
         "depolarizing": (dynamics.build_depolarizing_dilation(), (1, 1, 1)),
@@ -150,28 +154,39 @@ def check_expm_group_law(rng: np.random.Generator) -> CheckResult:
     return _result("matrix-exponential-group-law", worst, 1e-9)
 
 
-def check_channel_cptp(rng: np.random.Generator, count: int = 100) -> CheckResult:
-    worst = 0.0
-    for _ in range(count):
-        ch = channels.PauliChannel(tuple(rng.dirichlet(np.ones(4))))
-        total = sum(k.conj().T @ k for k in ch.kraus_ops())
-        worst = max(worst, linalg.frob_dist(total, np.eye(2)))
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(ch.choi()).min())))
-        r = rng.uniform(-1, 1, size=3)
+def _random_channels(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of `count` Pauli channels, each validated by PauliChannel, and as many
+    Bloch vectors in the unit ball: arrays (count, 4) and (count, 3).
+
+    Per channel the draws are, in this order: Dirichlet weights, a direction,
+    a radius; so a seed always tests the same inputs.
+    """
+    p, vecs = np.empty((count, 4)), np.empty((count, 3))
+    for w, r in zip(p, vecs):
+        w[:] = channels.PauliChannel(tuple(rng.dirichlet(np.ones(4)))).p
+        r[:] = rng.uniform(-1, 1, size=3)
         r *= rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
-        out = ch.apply(channels.bloch_state(r))
-        worst = max(worst, abs(float(np.trace(out).real) - 1.0))
+    return p, vecs
+
+
+def check_channel_cptp(rng: np.random.Generator, count: int = 100) -> CheckResult:
+    p, r = _random_channels(rng, count)
+    kraus = channels.pauli_kraus(p)
+    completeness = np.einsum("nkba,nkbc->nac", kraus.conj(), kraus) - np.eye(2)
+    worst = float(np.linalg.norm(completeness, axis=(1, 2)).max(initial=0.0))
+    choi_min = np.linalg.eigvalsh(channels.kraus_choi(kraus)).min(initial=0.0)
+    worst = max(worst, -float(choi_min))
+    out = channels.kraus_action(kraus, channels.validate_density_matrices(channels.bloch_states(r)))
+    traces = np.einsum("nii->n", out).real
+    worst = max(worst, float(np.abs(traces - 1.0).max(initial=0.0)))
     return _result("channel-cptp", worst, 1e-12)
 
 
 def check_bloch_scaling(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(20):
-        ch = channels.PauliChannel(tuple(rng.dirichlet(np.ones(4))))
-        r = rng.uniform(-1, 1, size=3)
-        r *= rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
-        out = channels.bloch_vector(ch.apply(channels.bloch_state(r)))
-        worst = max(worst, float(np.max(np.abs(out - ch.bloch_scaling() * r))))
+    p, r = _random_channels(rng, 20)
+    states = channels.validate_density_matrices(channels.bloch_states(r))
+    out = channels.bloch_vectors(channels.kraus_action(channels.pauli_kraus(p), states))
+    worst = float(np.max(np.abs(out - channels.scalings_from_probs(p) * r)))
     return _result("bloch-scaling-consistency", worst, 1e-12)
 
 
@@ -253,9 +268,9 @@ def check_pauli_commutants() -> CheckResult:
     return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_builder_time_laws() -> CheckResult:
+def check_builder_time_laws(builders=None) -> CheckResult:
     worst = 0.0
-    for pd, a in _builders().values():
+    for pd, a in (builders or _builders()).values():
         grid = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
         laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
         worst = max(worst, float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
@@ -263,7 +278,7 @@ def check_builder_time_laws() -> CheckResult:
 
 
 def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None,
-                                      t_ref: float = 0.4) -> CheckResult:
+                                      t_ref: float = 0.4, builders=None) -> CheckResult:
     """The initial environment state must be fixed by the symmetry.
 
     Checks pi_E(g) |psi_E> = |psi_E> against the canonical representation of
@@ -272,7 +287,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
     dilates *some* channel, but breaks both conditions.
     """
     sys_rep = dilations.defining_pauli_rep()
-    targets = [pd] if pd is not None else [b for b, _ in _builders().values()]
+    targets = [pd] if pd is not None else [b for b, _ in (builders or _builders()).values()]
     worst = 0.0
     for target in targets:
         if target.dim_e not in _ENV_REP_DIAG:
@@ -294,7 +309,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
 
 
 def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None = None,
-                                           generators=None) -> CheckResult:
+                                           generators=None, builders=None) -> CheckResult:
     """Every Pauli term of the generator must lie in the symmetry commutant."""
     cases = []
     if pd is not None:
@@ -302,7 +317,7 @@ def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None 
     else:
         deph_gens = [pauli_mod.pauli(s) for s in _DEPH_SYMMETRY]
         dep_gens = [pauli_mod.pauli(s) for s in _DEP_SYMMETRY]
-        builders = _builders()
+        builders = builders or _builders()
         cases.append((builders["phase_damping"][0], deph_gens))
         cases.append((builders["depolarizing"][0], dep_gens))
         cases.append((builders["generic"][0], dep_gens))
@@ -314,15 +329,16 @@ def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None 
     return CheckResult("hamiltonian-commutant-membership", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_krylov_structure() -> CheckResult:
+def check_krylov_structure(builders=None) -> CheckResult:
+    builders = builders or _builders()
     worst = 0.0
-    dep, _ = _builders()["depolarizing"]
+    dep, _ = builders["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     ok = k.dim == 4
     p = k.projector()
     worst = max(worst, float(np.linalg.norm(dep.h @ p - p @ dep.h @ p)))
     worst = max(worst, float(np.linalg.norm(p @ dep.h - p @ dep.h @ p)))
-    pd_deph, _ = _builders()["phase_damping"]
+    pd_deph, _ = builders["phase_damping"]
     ok = ok and dynamics.krylov_subspace(pd_deph).dim == 4
     zero = dynamics.PhysicalDilation(np.zeros((8, 8)), linalg.basis_state("11"), 2, 4)
     ok = ok and dynamics.krylov_subspace(zero).dim == 2
@@ -335,16 +351,16 @@ def _su2_total_generators():
             for s, j in zip(pauli_mod.SIGMA, (gens.jx, gens.jy, gens.jz))]
 
 
-def check_restricted_su2_conservation() -> CheckResult:
-    dep, _ = _builders()["depolarizing"]
+def check_restricted_su2_conservation(builders=None) -> CheckResult:
+    dep, _ = (builders or _builders())["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     worst = max(dynamics.restricted_commutator_norm(dep, s, k)
                 for s in _su2_total_generators())
     return _result("restricted-su2-conservation", worst, 1e-10)
 
 
-def check_full_symmetrization() -> CheckResult:
-    dep, a = _builders()["depolarizing"]
+def check_full_symmetrization(builders=None) -> CheckResult:
+    dep, a = (builders or _builders())["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     sym = dynamics.symmetrize_full(dep, k)
     laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
@@ -355,7 +371,7 @@ def check_full_symmetrization() -> CheckResult:
 
 
 def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
-                                 h_env=pauli_mod.SX) -> CheckResult:
+                                 h_env=pauli_mod.SX, builders=None) -> CheckResult:
     """A free environment term I (x) h_env that commutes with H is redundant.
 
     The channel must be untouched, and the environment representation solved
@@ -364,7 +380,7 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     check, with the commutator norm as its residual.
     """
     if pd is None:
-        pd, _ = _builders()["phase_damping"]
+        pd, _ = (builders or _builders())["phase_damping"]
     lifted = linalg.kron(np.eye(pd.dim_s), h_env)
     commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
     if commutator > 1e-12:
@@ -390,15 +406,15 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     return _result("rotating-phase-freedom", worst, 1e-9)
 
 
-def check_alternate_initial_state() -> CheckResult:
+def check_alternate_initial_state(builders=None) -> CheckResult:
     """H = Z (x) X run from |psi_E> = |0> instead of |1>.
 
     The channel stays phase damping with p = sin^2(t); the environment
     representation is the two-dimensional one with the x and y sectors
     flipped, and it leaves |0> fixed.
     """
-    pd = dynamics.PhysicalDilation(dynamics.build_phase_damping_dilation().h,
-                                   linalg.basis_state("0"), 2, 2)
+    deph, _ = (builders or _builders())["phase_damping"]
+    pd = dynamics.PhysicalDilation(deph.h, linalg.basis_state("0"), 2, 2)
     times = (0.4, 0.7, 1.3)
     worst = 0.0
     for t in times:
@@ -466,6 +482,7 @@ def check_collision_convergence_trend() -> CheckResult:
 
 def run_all(seed: int = 1234) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
+    builders = _builders()
     return [
         check_pauli_group_closure(),
         check_commutation_vs_matrices(),
@@ -480,14 +497,14 @@ def run_all(seed: int = 1234) -> list[CheckResult]:
         check_generic_rep_independence(rng),
         check_su2_generators(),
         check_pauli_commutants(),
-        check_builder_time_laws(),
-        check_invariant_environment_state(),
-        check_hamiltonian_commutant_membership(),
-        check_krylov_structure(),
-        check_restricted_su2_conservation(),
-        check_full_symmetrization(),
-        check_rotating_phase_freedom(),
-        check_alternate_initial_state(),
+        check_builder_time_laws(builders=builders),
+        check_invariant_environment_state(builders=builders),
+        check_hamiltonian_commutant_membership(builders=builders),
+        check_krylov_structure(builders=builders),
+        check_restricted_su2_conservation(builders=builders),
+        check_full_symmetrization(builders=builders),
+        check_rotating_phase_freedom(builders=builders),
+        check_alternate_initial_state(builders=builders),
         check_strong_conservation_triviality(),
         check_schedule_round_trip(),
         check_collision_bath_conditions(),

@@ -3,26 +3,78 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pauli_dilate.channels import (
     PauliChannel,
     PauliLiouvillian,
     bloch_state,
+    bloch_states,
     bloch_vector,
+    bloch_vectors,
     channel_from_descriptor,
-    check_covariance,
+    kraus_action,
     kraus_apply,
+    kraus_choi,
+    pauli_kraus,
     probs_from_scaling,
+    scalings_from_probs,
     semigroup_channel,
+    validate_density_matrices,
+    validate_density_matrix,
 )
-from pauli_dilate.dilations import defining_pauli_rep, su2_sample_rep
-from pauli_dilate.linalg import frob_dist
-from pauli_dilate.pauli import ID2, SIGMA, SX, SZ
+from pauli_dilate.dilations import GroupRep, defining_pauli_rep
+from pauli_dilate.linalg import DEFAULT_TOL, as_complex_matrix, frob_dist
+from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda v: tuple(x / sum(v) for x in v))
+
+
+def check_covariance(channel, rep, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """Test phi[g rho g+] == g phi[rho] g+ over a group representation.
+
+    `channel` may be a PauliChannel or a Kraus-operator list; `rep` is a
+    GroupRep.  The check runs over a spanning set of four Hermitian states;
+    returns (ok, max residual in Frobenius norm).
+    """
+    if isinstance(channel, PauliChannel):
+        kraus = channel.kraus_ops()
+    else:
+        kraus = [as_complex_matrix(k) for k in channel]
+    probes = [0.5 * ID2, 0.5 * (ID2 + SX), 0.5 * (ID2 + SY), 0.5 * (ID2 + SZ)]
+    worst = 0.0
+    for g in rep.mats.values():
+        for rho in probes:
+            lhs = kraus_apply(kraus, g @ rho @ g.conj().T)
+            rhs = g @ kraus_apply(kraus, rho) @ g.conj().T
+            worst = max(worst, frob_dist(lhs, rhs))
+    return worst <= tol, worst
+
+
+def rotation_unitary(theta: float, axis) -> np.ndarray:
+    """exp(i theta r . sigma) on the system qubit."""
+    r = np.asarray(axis, dtype=float)
+    r = r / np.linalg.norm(r)
+    n_dot_sigma = r[0] * SX + r[1] * SY + r[2] * SZ
+    return math.cos(theta) * ID2 + 1j * math.sin(theta) * n_dot_sigma
+
+
+def su2_sample_rep(thetas=(0.3, 1.1, 2.7)) -> GroupRep:
+    """Deterministic sample of rotations: three angles about x, y, z and two
+    oblique unit vectors."""
+    axes = {"x": np.array([1.0, 0, 0]), "y": np.array([0, 1.0, 0]), "z": np.array([0, 0, 1.0]),
+            "u": np.array([1.0, 1.0, 1.0]) / math.sqrt(3),
+            "v": np.array([1.0, 2.0, 3.0]) / math.sqrt(14)}
+    labels = []
+    mats = {}
+    for name, axis in axes.items():
+        for theta in thetas:
+            label = f"theta{theta:g}_{name}"
+            labels.append(label)
+            mats[label] = rotation_unitary(theta, axis)
+    return GroupRep(tuple(labels), mats, 2)
 
 
 def choi_rank(ch: PauliChannel) -> int:
@@ -194,6 +246,90 @@ class TestBlochScaling:
     def test_inversion_round_trip(self):
         p = (0.4, 0.3, 0.2, 0.1)
         assert np.allclose(probs_from_scaling(PauliChannel(p).bloch_scaling()), p)
+
+
+# weight vectors with exact zeros, and Bloch vectors in the unit ball
+sparse_prob_vectors = st.lists(st.just(0.0) | st.floats(0.01, 1.0),
+                               min_size=4, max_size=4).filter(any).map(
+    lambda v: tuple(x / sum(v) for x in v))
+ball_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+    lambda r: np.array(r) / max(1.0, float(np.linalg.norm(r))))
+
+
+def _message(fn, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+class TestStackedForms:
+    """The stacked helpers against the one-row methods, and the loops they replaced."""
+
+    @given(st.lists(st.tuples(sparse_prob_vectors, ball_vectors), min_size=1, max_size=6))
+    @example([((1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, 1.0])),
+              ((0.0, 0.5, 0.0, 0.5), np.array([0.6, -0.8, 0.0]))])
+    def test_rows_match_one_row_methods(self, rows):
+        p = np.array([w for w, _ in rows])
+        r = np.array([v for _, v in rows])
+        kraus = pauli_kraus(p)
+        choi = kraus_choi(kraus)
+        states = validate_density_matrices(bloch_states(r))
+        out = kraus_action(kraus, states)
+        vecs = bloch_vectors(out)
+        lam = scalings_from_probs(p)
+        for i, (w, v) in enumerate(rows):
+            ch = PauliChannel(w)
+            ops = ch.kraus_ops()
+            kept = [k for k, q in zip(kraus[i], w) if q > 0.0]
+            assert len(ops) == len(kept) == sum(q > 0.0 for q in w)
+            assert all(np.array_equal(a, b) for a, b in zip(ops, kept))
+            assert np.array_equal(choi[i], ch.choi())
+            assert np.array_equal(states[i], bloch_state(v))
+            assert np.array_equal(out[i], ch.apply(states[i]))
+            assert np.array_equal(vecs[i], bloch_vector(out[i]))
+            assert np.array_equal(lam[i], ch.bloch_scaling())
+            # the per-operator loops the stacked forms replaced
+            assert frob_dist(out[i], kraus_apply(ops, states[i])) <= 1e-15
+            stacked = np.array(ops)
+            assert frob_dist(choi[i], np.einsum("kai,kbj->iajb", stacked, stacked.conj())
+                             .reshape(4, 4)) <= 1e-15
+            loop = [np.trace(s @ out[i]).real for s in SIGMA]
+            assert np.max(np.abs(vecs[i] - loop)) <= 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_helpers_take_any_kraus_stack(self, gamma, rng):
+        # amplitude damping: K^T != +-K, so a transposed Choi index order shows
+        kraus = amplitude_damping_kraus(gamma)
+        oracle = sum(np.kron(_unit(i, j), kraus_apply(kraus, _unit(i, j)))
+                     for i in range(2) for j in range(2))
+        assert frob_dist(kraus_choi(np.array(kraus)), oracle) <= 1e-15
+        rho = bloch_state(rng.uniform(-0.5, 0.5, 3))
+        assert frob_dist(kraus_action(np.array(kraus), rho), kraus_apply(kraus, rho)) <= 1e-15
+
+    def test_outside_unit_ball_rejected_like_one_row(self):
+        bad = [0.0, 0.6, 0.8 + 1e-9]
+        want = "Bloch vector lies outside the unit ball"
+        assert _message(bloch_state, bad) == want
+        assert _message(bloch_states, [[0.0, 0.0, 0.5], bad]) == want
+
+    def test_nan_rejected_like_one_row(self):
+        bad = [math.nan, 0.0, 0.0]
+        one = _message(lambda: validate_density_matrix(bloch_state(bad)))
+        assert one == "matrix has non-finite entries"
+        assert _message(lambda: validate_density_matrices(bloch_states([[0.1, 0, 0], bad]))) == one
+
+    @pytest.mark.parametrize("rho, want", [
+        (np.diag([1.5, -0.5]), "density matrix is not positive semidefinite"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "density matrix is not Hermitian"),
+        (np.eye(2), "density matrix trace differs from 1"),
+    ])
+    def test_invalid_state_rejected_like_one_row(self, rho, want):
+        assert _message(validate_density_matrix, rho) == want
+        assert _message(validate_density_matrices, np.array([ID2 / 2, rho])) == want
+
+    def test_stack_shape_is_checked(self):
+        assert "got shape (2, 2)" in _message(validate_density_matrices, ID2 / 2)
+        assert _message(bloch_states, [0.1, 0.2, 0.3]) == "Bloch vector must have 3 components"
 
 
 class TestCovariance:

@@ -392,6 +392,11 @@ class TestVerifyCommand:
         assert code == 0 and out == ""
         assert out_file.read_text().splitlines()[-1] == "all checks passed (25 total)"
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
+
 
 class TestCliContract:
     def test_unknown_command_exits_one(self, capsys):

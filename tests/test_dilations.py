@@ -15,7 +15,6 @@ from pauli_dilate.dilations import (
     defining_pauli_rep,
     depolarizing_isometry,
     dilation_from_kraus,
-    kraus_of_isometry,
     pauli_channel_isometry,
     pauli_rep_law_defect,
     phase_damping_isometry,
@@ -31,6 +30,12 @@ from pauli_dilate.dynamics import (
 )
 from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
 from pauli_dilate.pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ, multiply, pauli
+
+
+def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
+    """Environment slices of V; Kraus operators of the induced channel."""
+    t3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    return [np.ascontiguousarray(t3[:, e, :]) for e in range(v.dim_e)]
 
 
 def expected_phase_damping_v(p):
