@@ -15,7 +15,7 @@ least-squares solve against the environment slices of V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .linalg import (
     kron,
     partial_trace_env,
 )
-from .pauli import ID2, PAULI_BASIS, SZ, multiply, pauli, pauli_group, to_matrix
+from .pauli import ID2, PAULI_BASIS, PHASES, SZ, pauli_group, product_table
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,49 @@ class Isometry:
         return float(np.linalg.norm(gram))
 
 
+def _rep_stack(labels: tuple[str, ...], entries: list, dim: int) -> np.ndarray:
+    """The entries as one complex (k, dim, dim) array, coerced in one pass.
+
+    When they do not form that array, each entry is coerced on its own and then
+    its shape is checked, so the error raised is the one for the first fault.
+    """
+    try:
+        stack = np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged or not numeric
+        stack = None
+    if stack is not None and stack.shape == (len(entries), dim, dim):
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix has non-finite entries")
+        return stack
+    mats = [as_complex_matrix(m) for m in entries]
+    for g, m in zip(labels, mats):
+        if m.shape != (dim, dim):
+            raise ValueError(f"representation matrix for {g} has shape {m.shape}")
+    return np.array(mats).reshape(len(mats), dim, dim)
+
+
 @dataclass(frozen=True)
 class GroupRep:
-    """A finite family of unitaries on one space, keyed by element label."""
+    """A finite family of unitaries on one space, keyed by element label.
+
+    The matrices are held once, as the (k, d, d) array `stack` in label order;
+    `mats[g]` is the row of that stack for label g.
+    """
 
     labels: tuple[str, ...]
     mats: Mapping[str, np.ndarray]
     space_dim: int
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = {g: as_complex_matrix(self.mats[g]) for g in self.labels}
-        for g, m in mats.items():
-            if m.shape != (self.space_dim, self.space_dim):
-                raise ValueError(f"representation matrix for {g} has shape {m.shape}")
-        stack = np.array(list(mats.values())).reshape(len(mats), self.space_dim, self.space_dim)
+        labels = tuple(self.labels)
+        stack = _rep_stack(labels, [self.mats[g] for g in labels], self.space_dim)
         bad = np.flatnonzero(gram_defects(stack) > DEFAULT_TOL)
         if bad.size:
-            raise ValueError(f"representation matrix for {list(mats)[bad[0]]} is not unitary")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "mats", mats)
+            raise ValueError(f"representation matrix for {labels[bad[0]]} is not unitary")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "mats", dict(zip(labels, stack)))
 
 
 @dataclass(frozen=True)
@@ -104,26 +128,22 @@ class EnvRepSolution:
 
 def defining_pauli_rep() -> GroupRep:
     """pi_S(g) = g over the 16 single-qubit Pauli group elements."""
-    elements = pauli_group()
-    labels = tuple(str(p) for p in elements)
-    mats = {str(p): to_matrix(p) for p in elements}
-    return GroupRep(labels, mats, 2)
+    labels = tuple(str(p) for p in pauli_group())
+    # pauli_group() order, by factor then phase: phase * sigma, the product to_matrix forms
+    stack = (np.array(PHASES)[None, :, None, None] * PAULI_BASIS[:, None]).reshape(16, 2, 2)
+    return GroupRep(labels, dict(zip(labels, stack)), 2)
 
 
 def pauli_rep_law_defect(rep: GroupRep) -> float:
     """Max deviation from rep(g) rep(h) == rep(gh) over Pauli-group labels.
 
     All products rep(g) rep(h) form one (k, k, d, d) stack, compared with the
-    representation stack indexed by the group's product table.
+    representation stack indexed by the group's product table, which is built
+    once per label tuple.  A product outside the labels raises KeyError.
     """
-    parsed = [pauli(g) for g in rep.labels]
-    index = {g: i for i, g in enumerate(rep.labels)}  # a product outside the labels: KeyError
-    table = [[index[str(multiply(a, b))] for b in parsed] for a in parsed]
-    k, d = len(parsed), rep.space_dim
-    stack = np.array([rep.mats[g] for g in rep.labels]).reshape(k, d, d)
+    stack = rep.stack
     products = stack[:, None] @ stack[None, :]
-    defects = np.linalg.norm(products - stack[np.array(table, dtype=int).reshape(k, k)],
-                             axis=(2, 3))
+    defects = np.linalg.norm(products - stack[product_table(rep.labels)], axis=(2, 3))
     return float(np.max(defects, initial=0.0))
 
 
@@ -205,7 +225,7 @@ def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> E
     Raises ToleranceError when any residual exceeds tol, which signals a
     non-covariant channel or a non-minimal dilation.
     """
-    pi_s = np.array([sys_rep.mats[g] for g in sys_rep.labels])
+    pi_s = sys_rep.stack
     v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
     # (pi_g+ (x) I) V pi_g for every g at once
     rhs = np.einsum("gai,aeb,gbj->giej", pi_s.conj(), v3, pi_s)

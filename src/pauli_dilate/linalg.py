@@ -52,8 +52,13 @@ def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, left factor = system slot."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product, left factor = system slot.
+
+    np.kron's product of the two coerced matrices, bit for bit, as one broadcast.
+    """
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace_env(m, dim_s: int, dim_e: int) -> np.ndarray:

@@ -9,6 +9,7 @@ e.g. "-iZXI".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -109,8 +110,24 @@ def to_matrix(a: PauliString) -> np.ndarray:
     """Dense matrix in the descending tensor basis."""
     m = FACTOR_MATS[a.factors[0]]
     for f in a.factors[1:]:
-        m = np.kron(m, FACTOR_MATS[f])
+        # np.kron(m, f) as one broadcast product, bit for bit
+        d = 2 * len(m)
+        m = (m[:, None, :, None] * FACTOR_MATS[f][None, :, None, :]).reshape(d, d)
     return a.phase * m
+
+
+@lru_cache(maxsize=16)
+def product_table(labels: tuple[str, ...]) -> np.ndarray:
+    """Read-only (k, k) int array: table[i, j] is the position of labels[i] * labels[j].
+
+    Built once per label tuple.  A product outside the labels raises KeyError.
+    """
+    parsed = [pauli(g) for g in labels]
+    index = {g: i for i, g in enumerate(labels)}
+    table = np.array([[index[str(multiply(a, b))] for b in parsed] for a in parsed],
+                     dtype=int).reshape(len(parsed), len(parsed))
+    table.setflags(write=False)
+    return table
 
 
 def iter_strings(qubits: int) -> Iterator[PauliString]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -76,18 +75,24 @@ def _builders():
     }
 
 
-def _canonical_env_rep(dim_e: int, xy_sign: int = 1) -> dict[str, np.ndarray]:
-    """pi_E of the builder family with that environment, by group label.
+def _canonical_env_rep(dim_e: int, xy_sign: int = 1) -> np.ndarray:
+    """pi_E of the builder family with that environment, a (16, d, d) stack in
+    pauli_group() order: by factor letter, each repeated for the four phases.
 
     xy_sign = -1 flips the x and y sectors: the phase damping dilation run
     from |psi_E> = |0> instead of |1>.
     """
-    out = {}
-    for g in pauli_mod.pauli_group():
-        factor = g.factors[0]
-        sign = xy_sign if factor in "XY" else 1
-        out[str(g)] = sign * np.diag(np.array(_ENV_REP_DIAG[dim_e][factor], dtype=complex))
-    return out
+    diags = np.array([_ENV_REP_DIAG[dim_e][f] for f in "IXYZ"], dtype=complex)
+    by_factor = np.zeros((4, dim_e, dim_e), dtype=complex)
+    by_factor[:, range(dim_e), range(dim_e)] = diags
+    by_factor *= np.array([1, xy_sign, xy_sign, 1])[:, None, None]
+    return np.repeat(by_factor, len(pauli_mod.PHASES), axis=0)
+
+
+def _max_norm(diff: np.ndarray, axis=(-2, -1)) -> float:
+    """Largest norm over a stack: Frobenius over the last two axes, or the
+    2-norm of vectors with axis=-1.  The stacked form of a max over frob_dist."""
+    return float(np.linalg.norm(diff, axis=axis).max(initial=0.0))
 
 
 @dataclass
@@ -105,19 +110,17 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
 
 def check_pauli_group_closure() -> CheckResult:
     elements = pauli_mod.pauli_group()
-    index = {(p.phase, p.factors): i for i, p in enumerate(elements)}
-    ok = len(index) == 16
+    labels = tuple(str(p) for p in elements)
+    try:
+        table = pauli_mod.product_table(labels)
+    except KeyError as exc:
+        return CheckResult("pauli-group-closure", False, math.inf, 0.0,
+                           f"product {exc} is outside the group")
     mats = np.array([pauli_mod.to_matrix(p) for p in elements])
-    targets = []
-    for a, b in product(elements, repeat=2):
-        c = pauli_mod.multiply(a, b)
-        i = index.get((c.phase, c.factors))
-        ok = ok and i is not None
-        targets.append(pauli_mod.to_matrix(c) if i is None else mats[i])
     # every entry is 0, +-1 or +-i, so the products are exact: any nonzero defect is a wrong product
-    products = (mats[:, None] @ mats[None, :]).reshape(-1, 2, 2)
-    worst = float(np.max(np.linalg.norm(products - np.array(targets), axis=(1, 2))))
-    return CheckResult("pauli-group-closure", ok and worst == 0.0, worst, 0.0)
+    products = mats[:, None] @ mats[None, :]
+    worst = float(np.max(np.linalg.norm(products - mats[table], axis=(2, 3))))
+    return CheckResult("pauli-group-closure", len(set(labels)) == 16 and worst == 0.0, worst, 0.0)
 
 
 def check_commutation_vs_matrices() -> CheckResult:
@@ -227,8 +230,7 @@ def check_environment_representations() -> CheckResult:
     sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
     sol_dep = dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep)
     for solved, want in ((sol, _canonical_env_rep(2)), (sol_dep, _canonical_env_rep(4))):
-        for g in sys_rep.labels:
-            worst = max(worst, linalg.frob_dist(solved.rep.mats[g], want[g]))
+        worst = max(worst, _max_norm(solved.rep.stack - want))
     worst = max(worst, dilations.pauli_rep_law_defect(sol.rep))
     worst = max(worst, dilations.pauli_rep_law_defect(sol_dep.rep))
     return _result("environment-representations", worst, 1e-10)
@@ -236,16 +238,13 @@ def check_environment_representations() -> CheckResult:
 
 def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
     sys_rep = dilations.defining_pauli_rep()
-    reps = []
+    stacks = []
     for _ in range(3):
         p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         p = p / p.sum()
         sol = dilations.solve_env_rep(dilations.pauli_channel_isometry(p), sys_rep)
-        reps.append(sol.rep)
-    worst = 0.0
-    for one, two in zip(reps, reps[1:]):
-        for g in sys_rep.labels:
-            worst = max(worst, linalg.frob_dist(one.mats[g], two.mats[g]))
+        stacks.append(sol.rep.stack)
+    worst = _max_norm(np.diff(stacks, axis=0))
     return _result("generic-representation-p-independence", worst, 1e-10)
 
 
@@ -294,17 +293,13 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10,
                                f"no reference representation for dim_e={target.dim_e}")
         canonical = _canonical_env_rep(target.dim_e)
-        for g in sys_rep.labels:
-            worst = max(worst, float(np.linalg.norm(
-                canonical[g] @ target.psi_e - target.psi_e)))
+        worst = max(worst, _max_norm(canonical @ target.psi_e - target.psi_e, axis=-1))
         try:
             sol = dilations.solve_env_rep(dynamics.isometry_at(target, t_ref), sys_rep)
         except (linalg.ToleranceError, ValueError) as exc:
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
-        for g in sys_rep.labels:
-            worst = max(worst, linalg.frob_dist(sol.rep.mats[g], canonical[g]))
-            worst = max(worst, float(np.linalg.norm(
-                sol.rep.mats[g] @ target.psi_e - target.psi_e)))
+        worst = max(worst, _max_norm(sol.rep.stack - canonical),
+                    _max_norm(sol.rep.stack @ target.psi_e - target.psi_e, axis=-1))
     return _result("invariant-environment-state", worst, 1e-10)
 
 
@@ -392,17 +387,13 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     worst = float(np.max(np.abs(base.probs - rot.probs)))
     sys_rep = dilations.defining_pauli_rep()
     rep_times = (0.4, 0.7, 1.3)
-    base_rep = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep
+    base = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep.stack
     for t in rep_times:
-        rot_rep = dilations.solve_env_rep(dynamics.isometry_at(rotated, t), sys_rep).rep
+        rot = dilations.solve_env_rep(dynamics.isometry_at(rotated, t), sys_rep).rep.stack
         w = linalg.mat_exp_hermitian(h_env, t)
-        for g in sys_rep.labels:
-            worst = max(worst, linalg.frob_dist(rot_rep.mats[g],
-                                                w @ base_rep.mats[g] @ w.conj().T))
+        worst = max(worst, _max_norm(rot - w @ base @ w.conj().T))
     w0 = linalg.mat_exp_hermitian(h_env, 0.0)
-    for g in sys_rep.labels:
-        worst = max(worst, linalg.frob_dist(w0 @ base_rep.mats[g] @ w0.conj().T,
-                                            base_rep.mats[g]))
+    worst = max(worst, _max_norm(w0 @ base @ w0.conj().T - base))
     return _result("rotating-phase-freedom", worst, 1e-9)
 
 
@@ -424,11 +415,9 @@ def check_alternate_initial_state(builders=None) -> CheckResult:
         worst = max(worst, fit.leakage, float(np.max(np.abs(fit.probs - _law((0, 0, 1), t)))),
                     linalg.frob_dist(fit.isometry.v, isometry))
     sys_rep = dilations.defining_pauli_rep()
-    sol = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep)
-    flipped = _canonical_env_rep(2, xy_sign=-1)
-    for g in sys_rep.labels:
-        worst = max(worst, linalg.frob_dist(sol.rep.mats[g], flipped[g]),
-                    float(np.linalg.norm(sol.rep.mats[g] @ pd.psi_e - pd.psi_e)))
+    stack = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep).rep.stack
+    worst = max(worst, _max_norm(stack - _canonical_env_rep(2, xy_sign=-1)),
+                _max_norm(stack @ pd.psi_e - pd.psi_e, axis=-1))
     return _result("alternate-initial-state", worst, 1e-9)
 
 
@@ -437,14 +426,14 @@ def check_strong_conservation_triviality() -> CheckResult:
     conserved = dilations.check_strong_conservation(kraus, pauli_mod.SZ)
     sys_rep = dilations.defining_pauli_rep()
     sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    worst = linalg.frob_dist(sol.rep.mats["Z"], _canonical_env_rep(2)["Z"])
+    worst = linalg.frob_dist(sol.rep.mats["Z"], _canonical_env_rep(2)[sys_rep.labels.index("Z")])
     return CheckResult("strong-conservation-triviality", conserved and worst <= 1e-10,
                        worst, 1e-10)
 
 
-def check_schedule_round_trip() -> CheckResult:
+def check_schedule_round_trip(builders=None) -> CheckResult:
     sched = dynamics.schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200)
-    grid = dynamics.replay_schedule(sched)
+    grid = dynamics.replay_schedule(sched, (builders or _builders())["phase_damping"][0])
     worst = float(np.max(np.abs(grid.probs[:, 3] - np.sin(3 * grid.t) ** 2)))
     return _result("schedule-round-trip", worst, 1e-6)
 
@@ -506,7 +495,7 @@ def run_all(seed: int = 1234) -> list[CheckResult]:
         check_rotating_phase_freedom(builders=builders),
         check_alternate_initial_state(builders=builders),
         check_strong_conservation_triviality(),
-        check_schedule_round_trip(),
+        check_schedule_round_trip(builders=builders),
         check_collision_bath_conditions(),
         check_collision_convergence_trend(),
     ]

@@ -18,6 +18,7 @@ from pauli_dilate.dilations import (
     pauli_channel_isometry,
     pauli_rep_law_defect,
     phase_damping_isometry,
+    rep_report,
     _solve_env_operators,
     solve_env_rep,
     solve_su2_generators,
@@ -29,7 +30,19 @@ from pauli_dilate.dynamics import (
     isometry_at,
 )
 from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
-from pauli_dilate.pauli import ID2, PAULI_BASIS, SIGMA, SX, SY, SZ, multiply, pauli
+from pauli_dilate.pauli import (
+    ID2,
+    PAULI_BASIS,
+    SIGMA,
+    SX,
+    SY,
+    SZ,
+    multiply,
+    pauli,
+    pauli_group,
+    product_table,
+    to_matrix,
+)
 
 
 def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
@@ -299,6 +312,68 @@ def first_rep_error(labels, mats, dim):
     return None
 
 
+def law_defect_by_multiply_table(rep):
+    """Oracle: the product table built with one multiply per label pair on every call."""
+    parsed = [pauli(g) for g in rep.labels]
+    index = {g: i for i, g in enumerate(rep.labels)}
+    table = [[index[str(multiply(a, b))] for b in parsed] for a in parsed]
+    k, d = len(parsed), rep.space_dim
+    stack = np.array([rep.mats[g] for g in rep.labels]).reshape(k, d, d)
+    products = stack[:, None] @ stack[None, :]
+    defects = np.linalg.norm(products - stack[np.array(table, dtype=int).reshape(k, k)],
+                             axis=(2, 3))
+    return float(np.max(defects, initial=0.0))
+
+
+class TestCachedProductTable:
+    def test_defining_rep(self):
+        rep = defining_pauli_rep()
+        assert pauli_rep_law_defect(rep) == law_defect_by_multiply_table(rep) == 0.0
+
+    @given(covariant_isometries())
+    def test_solved_env_rep(self, v):
+        rep = solve_env_rep(v, defining_pauli_rep()).rep
+        assert abs(pauli_rep_law_defect(rep) - law_defect_by_multiply_table(rep)) <= 1e-15
+
+    @given(st.integers(0, 15), st.floats(1e-6, 3.0))
+    def test_one_matrix_perturbed(self, index, angle):
+        rep = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep
+        g = rep.labels[index]
+        rep = GroupRep(rep.labels, dict(rep.mats, **{g: np.exp(1j * angle) * rep.mats[g]}), 4)
+        want = law_defect_by_multiply_table(rep)
+        assert want > 0
+        assert abs(pauli_rep_law_defect(rep) - want) <= 1e-15
+
+    def test_label_set_not_closed_raises_key_error(self):
+        rep = GroupRep(("I", "X", "Y"), {"I": ID2, "X": SX, "Y": SY}, 2)
+        with pytest.raises(KeyError):
+            pauli_rep_law_defect(rep)
+        with pytest.raises(KeyError):  # a failed build is not cached
+            pauli_rep_law_defect(rep)
+
+    def test_new_label_tuple_builds_a_new_table(self):
+        rep = defining_pauli_rep()
+        labels = rep.labels[::-1]
+        product_table(rep.labels)
+        product_table.cache_clear()
+        first = product_table(rep.labels)
+        assert product_table(rep.labels) is first
+        reordered = GroupRep(labels, rep.mats, 2)
+        before = product_table.cache_info().misses
+        assert pauli_rep_law_defect(reordered) == law_defect_by_multiply_table(reordered) == 0.0
+        assert product_table.cache_info().misses == before + 1
+        table = product_table(labels)
+        assert table is not first
+        k = len(labels)
+        assert np.array_equal(table, k - 1 - first[::-1, ::-1])
+
+    def test_table_is_read_only(self):
+        table = product_table(defining_pauli_rep().labels)
+        assert table.dtype.kind == "i" and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 class TestStackedSolve:
     """One lstsq per isometry agrees with one solve per group element."""
 
@@ -452,6 +527,64 @@ class TestGroupRep:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             GroupRep(("a",), {"a": np.array([[1, 0], [0, 0.5]])}, 2)
+
+    def test_defining_rep_is_to_matrix_bit_for_bit(self):
+        rep = defining_pauli_rep()
+        assert rep.labels == tuple(str(p) for p in pauli_group())
+        for p in pauli_group():
+            assert rep.mats[str(p)].tobytes() == to_matrix(p).tobytes()
+
+    @pytest.mark.parametrize("rep", [
+        defining_pauli_rep(),
+        solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep,
+        GroupRep(("a", "b"), {"a": [[1, 0], [0, 1]], "b": np.eye(2)}, 2),
+    ], ids=["defining", "solved", "lists"])
+    def test_mats_are_the_rows_of_the_stack(self, rep):
+        k, d = len(rep.labels), rep.space_dim
+        assert rep.stack.shape == (k, d, d) and rep.stack.dtype == np.complex128
+        for i, g in enumerate(rep.labels):
+            assert np.shares_memory(rep.mats[g], rep.stack)
+            assert np.array_equal(rep.mats[g], rep.stack[i])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones(2), "expected a matrix, got ndim=1"),
+        (np.ones((2, 2, 1)), "expected a matrix, got ndim=3"),
+        (5.0, "expected a matrix, got ndim=0"),
+        (np.eye(3), "representation matrix for X has shape (3, 3)"),
+        (np.ones((2, 1)), "representation matrix for X has shape (2, 1)"),
+        (np.array([[np.nan, 0], [0, 1]]), "matrix has non-finite entries"),
+        (np.array([[np.inf, 0], [0, 1]]), "matrix has non-finite entries"),
+        (np.diag([1.0, 0.5]), "representation matrix for X is not unitary"),
+    ])
+    def test_validation_messages(self, bad, message):
+        labels = defining_pauli_rep().labels
+        mats = {g: to_matrix(pauli(g)) for g in labels}
+        mats["X"] = bad
+        with pytest.raises(ValueError) as exc:
+            GroupRep(labels, mats, 2)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"-X": np.ones(2), "X": np.eye(3)}, "expected a matrix, got ndim=1"),
+        ({"X": np.eye(3), "-X": np.full((2, 2), np.nan)}, "matrix has non-finite entries"),
+        ({"X": np.eye(3), "-X": np.eye(4)}, "representation matrix for X has shape (3, 3)"),
+        ({"-X": 2 * np.eye(2), "X": np.eye(3)}, "representation matrix for X has shape (3, 3)"),
+    ])
+    def test_first_fault_wins_as_in_one_coercion_per_entry(self, fault, message):
+        # every entry is coerced (ndim, non-finite) before any shape is checked,
+        # and shapes before unitarity, whichever label comes first
+        labels = defining_pauli_rep().labels
+        mats = {g: to_matrix(pauli(g)) for g in labels}
+        mats.update(fault)
+        with pytest.raises(ValueError) as exc:
+            GroupRep(labels, mats, 2)
+        assert str(exc.value) == message
+
+    def test_rep_report_reads_the_rows(self):
+        sol = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep())
+        report = rep_report(sol)
+        assert [e["label"] for e in report["elements"]] == list(sol.rep.labels)
+        assert [e["matrix"] for e in report["elements"]] == sol.rep.stack.tolist()
 
     @given(st.lists(st.sampled_from([0.0, 1e-13, 1e-8, 0.3]), min_size=16, max_size=16),
            st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 15)))

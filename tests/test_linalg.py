@@ -31,6 +31,14 @@ def two_by_two(entries=finite_complex):
         lambda v: np.array(v, dtype=np.complex128).reshape(2, 2))
 
 
+def any_matrix():
+    """Complex matrices of every shape from 1x1 to 4x4, square or not."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(finite_complex, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda v: np.array(v, dtype=np.complex128).reshape(shape)))
+
+
 def hermitian(dim):
     return st.lists(finite_complex, min_size=dim * dim, max_size=dim * dim).map(
         lambda v: np.array(v, dtype=np.complex128).reshape(dim, dim)).map(
@@ -73,6 +81,20 @@ class TestKron:
     @given(two_by_two(), two_by_two(), two_by_two())
     def test_associativity_generic(self, a, b, c):
         assert frob_dist(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-12
+
+    @given(any_matrix(), any_matrix())
+    def test_matches_np_kron_on_any_shapes(self, a, b):
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim_s, dim_e", [(2, 2), (2, 4), (2, 8)])
+    def test_matches_np_kron_on_the_embedding_column(self, rng, dim_s, dim_e):
+        # PhysicalDilation.embed: I_s (x) |psi_E> with psi_E a (d, 1) column
+        psi = (rng.standard_normal(dim_e) + 1j * rng.standard_normal(dim_e)).reshape(-1, 1)
+        got = kron(np.eye(dim_s), psi)
+        assert got.shape == (dim_s * dim_e, dim_s)
+        assert np.array_equal(got, np.kron(np.eye(dim_s, dtype=np.complex128), psi))
 
 
 class TestPartialTrace:

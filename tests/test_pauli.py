@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pauli_dilate.linalg import frob_dist
 from pauli_dilate.pauli import (
+    FACTOR_MATS,
     PauliString,
     commutes,
     iter_strings,
@@ -111,6 +112,17 @@ class TestMatrices:
     def test_scalar_phase(self):
         assert np.array_equal(to_matrix(pauli("-iY")),
                               np.array([[0, -1], [1, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_np_kron_chain_on_every_string(self, n):
+        for factors in product("IXYZ", repeat=n):
+            want = FACTOR_MATS[factors[0]]
+            for f in factors[1:]:
+                want = np.kron(want, FACTOR_MATS[f])
+            for phase in (1, -1, 1j, -1j):
+                got = to_matrix(PauliString(phase, factors))
+                assert got.shape == (2 ** n, 2 ** n) and got.dtype == np.complex128
+                assert np.array_equal(got, complex(phase) * want)
 
 
 class TestTextFormat:

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pauli_dilate import channels, dynamics, verify
+from pauli_dilate import channels, dilations, dynamics, linalg, verify
+from pauli_dilate import pauli as pauli_mod
 from pauli_dilate.channels import (
     PauliChannel,
     bloch_state,
@@ -19,7 +21,7 @@ from pauli_dilate.dynamics import (
     build_phase_damping_dilation,
 )
 from pauli_dilate.linalg import basis_state, frob_dist
-from pauli_dilate.pauli import SX, SZ, pauli, to_matrix
+from pauli_dilate.pauli import SX, SZ, pauli, pauli_group, product_table, to_matrix
 
 
 def test_run_all_passes():
@@ -105,9 +107,8 @@ def test_run_all_builds_the_builder_table_once(monkeypatch):
             return _build(*args)
         monkeypatch.setattr(dynamics, name, counted)
     assert all(r.passed for r in verify.run_all(seed=3))
-    # the depolarizing builder is the generic one at a = (1, 1, 1), and
-    # replay_schedule builds its default phase damping generator itself
-    assert calls == {"build_phase_damping_dilation": 2, "build_depolarizing_dilation": 1,
+    # the depolarizing builder is the generic one at a = (1, 1, 1)
+    assert calls == {"build_phase_damping_dilation": 1, "build_depolarizing_dilation": 1,
                      "build_generic_pauli_dilation": 2}
 
 
@@ -159,3 +160,224 @@ class TestAlternateInitialState:
         result = verify.check_alternate_initial_state()
         assert result.passed
         assert result.residual < 1e-12
+
+
+def test_pauli_group_closure_fails_on_a_wrong_product(monkeypatch):
+    # the cached product table is read: clear it so the broken multiply builds it
+    right = pauli_mod.multiply
+    monkeypatch.setattr(pauli_mod, "multiply",
+                        lambda a, b: pauli_mod.PauliString(-right(a, b).phase, right(a, b).factors))
+    product_table.cache_clear()
+    try:
+        result = verify.check_pauli_group_closure()
+    finally:
+        product_table.cache_clear()
+    assert not result.passed and result.residual > 0
+
+
+def test_pauli_group_closure_fails_on_a_product_outside_the_group(monkeypatch):
+    monkeypatch.setattr(pauli_mod, "pauli_group", lambda: pauli_group()[:-1])
+    result = verify.check_pauli_group_closure()
+    assert not result.passed and result.residual == math.inf
+    assert "outside the group" in result.detail
+
+
+# The per-label loops that the stacked environment-representation checks
+# replaced, one frob_dist per group label: the checks' oracles.
+
+def canonical_env_rep_by_label(dim_e, xy_sign=1):
+    out = {}
+    for g in pauli_group():
+        factor = g.factors[0]
+        sign = xy_sign if factor in "XY" else 1
+        out[str(g)] = sign * np.diag(np.array(verify._ENV_REP_DIAG[dim_e][factor], dtype=complex))
+    return out
+
+
+def environment_representations_loop():
+    sys_rep = dilations.defining_pauli_rep()
+    worst = 0.0
+    sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
+    sol_dep = dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep)
+    for solved, want in ((sol, canonical_env_rep_by_label(2)),
+                         (sol_dep, canonical_env_rep_by_label(4))):
+        for g in sys_rep.labels:
+            worst = max(worst, frob_dist(solved.rep.mats[g], want[g]))
+    worst = max(worst, dilations.pauli_rep_law_defect(sol.rep))
+    return max(worst, dilations.pauli_rep_law_defect(sol_dep.rep))
+
+
+def generic_rep_independence_loop(rng):
+    sys_rep = dilations.defining_pauli_rep()
+    reps = []
+    for _ in range(3):
+        p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
+        p = p / p.sum()
+        reps.append(dilations.solve_env_rep(dilations.pauli_channel_isometry(p), sys_rep).rep)
+    worst = 0.0
+    for one, two in zip(reps, reps[1:]):
+        for g in sys_rep.labels:
+            worst = max(worst, frob_dist(one.mats[g], two.mats[g]))
+    return worst
+
+
+def invariant_environment_state_loop(pd=None, t_ref=0.4, builders=None):
+    sys_rep = dilations.defining_pauli_rep()
+    targets = [pd] if pd is not None else [b for b, _ in builders.values()]
+    worst = 0.0
+    for target in targets:
+        if target.dim_e not in verify._ENV_REP_DIAG:
+            return math.inf
+        canonical = canonical_env_rep_by_label(target.dim_e)
+        for g in sys_rep.labels:
+            worst = max(worst, float(np.linalg.norm(canonical[g] @ target.psi_e - target.psi_e)))
+        sol = dilations.solve_env_rep(dynamics.isometry_at(target, t_ref), sys_rep)
+        for g in sys_rep.labels:
+            worst = max(worst, frob_dist(sol.rep.mats[g], canonical[g]))
+            worst = max(worst, float(np.linalg.norm(
+                sol.rep.mats[g] @ target.psi_e - target.psi_e)))
+    return worst
+
+
+def rotating_phase_freedom_loop(pd, h_env):
+    lifted = linalg.kron(np.eye(pd.dim_s), h_env)
+    commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
+    if commutator > 1e-12:
+        return commutator
+    rotated = PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
+    base = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
+    rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
+    worst = float(np.max(np.abs(base.probs - rot.probs)))
+    sys_rep = dilations.defining_pauli_rep()
+    rep_times = (0.4, 0.7, 1.3)
+    base_rep = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep
+    for t in rep_times:
+        rot_rep = dilations.solve_env_rep(dynamics.isometry_at(rotated, t), sys_rep).rep
+        w = linalg.mat_exp_hermitian(h_env, t)
+        for g in sys_rep.labels:
+            worst = max(worst, frob_dist(rot_rep.mats[g], w @ base_rep.mats[g] @ w.conj().T))
+    w0 = linalg.mat_exp_hermitian(h_env, 0.0)
+    for g in sys_rep.labels:
+        worst = max(worst, frob_dist(w0 @ base_rep.mats[g] @ w0.conj().T, base_rep.mats[g]))
+    return worst
+
+
+def alternate_initial_state_loop(builders):
+    deph, _ = builders["phase_damping"]
+    pd = PhysicalDilation(deph.h, basis_state("0"), 2, 2)
+    times = (0.4, 0.7, 1.3)
+    worst = 0.0
+    for t in times:
+        fit = dynamics.channel_at_time(pd, t)
+        s, c = math.sin(t), math.cos(t)
+        isometry = ((-1j * s, 0), (c, 0), (0, 1j * s), (0, c))
+        worst = max(worst, fit.leakage,
+                    float(np.max(np.abs(fit.probs - verify._law((0, 0, 1), t)))),
+                    frob_dist(fit.isometry.v, isometry))
+    sys_rep = dilations.defining_pauli_rep()
+    sol = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep)
+    flipped = canonical_env_rep_by_label(2, xy_sign=-1)
+    for g in sys_rep.labels:
+        worst = max(worst, frob_dist(sol.rep.mats[g], flipped[g]),
+                    float(np.linalg.norm(sol.rep.mats[g] @ pd.psi_e - pd.psi_e)))
+    return worst
+
+
+def assert_matches_loop(result, want):
+    assert result.passed == (want <= result.tol)
+    assert result.residual == want or abs(result.residual - want) <= 1e-15
+
+
+@pytest.mark.parametrize("xy_sign", [1, -1])
+@pytest.mark.parametrize("dim_e", [2, 4])
+def test_canonical_stack_is_the_label_table_in_group_order(dim_e, xy_sign):
+    stack = verify._canonical_env_rep(dim_e, xy_sign)
+    table = canonical_env_rep_by_label(dim_e, xy_sign)
+    assert stack.shape == (16, dim_e, dim_e)
+    assert all(np.array_equal(m, table[str(g)]) for m, g in zip(stack, pauli_group()))
+
+
+@given(st.integers(0, 2**63 - 1))
+def test_stacked_generic_rep_independence_matches_per_label_loop(seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_matches_loop(verify.check_generic_rep_independence(rng),
+                        generic_rep_independence_loop(oracle_rng))
+    assert rng.random() == oracle_rng.random()
+
+
+def perturbed_solver(monkeypatch, angle):
+    """Make dilations.solve_env_rep rotate the phase of one pi_E(g), a different g
+    by a larger angle on each call, so that every representation check fails
+    and each pair of solves differs; returns a reset."""
+    solve = dilations.solve_env_rep
+    calls = Counter()
+
+    def perturbed(v, sys_rep, tol=linalg.DEFAULT_TOL):
+        sol = solve(v, sys_rep, tol)
+        g = sol.rep.labels[calls["n"] % len(sol.rep.labels)]
+        calls["n"] += 1
+        mats = dict(sol.rep.mats, **{g: np.exp(1j * angle * calls["n"]) * sol.rep.mats[g]})
+        rep = dilations.GroupRep(sol.rep.labels, mats, sol.rep.space_dim)
+        return dilations.EnvRepSolution(rep, sol.residuals, sol.unitarity_defects)
+
+    monkeypatch.setattr(dilations, "solve_env_rep", perturbed)
+    return calls.clear
+
+
+def representation_cases():
+    builders = verify._builders()
+    deph, dep = builders["phase_damping"][0], builders["depolarizing"][0]
+    moved = PhysicalDilation(dep.h, basis_state("10"), dep.dim_s, dep.dim_e)
+    no_reference = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"), 2, 8)
+    return {
+        "environment-representations": (
+            verify.check_environment_representations, environment_representations_loop),
+        "invariant-environment-state": (
+            lambda: verify.check_invariant_environment_state(builders=builders),
+            lambda: invariant_environment_state_loop(builders=builders)),
+        "invariant-environment-state, moved psi_E": (
+            lambda: verify.check_invariant_environment_state(moved),
+            lambda: invariant_environment_state_loop(moved)),
+        "invariant-environment-state, no reference": (
+            lambda: verify.check_invariant_environment_state(no_reference),
+            lambda: invariant_environment_state_loop(no_reference)),
+        "rotating-phase-freedom": (
+            lambda: verify.check_rotating_phase_freedom(deph, SX),
+            lambda: rotating_phase_freedom_loop(deph, SX)),
+        "rotating-phase-freedom, non-commuting term": (
+            lambda: verify.check_rotating_phase_freedom(deph, SZ),
+            lambda: rotating_phase_freedom_loop(deph, SZ)),
+        "alternate-initial-state": (
+            lambda: verify.check_alternate_initial_state(builders=builders),
+            lambda: alternate_initial_state_loop(builders)),
+    }
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 0.3])
+@pytest.mark.parametrize("case", [
+    "environment-representations", "invariant-environment-state",
+    "invariant-environment-state, moved psi_E", "invariant-environment-state, no reference",
+    "rotating-phase-freedom", "rotating-phase-freedom, non-commuting term",
+    "alternate-initial-state",
+])
+def test_stacked_representation_checks_match_per_label_loops(monkeypatch, case, angle):
+    check, loop = representation_cases()[case]
+    if angle:
+        reset = perturbed_solver(monkeypatch, angle)
+        result = check()
+        reset()
+        want = loop()
+    else:
+        result, want = check(), loop()
+    assert_matches_loop(result, want)
+    if angle == 0.3 and "no reference" not in case and "non-commuting" not in case:
+        assert not result.passed
+
+
+@pytest.mark.parametrize("angle", [1e-12, 0.3])
+def test_perturbed_generic_rep_independence_matches_per_label_loop(monkeypatch, angle):
+    reset = perturbed_solver(monkeypatch, angle)
+    result = verify.check_generic_rep_independence(np.random.default_rng(5))
+    reset()
+    assert_matches_loop(result, generic_rep_independence_loop(np.random.default_rng(5)))
+    assert result.passed == (angle < 1e-10)
