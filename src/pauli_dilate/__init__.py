@@ -12,10 +12,8 @@ from .channels import (
 from .collisions import (
     CollisionConfig,
     collision_channel,
-    collision_map,
     convergence_report,
     fit_decay_rates,
-    simulate_semigroup,
 )
 from .dilations import (
     GroupRep,

@@ -217,8 +217,11 @@ class PauliLiouvillian:
         return out
 
 
-def semigroup_scalings(gamma, t: float) -> np.ndarray:
-    """lambda_i(t) = exp(-2 t sum_{j != i} gamma_j)."""
+def semigroup_scalings(gamma, t) -> np.ndarray:
+    """lambda_i(t) = exp(-2 t sum_{j != i} gamma_j).
+
+    A column of times t[:, None] gives one row of scalings per time.
+    """
     g = np.asarray(gamma, dtype=float)
     with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
         return np.exp(-t * (2.0 * (g.sum() - g)))

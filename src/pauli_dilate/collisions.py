@@ -6,9 +6,9 @@ XI, XX have zero mean and <B_i B_j> = delta_ij in |11>, and the strings
 anticommute, so one collision is exactly the Pauli channel
 p_i = a_i^2 sin^2(sqrt(xi) nu dt) / xi with xi = sum_i a_i^2, n collisions
 scale the Bloch vector by lambda^n, and as dt -> 0 they converge to the
-semigroup with rates gamma_i = zeta a_i^2.  Trajectories hold at most
-MAX_COLLISIONS collisions; the brute-force U (rho (x) |11><11|) U+
-stepping is the test suite's oracle.
+semigroup with rates gamma_i = zeta a_i^2.  A trajectory, and a whole dt
+ladder, holds at most MAX_COLLISIONS collisions; the brute-force
+U (rho (x) |11><11|) U+ stepping is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import PauliChannel, bloch_vector, validate_density_matrix
+from .channels import PauliChannel, bloch_vector, semigroup_scalings, validate_density_matrix
 from .dynamics import build_generic_pauli_dilation
-from .pauli import PAULI_BASIS
 
 MAX_COLLISIONS = 10**6
 
@@ -72,11 +71,6 @@ class CollisionConfig:
         return self.zeta * np.asarray(self.a, dtype=float) ** 2
 
 
-def _check_count(n: float) -> None:
-    if not n <= MAX_COLLISIONS:
-        raise ValueError(f"{n:.6g} collisions exceed the cap of {MAX_COLLISIONS} per trajectory")
-
-
 def collision_hamiltonian(a: Sequence[float], nu: float = 1.0) -> np.ndarray:
     """nu (a1 XIX + a2 YXI + a3 ZXX) on system (x) ancilla."""
     return nu * build_generic_pauli_dilation(*(float(v) for v in a)).h
@@ -90,23 +84,6 @@ def collision_channel(cfg: CollisionConfig) -> PauliChannel:
         return PauliChannel.identity()
     theta = math.sqrt(xi) * cfg.nu * cfg.dt
     return PauliChannel((math.cos(theta) ** 2, *(a ** 2 * (math.sin(theta) ** 2 / xi))))
-
-
-def collision_map(cfg: CollisionConfig, rho) -> np.ndarray:
-    """One collision: Tr_E[U (rho (x) |11><11|) U+]."""
-    return collision_channel(cfg).apply(rho)
-
-
-def simulate_semigroup(cfg: CollisionConfig, rho0) -> list[np.ndarray]:
-    """States after 0..n collisions with a fresh ancilla each step."""
-    state = validate_density_matrix(rho0)
-    _check_count(cfg.n)
-    coeffs = np.einsum("aij,ji->a", PAULI_BASIS, state)
-    scalings = np.concatenate(([1.0], collision_channel(cfg).bloch_scaling()))
-    powers = scalings ** np.arange(cfg.n + 1)[:, None]
-    trajectory = 0.5 * np.einsum("ka,aij->kij", powers * coeffs, PAULI_BASIS)
-    trajectory[0] = state  # the input itself, not its Pauli re-expansion
-    return list(trajectory)
 
 
 @dataclass
@@ -129,10 +106,12 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
                        rho0=None) -> list[ConvergenceEntry]:
     """Trajectory error against the exact semigroup for each dt.
 
-    Each rung runs round(t_final / dt) collisions.  For qubit states the
-    trace distance is half the Euclidean distance of the Bloch vectors, so
-    the states lambda^k r0 are compared with the closed-form semigroup
-    exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in one pass.
+    Each rung runs round(t_final / dt) collisions, at most MAX_COLLISIONS, and
+    so do all rungs together; every rung is checked before any is computed.
+    For qubit states the trace distance is half the Euclidean distance of the
+    Bloch vectors, so the states lambda^k r0 are compared with the closed-form
+    semigroup exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in
+    one pass.
     """
     if rho0 is None:
         r0 = np.array(_DEFAULT_BLOCH)
@@ -140,20 +119,28 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
         r0 = bloch_vector(validate_density_matrix(rho0))
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
-    gamma = cfg.rates()
-    decay = 2.0 * (gamma.sum() - gamma)
-    entries = []
+    rungs = []
+    total = 0
     for dt in dts:
         run = CollisionConfig(cfg.a, cfg.zeta, float(dt), cfg.n)  # the dt and overflow checks
         steps = t_final / run.dt
-        _check_count(steps)
+        if not steps <= MAX_COLLISIONS:
+            raise ValueError(f"{steps:.6g} collisions exceed the cap of {MAX_COLLISIONS} "
+                             "per trajectory")
         n = round(steps)
         if n < 1:
             raise ValueError("need at least one collision")
+        total += n
+        if total > MAX_COLLISIONS:
+            raise ValueError(f"the first {len(rungs) + 1} rungs hold {total} collisions, more "
+                             f"than the cap of {MAX_COLLISIONS} per ladder")
+        rungs.append((run, n))
+    gamma = cfg.rates()
+    entries = []
+    for run, n in rungs:
         t = np.arange(n + 1) * run.dt
         states = collision_channel(run).bloch_scaling() ** np.arange(n + 1)[:, None] * r0
-        with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
-            exact = np.exp(-np.outer(t, decay)) * r0
+        exact = semigroup_scalings(gamma, t[:, None]) * r0
         errors = 0.5 * np.linalg.norm(states - exact, axis=1)
         entries.append(ConvergenceEntry(run.dt, np.column_stack((t, errors))))
     return entries

@@ -14,8 +14,10 @@ least-squares solve against the environment slices of V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,49 +58,44 @@ class Isometry:
         return float(np.linalg.norm(gram))
 
 
-def _rep_stack(labels: tuple[str, ...], entries: list, dim: int) -> np.ndarray:
-    """The entries as one complex (k, dim, dim) array, coerced in one pass.
-
-    When they do not form that array, each entry is coerced on its own and then
-    its shape is checked, so the error raised is the one for the first fault.
-    """
-    try:
-        stack = np.array(entries, dtype=np.complex128)
-    except (TypeError, ValueError):  # ragged or not numeric
-        stack = None
-    if stack is not None and stack.shape == (len(entries), dim, dim):
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("matrix has non-finite entries")
-        return stack
-    mats = [as_complex_matrix(m) for m in entries]
-    for g, m in zip(labels, mats):
-        if m.shape != (dim, dim):
-            raise ValueError(f"representation matrix for {g} has shape {m.shape}")
-    return np.array(mats).reshape(len(mats), dim, dim)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupRep:
     """A finite family of unitaries on one space, keyed by element label.
 
-    The matrices are held once, as the (k, d, d) array `stack` in label order;
-    `mats[g]` is the row of that stack for label g.
+    Built from the (k, d, d) array `stack` of the matrices in label order,
+    which is copied into one read-only complex array; `mats[g]` is the row of
+    that stack for label g, and `unitarity_defects[i]` is the Frobenius norm of
+    stack[i]+ stack[i] - I.
     """
 
     labels: tuple[str, ...]
-    mats: Mapping[str, np.ndarray]
-    space_dim: int
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(repr=False)
+    mats: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    unitarity_defects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        stack = _rep_stack(labels, [self.mats[g] for g in labels], self.space_dim)
-        bad = np.flatnonzero(gram_defects(stack) > DEFAULT_TOL)
+        stack = np.array(self.stack, dtype=np.complex128)
+        k = len(labels)
+        if stack.ndim != 3 or stack.shape[0] != k or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"representation of {k} labels needs a ({k}, d, d) stack, "
+                             f"got shape {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix has non-finite entries")
+        defects = gram_defects(stack)
+        bad = np.flatnonzero(defects > DEFAULT_TOL)
         if bad.size:
             raise ValueError(f"representation matrix for {labels[bad[0]]} is not unitary")
+        stack.flags.writeable = False
+        defects.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "mats", dict(zip(labels, stack)))
+        object.__setattr__(self, "mats", MappingProxyType(dict(zip(labels, stack))))
+        object.__setattr__(self, "unitarity_defects", defects)
+
+    @property
+    def space_dim(self) -> int:
+        return self.stack.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -119,19 +116,27 @@ class SU2Generators:
 class EnvRepSolution:
     rep: GroupRep
     residuals: dict[str, float]
-    unitarity_defects: dict[str, float]
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
+    @property
+    def unitarity_defects(self) -> dict[str, float]:
+        """The rep's unitarity defects, keyed by label like the residuals."""
+        return dict(zip(self.rep.labels, self.rep.unitarity_defects.tolist()))
 
+
+@functools.cache
 def defining_pauli_rep() -> GroupRep:
-    """pi_S(g) = g over the 16 single-qubit Pauli group elements."""
+    """pi_S(g) = g over the 16 single-qubit Pauli group elements.
+
+    Built once per process; every caller shares the one read-only instance.
+    """
     labels = tuple(str(p) for p in pauli_group())
     # pauli_group() order, by factor then phase: phase * sigma, the product to_matrix forms
     stack = (np.array(PHASES)[None, :, None, None] * PAULI_BASIS[:, None]).reshape(16, 2, 2)
-    return GroupRep(labels, dict(zip(labels, stack)), 2)
+    return GroupRep(labels, stack)
 
 
 def pauli_rep_law_defect(rep: GroupRep) -> float:
@@ -230,17 +235,14 @@ def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> E
     # (pi_g+ (x) I) V pi_g for every g at once
     rhs = np.einsum("gai,aeb,gbj->giej", pi_s.conj(), v3, pi_s)
     xs, res = _solve_env_operators(v, rhs)
-    mats = dict(zip(sys_rep.labels, xs))
     residuals = dict(zip(sys_rep.labels, res.tolist()))
-    defects = dict(zip(sys_rep.labels, gram_defects(xs).tolist()))
     worst = max(residuals.values())
     if worst > tol:
         raise ToleranceError(
             f"environment representation residual {worst:.3e} exceeds {tol:.1e}; "
             "channel is not covariant under the given representation or the "
             "dilation is not minimal")
-    rep = GroupRep(sys_rep.labels, mats, v.dim_e)
-    return EnvRepSolution(rep, residuals, defects)
+    return EnvRepSolution(GroupRep(sys_rep.labels, xs), residuals)
 
 
 def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators:
@@ -289,13 +291,14 @@ def check_strong_conservation(kraus: Iterable[np.ndarray], j, tol: float = 1e-12
 
 def rep_report(sol: EnvRepSolution) -> dict:
     """JSON-ready summary of a solved environment representation."""
+    rep = sol.rep
     elements = []
-    for g in sol.rep.labels:
+    for g, m, defect in zip(rep.labels, rep.stack, rep.unitarity_defects.tolist()):
         elements.append({
             "label": g,
-            "matrix": sol.rep.mats[g].tolist(),
+            "matrix": m.tolist(),
             "residual": sol.residuals[g],
-            "unitarity_defect": sol.unitarity_defects[g],
+            "unitarity_defect": defect,
         })
     return {
         "dim_env": sol.rep.space_dim,

@@ -68,13 +68,12 @@ def su2_sample_rep(thetas=(0.3, 1.1, 2.7)) -> GroupRep:
             "u": np.array([1.0, 1.0, 1.0]) / math.sqrt(3),
             "v": np.array([1.0, 2.0, 3.0]) / math.sqrt(14)}
     labels = []
-    mats = {}
+    mats = []
     for name, axis in axes.items():
         for theta in thetas:
-            label = f"theta{theta:g}_{name}"
-            labels.append(label)
-            mats[label] = rotation_unitary(theta, axis)
-    return GroupRep(tuple(labels), mats, 2)
+            labels.append(f"theta{theta:g}_{name}")
+            mats.append(rotation_unitary(theta, axis))
+    return GroupRep(tuple(labels), np.array(mats))
 
 
 def choi_rank(ch: PauliChannel) -> int:

@@ -281,6 +281,8 @@ class TestCollideCommand:
         '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":Infinity}',
         '{"a":[0,0,1],"zeta":1,"dts":[1e-9],"t_final":1}',
         '{"a":[0,0,1],"zeta":1,"dt":1e-9,"n":10000000}',
+        '{"a":[0,0,1],"zeta":1,"dts":[2e-6,2e-6,1],"t_final":1}',
+        '{"a":[0,0,1],"zeta":1,"dts":[' + ",".join(["1e-6"] * 10000) + '],"t_final":1}',
         '{"a":[0,0,1],"zeta":null,"dt":0.1,"n":3}',
         '{"a":[0,0,1],"zeta":1,"dts":[null],"t_final":1}',
         '{"a":[0,0,1],"zeta":1,"dt":null,"n":3}',

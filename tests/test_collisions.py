@@ -6,25 +6,32 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pauli_dilate import collisions
 from pauli_dilate.channels import (
     PauliChannel,
     PauliLiouvillian,
     bloch_state,
     bloch_vector,
     semigroup_channel,
+    validate_density_matrix,
 )
 from pauli_dilate.collisions import (
     MAX_COLLISIONS,
     CollisionConfig,
     collision_channel,
     collision_hamiltonian,
-    collision_map,
     convergence_report,
     fit_decay_rates,
-    simulate_semigroup,
 )
 from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env, trace_distance
-from pauli_dilate.pauli import SIGMA, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+from pauli_dilate.pauli import (
+    PAULI_BASIS,
+    SIGMA,
+    pauli,
+    pauli_basis_expand,
+    pauli_commutant,
+    to_matrix,
+)
 
 # Brute-force oracle: the collision as an explicit unitary on system (x) ancilla,
 # with bath operators B_x = IX, B_y = XI, B_z = XX and a fresh |11> ancilla per step.
@@ -44,6 +51,22 @@ def brute_force_trajectory(cfg, rho0):
     for _ in range(cfg.n):
         states.append(partial_trace_env(u @ np.kron(states[-1], ancilla) @ u.conj().T, 2, 4))
     return states
+
+
+def collision_map(cfg, rho):
+    """One collision, Tr_E[U (rho (x) |11><11|) U+], as the closed-form Pauli channel."""
+    return collision_channel(cfg).apply(rho)
+
+
+def simulate_semigroup(cfg, rho0):
+    """States after 0..n collisions, from the powers of the closed-form Bloch scalings."""
+    state = validate_density_matrix(rho0)
+    coeffs = np.einsum("aij,ji->a", PAULI_BASIS, state)
+    scalings = np.concatenate(([1.0], collision_channel(cfg).bloch_scaling()))
+    powers = scalings ** np.arange(cfg.n + 1)[:, None]
+    trajectory = 0.5 * np.einsum("ka,aij->kij", powers * coeffs, PAULI_BASIS)
+    trajectory[0] = state  # the input itself, not its Pauli re-expansion
+    return list(trajectory)
 
 
 class TestBathOperators:
@@ -169,9 +192,10 @@ class TestTrajectories:
         assert np.max(np.abs(rates - target) / target) < 0.02
 
     def test_refuses_trajectories_over_the_cap(self):
+        # a trajectory is the one-rung report the CLI makes of it
         cfg = CollisionConfig((0, 0, 1), 1.0, 1e-9, MAX_COLLISIONS + 1)
         with pytest.raises(ValueError, match="cap"):
-            simulate_semigroup(cfg, bloch_state((1.0, 0, 0)))
+            convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt, bloch_state((1.0, 0, 0)))
 
 
 weights = st.floats(-1.5, 1.5, allow_nan=False)
@@ -240,6 +264,33 @@ class TestConvergence:
         cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
         with pytest.raises(ValueError):
             convergence_report(cfg, dts, t_final)
+
+    def test_ladder_total_exactly_at_the_cap(self):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
+        entries = convergence_report(cfg, [2 / MAX_COLLISIONS] * 2, 1.0)
+        assert sum(len(e.errors) - 1 for e in entries) == MAX_COLLISIONS
+
+    def test_ladder_total_one_over_the_cap_is_refused_before_any_rung(self, monkeypatch):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
+        calls = []
+        monkeypatch.setattr(collisions, "collision_channel",
+                            lambda run: calls.append(run) or collision_channel(run))
+        with pytest.raises(ValueError) as exc:
+            convergence_report(cfg, [1.0, 2 / MAX_COLLISIONS, 2 / MAX_COLLISIONS], 1.0)
+        assert str(exc.value) == (f"the first 3 rungs hold {MAX_COLLISIONS + 1} collisions, "
+                                  f"more than the cap of {MAX_COLLISIONS} per ladder")
+        assert calls == []
+
+    @pytest.mark.parametrize("dts, message", [
+        ([1.0, 1e-9], "1e+09 collisions exceed the cap of 1000000 per trajectory"),
+        ([1.0, -0.1], "collision duration must be finite and positive, got -0.1"),
+        ([1.0, 2.0], "need at least one collision"),
+    ])
+    def test_first_failing_rung_message_is_unchanged(self, dts, message):
+        cfg = CollisionConfig((0, 0, 1), 1.0, 0.1, 1)
+        with pytest.raises(ValueError) as exc:
+            convergence_report(cfg, dts + [1e-3] * 1000, 1.0)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan])
     def test_rejects_bad_final_time(self, t_final):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pauli_dilate import dilations
 from pauli_dilate.channels import PauliChannel, kraus_apply
 from pauli_dilate.dilations import (
     GroupRep,
@@ -29,7 +30,14 @@ from pauli_dilate.dynamics import (
     build_phase_damping_dilation,
     isometry_at,
 )
-from pauli_dilate.linalg import ToleranceError, basis_state, frob_dist, haar_unitary, kron
+from pauli_dilate.linalg import (
+    ToleranceError,
+    basis_state,
+    frob_dist,
+    gram_defects,
+    haar_unitary,
+    kron,
+)
 from pauli_dilate.pauli import (
     ID2,
     PAULI_BASIS,
@@ -299,16 +307,12 @@ def law_defect_by_pairs(rep):
     return worst
 
 
-def first_rep_error(labels, mats, dim):
-    """Oracle: GroupRep's message for the first bad element, checked one at a time,
-    shapes ahead of unitarity; None when every element passes."""
-    for g in labels:
-        if np.shape(mats[g]) != (dim, dim):
-            return f"representation matrix for {g} has shape {np.shape(mats[g])}"
-    for g in labels:
-        m = np.asarray(mats[g], dtype=complex)
-        if frob_dist(m.conj().T @ m, np.eye(dim)) > 1e-10:
-            return f"representation matrix for {g} is not unitary"
+def first_non_unitary(labels, mats):
+    """Oracle: the first label whose matrix fails V+ V = I within 1e-10, checked one
+    at a time; None when every matrix passes."""
+    for g, m in zip(labels, mats):
+        if frob_dist(m.conj().T @ m, np.eye(len(m))) > 1e-10:
+            return g
     return None
 
 
@@ -338,14 +342,15 @@ class TestCachedProductTable:
     @given(st.integers(0, 15), st.floats(1e-6, 3.0))
     def test_one_matrix_perturbed(self, index, angle):
         rep = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep
-        g = rep.labels[index]
-        rep = GroupRep(rep.labels, dict(rep.mats, **{g: np.exp(1j * angle) * rep.mats[g]}), 4)
+        stack = rep.stack.copy()
+        stack[index] *= np.exp(1j * angle)
+        rep = GroupRep(rep.labels, stack)
         want = law_defect_by_multiply_table(rep)
         assert want > 0
         assert abs(pauli_rep_law_defect(rep) - want) <= 1e-15
 
     def test_label_set_not_closed_raises_key_error(self):
-        rep = GroupRep(("I", "X", "Y"), {"I": ID2, "X": SX, "Y": SY}, 2)
+        rep = GroupRep(("I", "X", "Y"), np.array([ID2, SX, SY]))
         with pytest.raises(KeyError):
             pauli_rep_law_defect(rep)
         with pytest.raises(KeyError):  # a failed build is not cached
@@ -358,7 +363,7 @@ class TestCachedProductTable:
         product_table.cache_clear()
         first = product_table(rep.labels)
         assert product_table(rep.labels) is first
-        reordered = GroupRep(labels, rep.mats, 2)
+        reordered = GroupRep(labels, rep.stack[::-1])
         before = product_table.cache_info().misses
         assert pauli_rep_law_defect(reordered) == law_defect_by_multiply_table(reordered) == 0.0
         assert product_table.cache_info().misses == before + 1
@@ -405,7 +410,7 @@ class TestStackedSolve:
     def test_law_defect_of_a_broken_law_matches_pairwise_products(self, seed):
         rng = np.random.default_rng(seed)
         labels = defining_pauli_rep().labels
-        rep = GroupRep(labels, {g: haar_unitary(3, rng) for g in labels}, 3)
+        rep = GroupRep(labels, np.array([haar_unitary(3, rng) for _ in labels]))
         worst = law_defect_by_pairs(rep)
         assert worst > 0.1
         assert abs(pauli_rep_law_defect(rep) - worst) < 1e-14
@@ -526,7 +531,7 @@ class TestGroupRep:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            GroupRep(("a",), {"a": np.array([[1, 0], [0, 0.5]])}, 2)
+            GroupRep(("a",), [np.array([[1, 0], [0, 0.5]])])
 
     def test_defining_rep_is_to_matrix_bit_for_bit(self):
         rep = defining_pauli_rep()
@@ -537,7 +542,7 @@ class TestGroupRep:
     @pytest.mark.parametrize("rep", [
         defining_pauli_rep(),
         solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep,
-        GroupRep(("a", "b"), {"a": [[1, 0], [0, 1]], "b": np.eye(2)}, 2),
+        GroupRep(("a", "b"), [[[1, 0], [0, 1]], np.eye(2)]),
     ], ids=["defining", "solved", "lists"])
     def test_mats_are_the_rows_of_the_stack(self, rep):
         k, d = len(rep.labels), rep.space_dim
@@ -546,39 +551,69 @@ class TestGroupRep:
             assert np.shares_memory(rep.mats[g], rep.stack)
             assert np.array_equal(rep.mats[g], rep.stack[i])
 
-    @pytest.mark.parametrize("bad, message", [
-        (np.ones(2), "expected a matrix, got ndim=1"),
-        (np.ones((2, 2, 1)), "expected a matrix, got ndim=3"),
-        (5.0, "expected a matrix, got ndim=0"),
-        (np.eye(3), "representation matrix for X has shape (3, 3)"),
-        (np.ones((2, 1)), "representation matrix for X has shape (2, 1)"),
-        (np.array([[np.nan, 0], [0, 1]]), "matrix has non-finite entries"),
-        (np.array([[np.inf, 0], [0, 1]]), "matrix has non-finite entries"),
-        (np.diag([1.0, 0.5]), "representation matrix for X is not unitary"),
-    ])
-    def test_validation_messages(self, bad, message):
-        labels = defining_pauli_rep().labels
-        mats = {g: to_matrix(pauli(g)) for g in labels}
-        mats["X"] = bad
+    @pytest.mark.parametrize("stack", [
+        np.ones((16, 2)),
+        np.ones((16, 2, 2, 1)),
+        np.array(5.0),
+        np.ones((15, 2, 2)),
+        np.ones((17, 2, 2)),
+        np.ones((16, 2, 3)),
+        np.ones((16, 3, 2)),
+    ], ids=lambda a: str(a.shape))
+    def test_wrong_shape_is_named(self, stack):
         with pytest.raises(ValueError) as exc:
-            GroupRep(labels, mats, 2)
+            GroupRep(defining_pauli_rep().labels, stack)
+        assert str(exc.value) == (f"representation of 16 labels needs a (16, d, d) stack, "
+                                  f"got shape {stack.shape}")
+
+    @pytest.mark.parametrize("faults, message", [
+        ({"X": [[np.nan, 0], [0, 1]]}, "matrix has non-finite entries"),
+        ({"X": [[np.inf, 0], [0, 1]]}, "matrix has non-finite entries"),
+        ({"X": [[1, 0], [0, 1j * np.inf]]}, "matrix has non-finite entries"),
+        ({"X": np.diag([1.0, 0.5])}, "representation matrix for X is not unitary"),
+        ({"-Z": 2 * ID2, "X": np.diag([1.0, 0.5])}, "representation matrix for X is not unitary"),
+        ({"I": 2 * ID2, "-Z": [[np.nan, 0], [0, 1]]}, "matrix has non-finite entries"),
+    ])
+    def test_validation_messages(self, faults, message):
+        # non-finite entries anywhere ahead of unitarity; the first non-unitary label is named
+        labels = defining_pauli_rep().labels
+        stack = np.array([to_matrix(pauli(g)) for g in labels])
+        for g, m in faults.items():
+            stack[labels.index(g)] = m
+        with pytest.raises(ValueError) as exc:
+            GroupRep(labels, stack)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("fault, message", [
-        ({"-X": np.ones(2), "X": np.eye(3)}, "expected a matrix, got ndim=1"),
-        ({"X": np.eye(3), "-X": np.full((2, 2), np.nan)}, "matrix has non-finite entries"),
-        ({"X": np.eye(3), "-X": np.eye(4)}, "representation matrix for X has shape (3, 3)"),
-        ({"-X": 2 * np.eye(2), "X": np.eye(3)}, "representation matrix for X has shape (3, 3)"),
-    ])
-    def test_first_fault_wins_as_in_one_coercion_per_entry(self, fault, message):
-        # every entry is coerced (ndim, non-finite) before any shape is checked,
-        # and shapes before unitarity, whichever label comes first
-        labels = defining_pauli_rep().labels
-        mats = {g: to_matrix(pauli(g)) for g in labels}
-        mats.update(fault)
-        with pytest.raises(ValueError) as exc:
-            GroupRep(labels, mats, 2)
-        assert str(exc.value) == message
+    def test_stack_is_a_read_only_copy(self):
+        stack = np.array([ID2, SX])
+        rep = GroupRep(("I", "X"), stack)
+        assert not np.shares_memory(rep.stack, stack)
+        for view in (rep.stack, rep.mats["X"], rep.unitarity_defects):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        with pytest.raises(TypeError):
+            rep.mats["X"] = SZ
+        stack[1] = SZ  # the caller's array stays writable, and the rep keeps its copy
+        assert np.array_equal(rep.mats["X"], SX)
+        assert rep.space_dim == 2 and np.array_equal(rep.unitarity_defects, [0.0, 0.0])
+
+    def test_defining_rep_is_built_once(self):
+        assert defining_pauli_rep() is defining_pauli_rep()
+        assert not defining_pauli_rep().stack.flags.writeable
+
+    def test_one_gram_per_solve(self, monkeypatch):
+        sys_rep = defining_pauli_rep()
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return gram_defects(mats)
+
+        monkeypatch.setattr(dilations, "gram_defects", counted)
+        sol = solve_env_rep(depolarizing_isometry(0.3), sys_rep)
+        rep_report(sol)
+        assert calls == [16]
+        assert list(sol.unitarity_defects.values()) == sol.rep.unitarity_defects.tolist()
 
     def test_rep_report_reads_the_rows(self):
         sol = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep())
@@ -587,21 +622,19 @@ class TestGroupRep:
         assert [e["matrix"] for e in report["elements"]] == sol.rep.stack.tolist()
 
     @given(st.lists(st.sampled_from([0.0, 1e-13, 1e-8, 0.3]), min_size=16, max_size=16),
-           st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 15)))
-    def test_batched_checks_match_per_element_checks(self, scales, seed, bad_shape):
+           st.integers(0, 2**32 - 1))
+    def test_batched_checks_match_per_element_checks(self, scales, seed):
         # (1 + s) U has unitarity defect about 2 sqrt(2) s: far below or far above 1e-10
         rng = np.random.default_rng(seed)
         labels = defining_pauli_rep().labels
-        mats = {g: (1 + s) * haar_unitary(2, rng) for g, s in zip(labels, scales)}
-        if bad_shape is not None:
-            mats[labels[bad_shape]] = np.eye(3)
-        want = first_rep_error(labels, mats, 2)
+        mats = np.array([(1 + s) * haar_unitary(2, rng) for s in scales])
+        want = first_non_unitary(labels, mats)
         if want is None:
-            GroupRep(labels, mats, 2)
+            GroupRep(labels, mats)
         else:
             with pytest.raises(ValueError) as exc:
-                GroupRep(labels, mats, 2)
-            assert str(exc.value) == want
+                GroupRep(labels, mats)
+            assert str(exc.value) == f"representation matrix for {want} is not unitary"
 
 
 def test_kraus_basis_order_is_descending():

@@ -314,11 +314,11 @@ def perturbed_solver(monkeypatch, angle):
 
     def perturbed(v, sys_rep, tol=linalg.DEFAULT_TOL):
         sol = solve(v, sys_rep, tol)
-        g = sol.rep.labels[calls["n"] % len(sol.rep.labels)]
+        i = calls["n"] % len(sol.rep.labels)
         calls["n"] += 1
-        mats = dict(sol.rep.mats, **{g: np.exp(1j * angle * calls["n"]) * sol.rep.mats[g]})
-        rep = dilations.GroupRep(sol.rep.labels, mats, sol.rep.space_dim)
-        return dilations.EnvRepSolution(rep, sol.residuals, sol.unitarity_defects)
+        stack = sol.rep.stack.copy()
+        stack[i] *= np.exp(1j * angle * calls["n"])
+        return dilations.EnvRepSolution(dilations.GroupRep(sol.rep.labels, stack), sol.residuals)
 
     monkeypatch.setattr(dilations, "solve_env_rep", perturbed)
     return calls.clear
