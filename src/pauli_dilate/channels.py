@@ -23,29 +23,29 @@ from .pauli import ID2, PAULI_BASIS, SIGMA
 PROB_TOL = 1e-12
 
 
-def validate_density_matrix(rho, dim: int = 2, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     a = as_complex_matrix(rho)
-    if a.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} density matrix, got shape {a.shape}")
-    return validate_density_matrices(a[None], dim, tol)[0]
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 density matrix, got shape {a.shape}")
+    return validate_density_matrices(a[None])[0]
 
 
-def validate_density_matrices(rhos, dim: int = 2, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """An (n, dim, dim) stack of density matrices, each held to validate_density_matrix's checks.
+def validate_density_matrices(rhos) -> np.ndarray:
+    """An (n, 2, 2) stack of density matrices, each held to validate_density_matrix's checks.
 
     Hermiticity, trace and positivity are tested for the whole stack at once,
     positivity from one batched eigvalsh; a failure raises the one-matrix message.
     """
     a = np.asarray(rhos, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1:] != (dim, dim):
-        raise ValueError(f"expected a stack of {dim}x{dim} density matrices, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[1:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 density matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if np.any(np.linalg.norm(a - a.conj().swapaxes(1, 2), axis=(1, 2)) > tol):
+    if np.any(np.linalg.norm(a - a.conj().swapaxes(1, 2), axis=(1, 2)) > DEFAULT_TOL):
         raise ValueError("density matrix is not Hermitian")
-    if np.any(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0) > tol):
+    if np.any(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0) > DEFAULT_TOL):
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
+    if np.linalg.eigvalsh(a).min(initial=0.0) < -DEFAULT_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return a
 

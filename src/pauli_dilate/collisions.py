@@ -19,14 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import PauliChannel, bloch_vector, semigroup_scalings, validate_density_matrix
+from .channels import PauliChannel, semigroup_scalings
 from .dynamics import build_generic_pauli_dilation
 
 MAX_COLLISIONS = 10**6
 
-# Bloch vector of the default initial state, (1, 1, 1) / sqrt(3) as it reads back
-# from its density matrix: the z component rounds one unit lower through 1 +- z
-_DEFAULT_BLOCH = (0.5773502691896258, 0.5773502691896258, 0.5773502691896257)
+# Bloch vector of the initial state of every trajectory, (1, 1, 1) / sqrt(3) as it
+# reads back from its density matrix: the z component rounds one unit lower through 1 +- z
+_INITIAL_BLOCH = (0.5773502691896258, 0.5773502691896258, 0.5773502691896257)
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,18 @@ class ConvergenceEntry:
         return float(self.errors[:, 1].max())
 
 
-def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: float,
-                       rho0=None) -> list[ConvergenceEntry]:
+def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
+                       t_final: float) -> list[ConvergenceEntry]:
     """Trajectory error against the exact semigroup for each dt.
 
     Each rung runs round(t_final / dt) collisions, at most MAX_COLLISIONS, and
     so do all rungs together; every rung is checked before any is computed.
-    For qubit states the trace distance is half the Euclidean distance of the
-    Bloch vectors, so the states lambda^k r0 are compared with the closed-form
+    Every trajectory starts from the Bloch vector r0 = (1, 1, 1) / sqrt(3).  For qubit
+    states the trace distance is half the Euclidean distance of the Bloch
+    vectors, so the states lambda^k r0 are compared with the closed-form
     semigroup exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in
     one pass.
     """
-    if rho0 is None:
-        r0 = np.array(_DEFAULT_BLOCH)
-    else:
-        r0 = bloch_vector(validate_density_matrix(rho0))
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
     rungs = []
@@ -136,6 +133,7 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float], t_final: floa
                              f"than the cap of {MAX_COLLISIONS} per ladder")
         rungs.append((run, n))
     gamma = cfg.rates()
+    r0 = np.array(_INITIAL_BLOCH)
     entries = []
     for run, n in rungs:
         t = np.arange(n + 1) * run.dt

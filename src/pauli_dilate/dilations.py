@@ -152,12 +152,10 @@ def pauli_rep_law_defect(rep: GroupRep) -> float:
     return float(np.max(defects, initial=0.0))
 
 
-def dilation_from_kraus(kraus: Sequence[np.ndarray],
-                        phases: Sequence[complex] | None = None) -> Isometry:
+def dilation_from_kraus(kraus: Sequence[np.ndarray]) -> Isometry:
     """Stack Kraus operators into the isometry V |phi> = sum_j K_j |phi> (x) |e_j>.
 
-    The environment basis is descending, so |e_0> = |1...1>.  Optional unit
-    phases multiply the individual Kraus blocks.
+    The environment basis is descending, so |e_0> = |1...1>.
     """
     ops = [as_complex_matrix(k) for k in kraus]
     if not ops:
@@ -168,12 +166,8 @@ def dilation_from_kraus(kraus: Sequence[np.ndarray],
     total = sum(k.conj().T @ k for k in ops)
     if frob_dist(total, np.eye(dim_s)) > DEFAULT_TOL:
         raise ValueError("Kraus set is not trace preserving")
-    if phases is None:
-        phases = [1.0] * len(ops)
-    if len(phases) != len(ops) or any(abs(abs(complex(p)) - 1) > 1e-12 for p in phases):
-        raise ValueError("phases must be unit complex numbers, one per Kraus operator")
-    # row (i, j) of V is row i of the j-th phased Kraus operator
-    v = np.stack([complex(ph) * k for k, ph in zip(ops, phases)], axis=1)
+    # row (i, j) of V is row i of the j-th Kraus operator
+    v = np.stack(ops, axis=1)
     return Isometry(v.reshape(dim_s * len(ops), dim_s), dim_s, len(ops))
 
 
@@ -272,7 +266,7 @@ def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators
     return SU2Generators(jx, jy, jz, residuals)
 
 
-def check_strong_conservation(kraus: Iterable[np.ndarray], j, tol: float = 1e-12) -> bool:
+def check_strong_conservation(kraus: Iterable[np.ndarray], j) -> bool:
     """True iff j commutes with every Kraus operator.
 
     When true, the constructed dilation is also checked to satisfy
@@ -280,7 +274,7 @@ def check_strong_conservation(kraus: Iterable[np.ndarray], j, tol: float = 1e-12
     """
     ops = [as_complex_matrix(k) for k in kraus]
     jm = as_complex_matrix(j)
-    if any(frob_dist(jm @ k, k @ jm) > tol for k in ops):
+    if any(frob_dist(jm @ k, k @ jm) > 1e-12 for k in ops):
         return False
     v = dilation_from_kraus(ops)
     lift = frob_dist(v.v @ jm, kron(jm, np.eye(v.dim_e)) @ v.v)

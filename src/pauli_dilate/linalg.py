@@ -30,16 +30,18 @@ def as_complex_matrix(m) -> np.ndarray:
 def as_reals(value, field: str, count: int | None = None):
     """A descriptor field as one float, or as a tuple of `count` floats.
 
-    Anything else, a missing (None) field included, raises a one-line
-    ValueError naming the field, the expected form and the value received.
+    Only ints and floats count as numbers.  Anything else, a string, a boolean
+    or a missing (None) field included, raises a one-line ValueError naming
+    the field, the expected form and the value received.
     """
-    try:
-        if count is None:
-            return float(value)
-        if isinstance(value, (list, tuple)) and len(value) == count:
-            return tuple(float(v) for v in value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    items = (value,) if count is None else value
+    if (isinstance(items, (list, tuple)) and len(items) == (count or 1)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
+        try:
+            reals = tuple(float(v) for v in items)
+            return reals[0] if count is None else reals
+        except OverflowError:  # an int past the float range
+            pass
     form = "a number" if count is None else f"a list of {count} numbers"
     raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
 

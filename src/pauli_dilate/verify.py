@@ -8,8 +8,10 @@ negative tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,17 +64,15 @@ def _law(a, t: float) -> np.ndarray:
     return np.array([1 - xi * s, a[0] ** 2 * s, a[1] ** 2 * s, a[2] ** 2 * s])
 
 
+@functools.cache
 def _builders():
-    """Each dilation builder with the weights a of its time law.
-
-    run_all builds this table once and hands it to every check that reads it;
-    a check called without one builds its own.
-    """
-    return {
+    """Each dilation builder with the weights a of its time law: one read-only table
+    of read-only dilations, built once per process and shared by every check."""
+    return MappingProxyType({
         "phase_damping": (dynamics.build_phase_damping_dilation(), (0, 0, 1)),
         "depolarizing": (dynamics.build_depolarizing_dilation(), (1, 1, 1)),
         "generic": (dynamics.build_generic_pauli_dilation(0.6, 0.5, 0.3), (0.6, 0.5, 0.3)),
-    }
+    })
 
 
 def _canonical_env_rep(dim_e: int, xy_sign: int = 1) -> np.ndarray:
@@ -172,8 +172,8 @@ def _random_channels(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
     return p, vecs
 
 
-def check_channel_cptp(rng: np.random.Generator, count: int = 100) -> CheckResult:
-    p, r = _random_channels(rng, count)
+def check_channel_cptp(rng: np.random.Generator) -> CheckResult:
+    p, r = _random_channels(rng, 100)
     kraus = channels.pauli_kraus(p)
     completeness = np.einsum("nkba,nkbc->nac", kraus.conj(), kraus) - np.eye(2)
     worst = float(np.linalg.norm(completeness, axis=(1, 2)).max(initial=0.0))
@@ -267,17 +267,16 @@ def check_pauli_commutants() -> CheckResult:
     return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_builder_time_laws(builders=None) -> CheckResult:
+def check_builder_time_laws() -> CheckResult:
     worst = 0.0
-    for pd, a in (builders or _builders()).values():
+    for pd, a in _builders().values():
         grid = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
         laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
         worst = max(worst, float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
     return _result("builder-time-laws", worst, 1e-10)
 
 
-def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None,
-                                      t_ref: float = 0.4, builders=None) -> CheckResult:
+def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None) -> CheckResult:
     """The initial environment state must be fixed by the symmetry.
 
     Checks pi_E(g) |psi_E> = |psi_E> against the canonical representation of
@@ -286,7 +285,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
     dilates *some* channel, but breaks both conditions.
     """
     sys_rep = dilations.defining_pauli_rep()
-    targets = [pd] if pd is not None else [b for b, _ in (builders or _builders()).values()]
+    targets = [pd] if pd is not None else [b for b, _ in _builders().values()]
     worst = 0.0
     for target in targets:
         if target.dim_e not in _ENV_REP_DIAG:
@@ -295,7 +294,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
         canonical = _canonical_env_rep(target.dim_e)
         worst = max(worst, _max_norm(canonical @ target.psi_e - target.psi_e, axis=-1))
         try:
-            sol = dilations.solve_env_rep(dynamics.isometry_at(target, t_ref), sys_rep)
+            sol = dilations.solve_env_rep(dynamics.isometry_at(target, 0.4), sys_rep)
         except (linalg.ToleranceError, ValueError) as exc:
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
         worst = max(worst, _max_norm(sol.rep.stack - canonical),
@@ -304,36 +303,32 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
 
 
 def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None = None,
-                                           generators=None, builders=None) -> CheckResult:
+                                           generators=None) -> CheckResult:
     """Every Pauli term of the generator must lie in the symmetry commutant."""
-    cases = []
     if pd is not None:
-        cases.append((pd, [pauli_mod.pauli(s) for s in generators]))
+        cases = [(pd, generators)]
     else:
-        deph_gens = [pauli_mod.pauli(s) for s in _DEPH_SYMMETRY]
-        dep_gens = [pauli_mod.pauli(s) for s in _DEP_SYMMETRY]
-        builders = builders or _builders()
-        cases.append((builders["phase_damping"][0], deph_gens))
-        cases.append((builders["depolarizing"][0], dep_gens))
-        cases.append((builders["generic"][0], dep_gens))
+        table = _builders()
+        cases = [(table["phase_damping"][0], _DEPH_SYMMETRY),
+                 (table["depolarizing"][0], _DEP_SYMMETRY), (table["generic"][0], _DEP_SYMMETRY)]
     ok = True
-    for target, gens in cases:
+    for target, labels in cases:
+        gens = [pauli_mod.pauli(s) for s in labels]
         allowed = set(pauli_mod.pauli_commutant(gens, gens[0].n_qubits))
         terms = pauli_mod.pauli_basis_expand(target.h, tol=1e-12)
         ok = ok and all(term in allowed for term in terms)
     return CheckResult("hamiltonian-commutant-membership", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_krylov_structure(builders=None) -> CheckResult:
-    builders = builders or _builders()
+def check_krylov_structure() -> CheckResult:
     worst = 0.0
-    dep, _ = builders["depolarizing"]
+    dep, _ = _builders()["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     ok = k.dim == 4
     p = k.projector()
     worst = max(worst, float(np.linalg.norm(dep.h @ p - p @ dep.h @ p)))
     worst = max(worst, float(np.linalg.norm(p @ dep.h - p @ dep.h @ p)))
-    pd_deph, _ = builders["phase_damping"]
+    pd_deph, _ = _builders()["phase_damping"]
     ok = ok and dynamics.krylov_subspace(pd_deph).dim == 4
     zero = dynamics.PhysicalDilation(np.zeros((8, 8)), linalg.basis_state("11"), 2, 4)
     ok = ok and dynamics.krylov_subspace(zero).dim == 2
@@ -346,16 +341,16 @@ def _su2_total_generators():
             for s, j in zip(pauli_mod.SIGMA, (gens.jx, gens.jy, gens.jz))]
 
 
-def check_restricted_su2_conservation(builders=None) -> CheckResult:
-    dep, _ = (builders or _builders())["depolarizing"]
+def check_restricted_su2_conservation() -> CheckResult:
+    dep, _ = _builders()["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     worst = max(dynamics.restricted_commutator_norm(dep, s, k)
                 for s in _su2_total_generators())
     return _result("restricted-su2-conservation", worst, 1e-10)
 
 
-def check_full_symmetrization(builders=None) -> CheckResult:
-    dep, a = (builders or _builders())["depolarizing"]
+def check_full_symmetrization() -> CheckResult:
+    dep, a = _builders()["depolarizing"]
     k = dynamics.krylov_subspace(dep)
     sym = dynamics.symmetrize_full(dep, k)
     laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
@@ -366,7 +361,7 @@ def check_full_symmetrization(builders=None) -> CheckResult:
 
 
 def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
-                                 h_env=pauli_mod.SX, builders=None) -> CheckResult:
+                                 h_env=pauli_mod.SX) -> CheckResult:
     """A free environment term I (x) h_env that commutes with H is redundant.
 
     The channel must be untouched, and the environment representation solved
@@ -375,7 +370,7 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     check, with the commutator norm as its residual.
     """
     if pd is None:
-        pd, _ = (builders or _builders())["phase_damping"]
+        pd, _ = _builders()["phase_damping"]
     lifted = linalg.kron(np.eye(pd.dim_s), h_env)
     commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
     if commutator > 1e-12:
@@ -397,14 +392,14 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     return _result("rotating-phase-freedom", worst, 1e-9)
 
 
-def check_alternate_initial_state(builders=None) -> CheckResult:
+def check_alternate_initial_state() -> CheckResult:
     """H = Z (x) X run from |psi_E> = |0> instead of |1>.
 
     The channel stays phase damping with p = sin^2(t); the environment
     representation is the two-dimensional one with the x and y sectors
     flipped, and it leaves |0> fixed.
     """
-    deph, _ = (builders or _builders())["phase_damping"]
+    deph, _ = _builders()["phase_damping"]
     pd = dynamics.PhysicalDilation(deph.h, linalg.basis_state("0"), 2, 2)
     times = (0.4, 0.7, 1.3)
     worst = 0.0
@@ -431,9 +426,9 @@ def check_strong_conservation_triviality() -> CheckResult:
                        worst, 1e-10)
 
 
-def check_schedule_round_trip(builders=None) -> CheckResult:
+def check_schedule_round_trip() -> CheckResult:
     sched = dynamics.schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200)
-    grid = dynamics.replay_schedule(sched, (builders or _builders())["phase_damping"][0])
+    grid = dynamics.replay_schedule(sched, _builders()["phase_damping"][0])
     worst = float(np.max(np.abs(grid.probs[:, 3] - np.sin(3 * grid.t) ** 2)))
     return _result("schedule-round-trip", worst, 1e-6)
 
@@ -471,7 +466,6 @@ def check_collision_convergence_trend() -> CheckResult:
 
 def run_all(seed: int = 1234) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    builders = _builders()
     return [
         check_pauli_group_closure(),
         check_commutation_vs_matrices(),
@@ -486,16 +480,16 @@ def run_all(seed: int = 1234) -> list[CheckResult]:
         check_generic_rep_independence(rng),
         check_su2_generators(),
         check_pauli_commutants(),
-        check_builder_time_laws(builders=builders),
-        check_invariant_environment_state(builders=builders),
-        check_hamiltonian_commutant_membership(builders=builders),
-        check_krylov_structure(builders=builders),
-        check_restricted_su2_conservation(builders=builders),
-        check_full_symmetrization(builders=builders),
-        check_rotating_phase_freedom(builders=builders),
-        check_alternate_initial_state(builders=builders),
+        check_builder_time_laws(),
+        check_invariant_environment_state(),
+        check_hamiltonian_commutant_membership(),
+        check_krylov_structure(),
+        check_restricted_su2_conservation(),
+        check_full_symmetrization(),
+        check_rotating_phase_freedom(),
+        check_alternate_initial_state(),
         check_strong_conservation_triviality(),
-        check_schedule_round_trip(builders=builders),
+        check_schedule_round_trip(),
         check_collision_bath_conditions(),
         check_collision_convergence_trend(),
     ]

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pauli_dilate import cli
+from pauli_dilate import cli, dynamics
 from pauli_dilate.cli import MAX_SAMPLES, _csv_rows, _fmt_real, main
+from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -222,6 +223,25 @@ class TestEvolveCommand:
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert "leakage" in err
+
+    @pytest.mark.parametrize("n", [MAX_HAMILTONIAN_QUBITS, MAX_HAMILTONIAN_QUBITS + 1, 26])
+    def test_hamiltonian_qubit_cap(self, capsys, monkeypatch, n):
+        desc = json.dumps({"hamiltonian": [["Z" + "X" * (n - 1), 1.0]], "psiE": "1" * (n - 1)})
+        argv = ["evolve", "--in", desc, "--samples", "3"]
+        if n <= MAX_HAMILTONIAN_QUBITS:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and err == "" and len(out.splitlines()) == 4
+            return
+
+        def unreachable(*args):
+            raise AssertionError("allocated before the qubit cap was checked")
+        # the cap is checked before any state or matrix of that size is built
+        monkeypatch.setattr(dynamics, "basis_state", unreachable)
+        monkeypatch.setattr(dynamics, "_string_hamiltonian", unreachable)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: Hamiltonian strings act on {n} qubits, more than the cap of "
+                       f"{MAX_HAMILTONIAN_QUBITS}\n")
 
     def test_non_strict_reports_leakage_quietly(self, capsys):
         args = ["evolve", "--in", '{"hamiltonian":[["XI",1.0]],"psiE":"1"}',
@@ -467,8 +487,30 @@ class TestCliContract:
         (["dilate", "--in", '{"type":"pauli","p":[1,0,0,0],"tmax":1}'], "'tmax'"),
         (["rep", "--in", '{"type":"phase_damping","p":0.3,"q":0.1}'], "'q'"),
         (["commutant", "--in", '{"generators":["ZX"],"qubits":2,"type":"pauli"}'], "'type'"),
+        # an int past the float range, strings and booleans are not numbers, in any
+        # numeric field of any command
+        (["channel", "--in", '{"type":"phase_damping","p":1%s}' % ("0" * 400)], '"p"'),
+        (["channel", "--in", '{"type":"phase_damping","p":"0.3"}'], "got '0.3'"),
+        (["channel", "--in", '{"type":"phase_damping","p":true}'], "got True"),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[0.1,"0.2",0.3]}'], '"gamma"'),
+        (["channel", "--in", '{"type":"liouvillian","gamma":[0.1,false,0.3]}'], '"gamma"'),
+        (["dilate", "--in", '{"type":"depolarizing","p":"0.3"}'], "got '0.3'"),
+        (["dilate", "--in", '{"type":"depolarizing","p":false}'], "got False"),
+        (["rep", "--in", '{"type":"pauli","p":[0.4,0.3,0.2,"0.1"]}'], '"p"'),
+        (["rep", "--in", '{"type":"pauli","p":[true,false,false,false]}'], '"p"'),
+        (["commutant", "--in", '{"generators":["ZX"],"qubits":"2"}'], "qubits"),
+        (["evolve", "--in", '{"builder":"generic","a":["0.6",0.5,0.3]}'], '"a"'),
+        (["evolve", "--in", '{"builder":"generic","a":[true,0.5,0.3]}'], '"a"'),
+        (["evolve", "--in", '{"hamiltonian":[["ZX","1.0"]],"psiE":"1"}'], "got '1.0'"),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",true]],"psiE":"1"}'], "got True"),
+        (["collide", "--in", '{"a":[0,0,"1"],"zeta":1,"dt":0.1,"n":3}'], '"a"'),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":"1","dt":0.1,"n":3}'], "got '1'"),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":1,"dt":true,"n":3}'], "got True"),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":1,"dt":0.1,"n":true}'], "got True"),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":1,"dt":0.1,"n":"3"}'], "got '3'"),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":1,"dts":["0.1"],"t_final":1}'], "got '0.1'"),
+        (["collide", "--in", '{"a":[0,0,1],"zeta":1,"dts":[0.1],"t_final":true}'], "got True"),
     ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_descriptors_exit_one_with_one_line(self, capsys, argv, needle):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -489,7 +531,6 @@ class TestCliContract:
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_liouvillian_at_huge_time_decays_fully(self, capsys):
         # the exponent overflows to -inf; exp takes it to the limit 0, with no NaN
         report = run_json(["channel", "--in", '{"type":"liouvillian","gamma":[0,0,1]}',

@@ -4,7 +4,7 @@ Values mix the well-formed with NaN/inf, numbers past the float range, nulls,
 booleans, strings and nested lists.  Sizes stay small (at most three qubits,
 the default 25 evolve samples), so the whole module runs in a few seconds.
 Any exception other than the CLI's own validation errors, a RuntimeWarning
-included, fails the test.
+included (pyproject.toml makes it an error), fails the test.
 """
 
 import json
@@ -86,7 +86,6 @@ def argvs(draw, command):
     return argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(DESCRIPTORS))
 def test_random_descriptors_end_in_an_exit_code(command, capsys):
     @given(argvs(command))

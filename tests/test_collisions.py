@@ -195,7 +195,7 @@ class TestTrajectories:
         # a trajectory is the one-rung report the CLI makes of it
         cfg = CollisionConfig((0, 0, 1), 1.0, 1e-9, MAX_COLLISIONS + 1)
         with pytest.raises(ValueError, match="cap"):
-            convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt, bloch_state((1.0, 0, 0)))
+            convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
 
 
 weights = st.floats(-1.5, 1.5, allow_nan=False)
@@ -213,14 +213,17 @@ def test_closed_form_matches_brute_force(a, zeta, dt, n, r):
     assert len(fast) == n + 1
     assert max(np.max(np.abs(x - y)) for x, y in zip(fast, oracle)) < 1e-12
 
-    [entry] = convergence_report(cfg, [dt], n * dt, rho0)
+    # every report starts from one fixed state
+    start = bloch_state(collisions._INITIAL_BLOCH)
+    oracle = brute_force_trajectory(cfg, start)
+    [entry] = convergence_report(cfg, [dt], n * dt)
     assert len(entry.errors) == n + 1
     assert entry.errors.shape == (n + 1, 2) and entry.errors.dtype == np.float64
     lv = PauliLiouvillian(tuple(cfg.rates()))
     distances = []
     for k, ((t, err), state) in enumerate(zip(entry.errors, oracle)):
         assert t == k * dt
-        distances.append(trace_distance(state, semigroup_channel(lv, t).apply(rho0)))
+        distances.append(trace_distance(state, semigroup_channel(lv, t).apply(start)))
         assert abs(err - distances[-1]) < 1e-12
     assert isinstance(entry.max_error, float)
     assert abs(entry.max_error - max(distances)) < 1e-12

@@ -74,6 +74,16 @@ class TestPhysicalDilationType:
         with pytest.raises(ValueError):
             PhysicalDilation(np.zeros((4, 4)), np.array([math.nan, 0.0]), 2, 2)
 
+    def test_holds_read_only_copies(self):
+        # complex input of the final shapes, which a coercion alone would not copy
+        h, psi = to_matrix(pauli("ZX")), basis_state("1")
+        pd = PhysicalDilation(h, psi, 2, 2)
+        for held, given_array in ((pd.h, h), (pd.psi_e, psi)):
+            assert not np.shares_memory(held, given_array)
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 5.0
+            given_array[0] = 5.0  # the caller's array stays writable
+
 
 class TestPhaseDampingBuilder:
     def test_probability_law_on_grid(self):
@@ -129,8 +139,9 @@ class TestDepolarizingBuilder:
         t = 0.4
         p = math.sin(math.sqrt(3) * t) ** 2
         ch = PauliChannel.depolarizing(p)
-        kraus = [math.sqrt(v) * m for v, m in zip(ch.p, (np.eye(2), SX, to_matrix(pauli("Y")), SZ))]
-        static = dilation_from_kraus(kraus, phases=(1, -1j, -1j, -1j))
+        kraus = [ph * math.sqrt(v) * m for ph, v, m in
+                 zip((1, -1j, -1j, -1j), ch.p, (np.eye(2), SX, to_matrix(pauli("Y")), SZ))]
+        static = dilation_from_kraus(kraus)
         assert frob_dist(isometry_at(pd, t).v, static.v) < 1e-12
 
     def test_initial_state_fixed_by_representations(self):
@@ -471,15 +482,20 @@ def test_grid_rows_are_channel_fits():
         assert np.array_equal(row.probs, fit.probs)
 
 
+# A dilation's arrays are read-only and its constructor rejects both faults, so
+# each helper swaps a faulty array into a built dilation: the grid's own checks run.
+
 def _non_hermitian():
     pd = build_phase_damping_dilation()
-    pd.h[0, 1] += 1.0
+    h = pd.h.copy()
+    h[0, 1] += 1.0
+    object.__setattr__(pd, "h", h)
     return pd
 
 
 def _denormalized():
     pd = build_phase_damping_dilation()
-    pd.psi_e[:] *= 2.0
+    object.__setattr__(pd, "psi_e", 2.0 * pd.psi_e)
     return pd
 
 

@@ -39,10 +39,10 @@ def _random_channel_and_state(rng):
     return ch, r, kraus_apply(ch.kraus_ops(), validate_density_matrix(bloch_state(r)))
 
 
-def channel_cptp_loop(rng, count=100):
+def channel_cptp_loop(rng):
     """The per-channel loop that the stacked channel-cptp check replaced: its residual."""
     worst = 0.0
-    for _ in range(count):
+    for _ in range(100):
         ch, _, out = _random_channel_and_state(rng)
         total = sum(k.conj().T @ k for k in ch.kraus_ops())
         worst = max(worst, frob_dist(total, np.eye(2)))
@@ -88,7 +88,7 @@ def test_random_channels_draw_in_the_loop_order(seed):
 ])
 def test_channel_cptp_fails_on_a_broken_stacked_form(monkeypatch, helper, broken):
     monkeypatch.setattr(channels, helper, broken(getattr(channels, helper)))
-    result = verify.check_channel_cptp(np.random.default_rng(0), count=5)
+    result = verify.check_channel_cptp(np.random.default_rng(0))
     assert not result.passed and result.residual > 1e-10
 
 
@@ -106,10 +106,24 @@ def test_run_all_builds_the_builder_table_once(monkeypatch):
             calls[_name] += 1
             return _build(*args)
         monkeypatch.setattr(dynamics, name, counted)
-    assert all(r.passed for r in verify.run_all(seed=3))
+    verify._builders.cache_clear()
+    for seed in (3, 4):
+        assert all(r.passed for r in verify.run_all(seed=seed))
     # the depolarizing builder is the generic one at a = (1, 1, 1)
     assert calls == {"build_phase_damping_dilation": 1, "build_depolarizing_dilation": 1,
                      "build_generic_pauli_dilation": 2}
+
+
+def test_builder_table_is_one_read_only_table():
+    table = verify._builders()
+    assert verify._builders() is table
+    with pytest.raises(TypeError):
+        table["generic"] = table["phase_damping"]
+    for pd, _ in table.values():
+        for arr in (pd.h, pd.psi_e):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def test_perturbed_hamiltonian_fails_commutant_membership():
@@ -221,9 +235,9 @@ def generic_rep_independence_loop(rng):
     return worst
 
 
-def invariant_environment_state_loop(pd=None, t_ref=0.4, builders=None):
+def invariant_environment_state_loop(pd=None):
     sys_rep = dilations.defining_pauli_rep()
-    targets = [pd] if pd is not None else [b for b, _ in builders.values()]
+    targets = [pd] if pd is not None else [b for b, _ in verify._builders().values()]
     worst = 0.0
     for target in targets:
         if target.dim_e not in verify._ENV_REP_DIAG:
@@ -231,7 +245,7 @@ def invariant_environment_state_loop(pd=None, t_ref=0.4, builders=None):
         canonical = canonical_env_rep_by_label(target.dim_e)
         for g in sys_rep.labels:
             worst = max(worst, float(np.linalg.norm(canonical[g] @ target.psi_e - target.psi_e)))
-        sol = dilations.solve_env_rep(dynamics.isometry_at(target, t_ref), sys_rep)
+        sol = dilations.solve_env_rep(dynamics.isometry_at(target, 0.4), sys_rep)
         for g in sys_rep.labels:
             worst = max(worst, frob_dist(sol.rep.mats[g], canonical[g]))
             worst = max(worst, float(np.linalg.norm(
@@ -262,8 +276,8 @@ def rotating_phase_freedom_loop(pd, h_env):
     return worst
 
 
-def alternate_initial_state_loop(builders):
-    deph, _ = builders["phase_damping"]
+def alternate_initial_state_loop():
+    deph, _ = verify._builders()["phase_damping"]
     pd = PhysicalDilation(deph.h, basis_state("0"), 2, 2)
     times = (0.4, 0.7, 1.3)
     worst = 0.0
@@ -333,8 +347,7 @@ def representation_cases():
         "environment-representations": (
             verify.check_environment_representations, environment_representations_loop),
         "invariant-environment-state": (
-            lambda: verify.check_invariant_environment_state(builders=builders),
-            lambda: invariant_environment_state_loop(builders=builders)),
+            verify.check_invariant_environment_state, invariant_environment_state_loop),
         "invariant-environment-state, moved psi_E": (
             lambda: verify.check_invariant_environment_state(moved),
             lambda: invariant_environment_state_loop(moved)),
@@ -348,8 +361,7 @@ def representation_cases():
             lambda: verify.check_rotating_phase_freedom(deph, SZ),
             lambda: rotating_phase_freedom_loop(deph, SZ)),
         "alternate-initial-state": (
-            lambda: verify.check_alternate_initial_state(builders=builders),
-            lambda: alternate_initial_state_loop(builders)),
+            verify.check_alternate_initial_state, alternate_initial_state_loop),
     }
 
 
