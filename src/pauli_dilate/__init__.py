@@ -1,52 +1,47 @@
-"""Symmetric dilations of single-qubit Pauli channels and semigroups."""
+"""Symmetric dilations of single-qubit Pauli channels and semigroups.
 
-from .channels import (
-    PauliChannel,
-    PauliLiouvillian,
-    bloch_state,
-    bloch_vector,
-    channel_from_descriptor,
-    probs_from_scaling,
-    semigroup_channel,
-)
-from .collisions import (
-    CollisionConfig,
-    collision_channel,
-    convergence_report,
-    fit_decay_rates,
-)
-from .dilations import (
-    GroupRep,
-    Isometry,
-    SU2Generators,
-    channel_of_isometry,
-    check_strong_conservation,
-    defining_pauli_rep,
-    depolarizing_isometry,
-    dilation_from_kraus,
-    pauli_channel_isometry,
-    phase_damping_isometry,
-    solve_env_rep,
-    solve_su2_generators,
-)
-from .dynamics import (
-    ChannelGrid,
-    KrylovSubspace,
-    PhysicalDilation,
-    Schedule,
-    build_depolarizing_dilation,
-    build_generic_pauli_dilation,
-    build_phase_damping_dilation,
-    channel_at_time,
-    channels_on_grid,
-    isometry_at,
-    krylov_subspace,
-    replay_schedule,
-    restricted_commutator_norm,
-    schedule_for_target,
-    symmetrize_full,
-)
-from .linalg import ToleranceError, basis_state, frob_dist, kron, mat_exp_hermitian
-from .pauli import PauliString, commutes, multiply, pauli_commutant, to_matrix
+Importing the package loads none of its modules.  Each public name below is
+read from its module on first access (PEP 562), so `import pauli_dilate`
+stays cheap and a program loads only the layers it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = ("pauli", "linalg", "channels", "dilations", "dynamics", "collisions", "verify", "cli")
+
+# module -> the public names it defines
+_EXPORTS = {
+    "channels": ("PauliChannel", "PauliLiouvillian", "bloch_state", "bloch_vector",
+                 "channel_from_descriptor", "probs_from_scaling", "semigroup_channel"),
+    "collisions": ("CollisionConfig", "collision_channel", "convergence_report",
+                   "fit_decay_rates"),
+    "dilations": ("GroupRep", "Isometry", "SU2Generators", "channel_of_isometry",
+                  "check_strong_conservation", "defining_pauli_rep", "depolarizing_isometry",
+                  "dilation_from_kraus", "pauli_channel_isometry", "phase_damping_isometry",
+                  "solve_env_rep", "solve_su2_generators"),
+    "dynamics": ("ChannelGrid", "KrylovSubspace", "PhysicalDilation", "Schedule",
+                 "build_depolarizing_dilation", "build_generic_pauli_dilation",
+                 "build_phase_damping_dilation", "channel_at_time", "channels_on_grid",
+                 "isometry_at", "krylov_subspace", "replay_schedule",
+                 "restricted_commutator_norm", "schedule_for_target", "symmetrize_full"),
+    "linalg": ("ToleranceError", "basis_state", "frob_dist", "kron", "mat_exp_hermitian"),
+    "pauli": ("PauliString", "commutes", "multiply", "pauli_commutant", "to_matrix"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    """A public name from its module, or a module of the package, imported on first use."""
+    if name in _SOURCES:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

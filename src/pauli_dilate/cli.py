@@ -16,23 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
-from .channels import PauliChannel, PauliLiouvillian, channel_from_descriptor, semigroup_channel
-from .collisions import CollisionConfig, convergence_report
-from .dilations import (
-    Isometry,
-    defining_pauli_rep,
-    dilation_from_kraus,
-    rep_report,
-    require_minimal,
-    solve_env_rep,
-    solve_su2_generators,
-)
-from .dynamics import channel_at_time, dilation_from_descriptor
+# every command imports the layers it reads when it runs, so a process loads only
+# those: commutant loads pauli, channel channels, collide no dynamics or verify
 from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys
-from .pauli import pauli, pauli_commutant
 
-# evolve fits one channel per sample, about 0.12 ms each: 10**5 samples take ~12 s
+# evolve fits one channel per sample, about 0.12 ms each at 2-3 qubits and 0.25 ms at
+# the 5-qubit Hamiltonian cap: 10**5 samples take ~12 s, or ~25 s at 5 qubits
 MAX_SAMPLES = 10**5
 
 
@@ -113,12 +102,15 @@ def _nonneg(value: float | None, default: float, flag: str) -> float:
     return value
 
 
-def _minimal_dilation(args, command: str) -> tuple[PauliChannel, Isometry, int]:
+def _minimal_dilation(args, command: str) -> tuple:
     """The channel of --in, its dilation stacked from the nonzero Kraus slots, its Kraus rank.
 
     A weight in (0, 5e-11] keeps a slot that the Kraus rank does not count;
     such a dilation is not minimal and is rejected.
     """
+    from .channels import PauliChannel, channel_from_descriptor
+    from .dilations import dilation_from_kraus, require_minimal
+
     ch = channel_from_descriptor(_load_descriptor(args.input))
     if not isinstance(ch, PauliChannel):
         raise ValueError(f"{command} expects a channel descriptor, not a Liouvillian")
@@ -129,6 +121,8 @@ def _minimal_dilation(args, command: str) -> tuple[PauliChannel, Isometry, int]:
 
 
 def cmd_channel(args) -> int:
+    from .channels import PauliLiouvillian, channel_from_descriptor, semigroup_channel
+
     tmax = _nonneg(args.tmax, 1.0, "--tmax")
     obj = channel_from_descriptor(_load_descriptor(args.input))
     if isinstance(obj, PauliLiouvillian):
@@ -158,6 +152,8 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    from .dilations import defining_pauli_rep, rep_report, solve_env_rep, solve_su2_generators
+
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
     ch, v, _ = _minimal_dilation(args, "rep")
     sol = solve_env_rep(v, defining_pauli_rep(), tol=tol)
@@ -177,6 +173,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_commutant(args) -> int:
+    from .pauli import pauli, pauli_commutant
+
     desc = _load_descriptor(args.input)
     check_keys(desc, "a commutant descriptor", ("generators", "qubits"))
     gens = desc.get("generators")
@@ -197,6 +195,8 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .dynamics import channel_at_time, dilation_from_descriptor
+
     tmax = _nonneg(args.tmax, 2 * math.pi, "--tmax")
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
     samples = args.samples
@@ -217,6 +217,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_collide(args) -> int:
+    from .collisions import CollisionConfig, convergence_report
+
     desc = _load_descriptor(args.input)
     a = as_reals(desc.get("a"), '"a"', 3)
     zeta = as_reals(desc.get("zeta"), '"zeta"')
@@ -248,9 +250,11 @@ def cmd_collide(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-    results = verify_mod.run_all(seed=args.seed)
+    results = run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import PauliChannel, semigroup_scalings
-from .dynamics import build_generic_pauli_dilation
+from .pauli import GENERIC_TERMS, string_hamiltonian
 
 MAX_COLLISIONS = 10**6
 
@@ -72,8 +72,8 @@ class CollisionConfig:
 
 
 def collision_hamiltonian(a: Sequence[float], nu: float = 1.0) -> np.ndarray:
-    """nu (a1 XIX + a2 YXI + a3 ZXX) on system (x) ancilla."""
-    return nu * build_generic_pauli_dilation(*(float(v) for v in a)).h
+    """nu (a1 XIX + a2 YXI + a3 ZXX) on system (x) ancilla: nu times the generic dilation's H."""
+    return nu * string_hamiltonian(list(zip(GENERIC_TERMS, a, strict=True)))
 
 
 def collision_channel(cfg: CollisionConfig) -> PauliChannel:

@@ -36,17 +36,18 @@ from .pauli import ID2, PAULI_BASIS, PHASES, SZ, pauli_group, product_table
 
 @dataclass(frozen=True)
 class Isometry:
-    """A (dim_s * dim_e) x dim_s matrix V with V+ V = I."""
+    """A (dim_s * dim_e) x dim_s matrix V with V+ V = I, held as a read-only copy."""
 
     v: np.ndarray
     dim_s: int
     dim_e: int
 
     def __post_init__(self):
-        a = as_complex_matrix(self.v)
+        a = as_complex_matrix(self.v).copy()
         if a.shape != (self.dim_s * self.dim_e, self.dim_s):
             raise ValueError(f"isometry shape {a.shape} does not match dims "
                              f"({self.dim_s}, {self.dim_e})")
+        a.flags.writeable = False
         object.__setattr__(self, "v", a)
         if self.defect() > DEFAULT_TOL:
             raise ValueError("V+ V deviates from the identity beyond 1e-10")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .linalg import (
     mat_exp_hermitian,
     mat_exp_hermitian_grid,
 )
-from .pauli import PAULI_BASIS, pauli, to_matrix
+from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
@@ -115,8 +115,9 @@ class ChannelFit:
 class ChannelGrid:
     """Pauli fits of the channels induced by one dilation on a grid of times.
 
-    Each array stacks the matching ChannelFit field along its first axis;
-    iterating (or indexing) gives the fits one ChannelFit row at a time.
+    Each array stacks the matching ChannelFit field along its first axis and
+    is held as a read-only view; iterating (or indexing) gives the fits one
+    ChannelFit row at a time.
     """
 
     t: np.ndarray            # (n,) time of each row
@@ -127,6 +128,12 @@ class ChannelGrid:
     leakage: np.ndarray      # (n,) norms of the non-Pauli parts
     dim_s: int
     dim_e: int
+
+    def __post_init__(self):
+        for name in ("t", "isometries", "transfer", "probs", "lam", "leakage"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -219,22 +226,9 @@ def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> 
                        leakage, ds, de)
 
 
-def _string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
-    if not math.isfinite(sum(abs(float(c)) for _, c in terms)):  # bounds every entry of the sum
-        raise ValueError("Hamiltonian coefficients must be finite, and so must the sum of "
-                         f"their magnitudes, got {[float(c) for _, c in terms]}")
-    mats = []
-    for label, coeff in terms:
-        p = pauli(label)
-        if p.phase not in (1, -1):
-            raise ValueError("Hamiltonian strings must carry a real phase")
-        mats.append(float(coeff) * to_matrix(p))
-    return sum(mats)
-
-
 def build_phase_damping_dilation() -> PhysicalDilation:
     """H = Z (x) X with the environment qubit in |1>; p(t) = sin^2(t)."""
-    h = _string_hamiltonian([("ZX", 1.0)])
+    h = string_hamiltonian([("ZX", 1.0)])
     return PhysicalDilation(h, basis_state("1"), 2, 2)
 
 
@@ -249,7 +243,7 @@ def build_generic_pauli_dilation(a1: float, a2: float, a3: float) -> PhysicalDil
     With xi = a1^2 + a2^2 + a3^2 the induced channel has
     p_i(t) = a_i^2 sin^2(sqrt(xi) t) / xi.
     """
-    h = _string_hamiltonian([("XIX", a1), ("YXI", a2), ("ZXX", a3)])
+    h = string_hamiltonian(list(zip(GENERIC_TERMS, (a1, a2, a3))))
     return PhysicalDilation(h, basis_state("11"), 2, 4)
 
 
@@ -297,7 +291,7 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
         if n < 2 or not isinstance(psi_label, str) or len(psi_label) != n - 1:
             raise ValueError("psiE label must cover the environment qubits, and every "
                              "Hamiltonian string needs the system qubit and at least one of them")
-        h = _string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
+        h = string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
         return PhysicalDilation(h, basis_state(psi_label), 2, 2 ** (n - 1))
     raise ValueError("dilation descriptor needs 'builder' or 'hamiltonian'")
 
@@ -378,17 +372,23 @@ def schedule_for_target(p_target: Callable[[float], float], t_final: float,
         raise ValueError("target probability must stay within [0, 1]")
     # the sampled p fixes the phase 2*Theta only up to reflection, so the
     # branch is chosen by trend continuation (linear prediction), which keeps
-    # the coupling smooth through p = 0 and p = 1
+    # the coupling smooth through p = 0 and p = 1: of the candidates
+    # 2 pi m +- c with m within one of the branch of the last phase, the one
+    # nearest the prediction wins, and of two equally near ones the larger
+    two_pi = 2 * math.pi
     phases = [0.0]
-    for val in values[1:]:
+    prev = pred = 0.0
+    for val in values[1:].tolist():
         c = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * val)))
-        prev = phases[-1]
-        pred = 2 * phases[-1] - phases[-2] if len(phases) >= 2 else prev
-        m0 = round(prev / (2 * math.pi))
-        candidates = [2 * math.pi * m + sign * c
-                      for m in (m0 - 1, m0, m0 + 1) for sign in (1, -1)]
-        best = min(candidates, key=lambda x: (abs(x - pred), -x))
+        m0 = round(prev / two_pi)
+        best, gap = 0.0, math.inf
+        for base in (two_pi * (m0 - 1), two_pi * m0, two_pi * (m0 + 1)):
+            for x in (base + c, base - c):
+                d = abs(x - pred)
+                if d < gap or d == gap and x > best:
+                    best, gap = x, d
         phases.append(best)
+        prev, pred = best, 2 * best - prev
     thetas = [ph / 2.0 for ph in phases]
     dt = times[1] - times[0]
     knots = tuple((float(times[i]), float((thetas[i + 1] - thetas[i]) / dt))

@@ -8,10 +8,11 @@ e.g. "-iZXI".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,10 @@ _FACTOR_MUL = {
     ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
     ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
+
+# the strings of the generic Pauli dilation a1 XIX + a2 YXI + a3 ZXX, which is
+# also the coupling of one collision
+GENERIC_TERMS = ("XIX", "YXI", "ZXX")
 
 # pauli_commutant enumerates 4^n strings: 8 qubits take about half a second
 MAX_COMMUTANT_QUBITS = 8
@@ -114,6 +119,20 @@ def to_matrix(a: PauliString) -> np.ndarray:
         d = 2 * len(m)
         m = (m[:, None, :, None] * FACTOR_MATS[f][None, :, None, :]).reshape(d, d)
     return a.phase * m
+
+
+def string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
+    """The Hermitian matrix sum of c * P over (label, c) terms, each P of real phase."""
+    if not math.isfinite(sum(abs(float(c)) for _, c in terms)):  # bounds every entry of the sum
+        raise ValueError("Hamiltonian coefficients must be finite, and so must the sum of "
+                         f"their magnitudes, got {[float(c) for _, c in terms]}")
+    mats = []
+    for label, coeff in terms:
+        p = pauli(label)
+        if p.phase not in (1, -1):
+            raise ValueError("Hamiltonian strings must carry a real phase")
+        mats.append(float(coeff) * to_matrix(p))
+    return sum(mats)
 
 
 @lru_cache(maxsize=16)

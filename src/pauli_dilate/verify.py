@@ -39,7 +39,6 @@ _DEPH_SYMMETRY = ("ZI", "XZ", "YZ")
 _DEPH_COMMUTANT = ("II", "IZ", "ZX", "ZY")
 _DEP_SYMMETRY = ("ZZZ", "XZI", "YIZ")
 _DEP_COMMUTANT_SIZE = 16
-_DEP_GENERATOR_TERMS = ("XIX", "YXI", "ZXX")
 
 
 def _phase_damping_v(p: float):
@@ -263,7 +262,7 @@ def check_pauli_commutants() -> CheckResult:
     ok = deph == [pauli_mod.pauli(s) for s in _DEPH_COMMUTANT]
     dep = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in _DEP_SYMMETRY], 3)
     ok = ok and len(dep) == _DEP_COMMUTANT_SIZE
-    ok = ok and all(pauli_mod.pauli(s) in dep for s in _DEP_GENERATOR_TERMS)
+    ok = ok and all(pauli_mod.pauli(s) in dep for s in pauli_mod.GENERIC_TERMS)
     return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
 
 

@@ -237,7 +237,7 @@ class TestEvolveCommand:
             raise AssertionError("allocated before the qubit cap was checked")
         # the cap is checked before any state or matrix of that size is built
         monkeypatch.setattr(dynamics, "basis_state", unreachable)
-        monkeypatch.setattr(dynamics, "_string_hamiltonian", unreachable)
+        monkeypatch.setattr(dynamics, "string_hamiltonian", unreachable)
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err == (f"error: Hamiltonian strings act on {n} qubits, more than the cap of "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_dilate import collisions
@@ -23,6 +23,7 @@ from pauli_dilate.collisions import (
     convergence_report,
     fit_decay_rates,
 )
+from pauli_dilate.dynamics import build_generic_pauli_dilation
 from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env, trace_distance
 from pauli_dilate.pauli import (
     PAULI_BASIS,
@@ -90,6 +91,18 @@ class TestBathOperators:
     def test_collision_hamiltonian_equals_bath_coupling(self):
         a, nu = (0.7, -0.5, 0.3), 2.5
         assert np.array_equal(collision_hamiltonian(a, nu), bath_hamiltonian(a, nu))
+
+    @settings(max_examples=200)
+    @given(st.tuples(*[st.floats(-10.0, 10.0)] * 3), st.floats(0.0, 50.0))
+    def test_collision_hamiltonian_is_the_generic_generator(self, a, nu):
+        # one weighted-string sum builds both, bit for bit
+        assert np.array_equal(collision_hamiltonian(a, nu),
+                              nu * build_generic_pauli_dilation(*a).h)
+
+    @pytest.mark.parametrize("a", [(0.7, 0.5), (0.7, 0.5, 0.3, 0.1)])
+    def test_collision_hamiltonian_needs_three_weights(self, a):
+        with pytest.raises(ValueError):
+            collision_hamiltonian(a)
 
 
 class TestConfig:

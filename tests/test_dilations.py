@@ -115,6 +115,17 @@ class TestIsometryType:
             assert v.defect() == float(np.linalg.norm(gram - np.eye(dim_s)))
             assert v.defect() == v.defect()  # the stored matrix is not changed
 
+    def test_holds_a_read_only_copy(self):
+        # complex input of the final shape, which a coercion alone would not copy
+        given_array = phase_damping_isometry(0.3).v.copy()
+        v = Isometry(given_array, 2, 2)
+        assert not np.shares_memory(v.v, given_array)
+        with pytest.raises(ValueError, match="read-only"):
+            v.v[0, 0] = 5.0
+        held = v.v.copy()
+        given_array[0, 0] = 5.0  # the caller's array stays writable, and apart
+        assert np.array_equal(v.v, held) and v.defect() < 1e-15
+
 
 class TestDilationFromKraus:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])

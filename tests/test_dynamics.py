@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pauli_dilate.dilations import (
@@ -310,7 +310,65 @@ class TestSymmetrizeFull:
             symmetrize_full(pd, bad)
 
 
+def knots_by_candidate_list(p_target, t_final, steps):
+    """Oracle: schedule_for_target's knots, each arccos branch the min of a candidate list."""
+    times = np.linspace(0.0, t_final, steps + 1)
+    values = np.array([float(p_target(t)) for t in times])
+    phases = [0.0]
+    for val in values[1:]:
+        c = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * val)))
+        prev = phases[-1]
+        pred = 2 * phases[-1] - phases[-2] if len(phases) >= 2 else prev
+        m0 = round(prev / (2 * math.pi))
+        candidates = [2 * math.pi * m + sign * c
+                      for m in (m0 - 1, m0, m0 + 1) for sign in (1, -1)]
+        phases.append(min(candidates, key=lambda x: (abs(x - pred), -x)))
+    thetas = [ph / 2.0 for ph in phases]
+    dt = times[1] - times[0]
+    return tuple((float(times[i]), float((thetas[i + 1] - thetas[i]) / dt))
+                 for i in range(steps))
+
+
+def sampled_target(values, t_final):
+    """The target curve through values[k] at the k-th of len(values) evenly spaced times."""
+    steps = len(values) - 1
+    return lambda t: values[round(t / t_final * steps)]
+
+
+# sample values that hit 0 and 1 exactly, and the rounding just outside [0, 1]
+# that the schedule clamps
+edge_values = st.sampled_from([0.0, 1.0, 0.5, 1e-10, -1e-10, 1.0 + 1e-10, 1.0 - 1e-10])
+sampled_curves = st.tuples(
+    st.sampled_from([0.0, 1e-10, -1e-10]),
+    st.lists(st.one_of(edge_values, st.floats(0.0, 1.0)), min_size=1, max_size=40),
+).map(lambda first_rest: [first_rest[0], *first_rest[1]])
+
+
 class TestSchedule:
+    @given(sampled_curves, st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    def test_branches_match_candidate_list(self, values, t_final):
+        target = sampled_target(values, t_final)
+        sched = schedule_for_target(target, t_final, len(values) - 1)
+        assert sched.knots == knots_by_candidate_list(target, t_final, len(values) - 1)
+
+    @given(st.floats(0.5, 12.0), st.integers(1, 300), st.sampled_from([1.0, 2.0, math.pi]),
+           st.sampled_from([1, 2]))
+    @example(8.0, 20, math.pi, 2)
+    def test_smooth_branches_match_candidate_list(self, rate, steps, t_final, power):
+        # sin^2 passes through 0 and 1, and through 1 exactly where sin rounds to 1; the
+        # chirp (power 2) speeds up until its predicted phase leaves the window of branches
+        target = lambda t: math.sin(rate * t ** power) ** 2
+        sched = schedule_for_target(target, t_final, steps)
+        assert sched.knots == knots_by_candidate_list(target, t_final, steps)
+
+    def test_equally_near_candidates_resolve_to_the_larger(self):
+        # step 1 predicts 0 from c = pi/2: +-pi/2 are equally near; step 2 predicts pi
+        # from c = 0: the phases 0 and 2 pi are equally near
+        target = sampled_target([0.0, 0.5, 0.0], 2.0)
+        sched = schedule_for_target(target, 2.0, 2)
+        assert sched.knots == ((0.0, math.pi / 4), (1.0, math.pi - math.pi / 4))
+        assert sched.knots == knots_by_candidate_list(target, 2.0, 2)
+
     def test_knots_must_start_at_zero(self):
         with pytest.raises(ValueError):
             Schedule(((0.1, 1.0),), 1.0)
@@ -470,6 +528,24 @@ def test_grid_matches_per_time_loop(pd, times):
         assert np.max(np.abs(grid.transfer[k] - fit.transfer)) < 1e-12
         assert np.max(np.abs(grid.probs[k] - fit.probs)) < 1e-12
         assert abs(grid.leakage[k] - fit.leakage) < 1e-12
+
+
+def test_grid_is_read_only():
+    g = channels_on_grid(build_phase_damping_dilation(), [0.3, 0.6])
+    stacks = [g.t, g.isometries, g.transfer, g.probs, g.lam, g.leakage]
+    before = [a.copy() for a in stacks]
+    row = g[0]
+    for arr in [*stacks, row.isometry.v, row.transfer, row.probs, row.lam]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
+    assert g[0].isometry.defect() < 1e-15
+
+
+def test_grid_does_not_freeze_the_callers_times():
+    times = np.array([0.3, 0.6])
+    channels_on_grid(build_phase_damping_dilation(), times)
+    times[0] = 0.1  # the grid holds a read-only view; the caller's array stays writable
 
 
 def test_grid_rows_are_channel_fits():
