@@ -20,9 +20,14 @@ import numpy as np
 # those: commutant loads pauli, channel channels, collide no dynamics or verify
 from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 
-# evolve fits one channel per sample, about 0.12 ms each at 2-3 qubits and 0.25 ms at
-# the 5-qubit Hamiltonian cap: 10**5 samples take ~12 s, or ~25 s at 5 qubits
+# an evolve sample, CSV line included, costs about 11-14 us at 2-3 qubits and 36 us at
+# the 5-qubit Hamiltonian cap (2-core Xeon VM, one BLAS thread): 10**5 samples take
+# ~1.3 s, or ~4.7 s at 5 qubits
 MAX_SAMPLES = 10**5
+
+# evolve fits its time grid this many rows per channels_on_grid call, so the stacked
+# unitaries of one call stay a few MB at 5 qubits whatever --samples is
+GRID_CHUNK = 256
 
 
 def _fmt_real(x: float) -> str:
@@ -195,7 +200,7 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    from .dynamics import channel_at_time, dilation_from_descriptor
+    from .dynamics import channels_on_grid, dilation_from_descriptor
 
     tmax = _nonneg(args.tmax, 2 * math.pi, "--tmax")
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
@@ -203,13 +208,14 @@ def cmd_evolve(args) -> int:
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
     pd = dilation_from_descriptor(_load_descriptor(args.input))
-    table = np.empty((samples, 6))
+    ts = np.linspace(0.0, tmax, samples)
+    lines = ["t,pI,px,py,pz,leakage"]
     worst_leak = 0.0
-    for row, t in zip(table, np.linspace(0.0, tmax, samples)):
-        fit = channel_at_time(pd, t)
-        worst_leak = max(worst_leak, fit.leakage)
-        row[0], row[1:5], row[5] = fit.t, fit.probs, fit.leakage
-    _emit("\n".join(["t,pI,px,py,pz,leakage", *_csv_rows(table)]) + "\n", args.output)
+    for s in range(0, samples, GRID_CHUNK):
+        grid = channels_on_grid(pd, ts[s:s + GRID_CHUNK])
+        worst_leak = max(worst_leak, float(grid.leakage.max()))
+        lines += _csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage)))
+    _emit("\n".join(lines) + "\n", args.output)
     if args.strict and worst_leak > tol:
         print(f"error: non-Pauli leakage {worst_leak:.3e} exceeds {tol:.1e}", file=sys.stderr)
         return 2

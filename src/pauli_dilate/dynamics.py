@@ -34,7 +34,8 @@ from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
 
-# evolve costs 0.13-0.25 ms per sample up to 5 qubits but 1.0 ms at 6 (one BLAS thread)
+# a channels_on_grid row costs 6-30 us up to 5 qubits but 125 us at 6, where evolve
+# --samples 10**5 would run for about 13 s (2-core Xeon VM, one BLAS thread)
 MAX_HAMILTONIAN_QUBITS = 5
 
 
@@ -366,6 +367,8 @@ def schedule_for_target(p_target: Callable[[float], float], t_final: float,
         raise ValueError("final time must be positive")
     times = np.linspace(0.0, t_final, steps + 1)
     values = np.array([float(p_target(t)) for t in times])
+    if not np.all(np.isfinite(values)):  # NaN would pass both range checks below
+        raise ValueError("target probability must be finite")
     if abs(values[0]) > 1e-9:
         raise ValueError("target probability must start at 0")
     if values.min() < -1e-9 or values.max() > 1 + 1e-9:

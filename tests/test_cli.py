@@ -243,6 +243,63 @@ class TestEvolveCommand:
         assert err == (f"error: Hamiltonian strings act on {n} qubits, more than the cap of "
                        f"{MAX_HAMILTONIAN_QUBITS}\n")
 
+    @pytest.mark.parametrize("samples", [0, 1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("desc", ['{"builder":"generic","a":[0.6,0.5,0.3]}',
+                                      '{"hamiltonian":[["ZX",1.3]],"psiE":"1"}'],
+                             ids=["generic", "zx"])
+    def test_grid_rows_match_per_sample_oracle(self, capsys, monkeypatch, desc, samples):
+        tables = []
+
+        def recording(table, prefix=""):
+            tables.append(table.copy())
+            return _csv_rows(table, prefix)
+        monkeypatch.setattr(cli, "_csv_rows", recording)
+        code, out, err = run_cli(["evolve", "--in", desc, "--tmax", "3.7",
+                                  "--samples", str(samples)], capsys)
+        assert code == 0 and err == ""
+        table = np.concatenate(tables) if tables else np.empty((0, 6))
+        assert out.splitlines() == ["t,pI,px,py,pz,leakage", *_csv_rows(table)]
+        ts = np.linspace(0.0, 3.7, samples)
+        assert np.array_equal(table[:, 0], ts)
+        pd = dynamics.dilation_from_descriptor(json.loads(desc))
+        for row, t in zip(table, ts):
+            fit = dynamics.channel_at_time(pd, t)
+            assert np.max(np.abs(row[1:5] - fit.probs)) <= 1e-15
+            assert abs(row[5] - fit.leakage) <= 1e-15
+
+    def test_grid_is_fitted_in_chunks_of_at_most_256_times(self, capsys, monkeypatch):
+        chunks = []
+        on_grid = dynamics.channels_on_grid
+
+        def spy(pd, times):
+            chunks.append(np.array(times))
+            return on_grid(pd, times)
+
+        def unreachable(*args):
+            raise AssertionError("evolve fitted one time at a time")
+        monkeypatch.setattr(dynamics, "channels_on_grid", spy)
+        monkeypatch.setattr(dynamics, "channel_at_time", unreachable)
+        code, out, err = run_cli(["evolve", "--in", '{"builder":"depolarizing"}',
+                                  "--tmax", "2.0", "--samples", "600", "--strict"], capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 601
+        assert [len(c) for c in chunks] == [256, 256, 88]
+        assert np.array_equal(np.concatenate(chunks), np.linspace(0.0, 2.0, 600))
+
+    def test_strict_reads_the_leakage_of_every_chunk(self, capsys):
+        # a system rotation leaks more as t grows up to pi/4, so the worst row of the
+        # grid lies past the first chunk
+        desc = '{"hamiltonian":[["XI",1.0]],"psiE":"1"}'
+        pd = dynamics.dilation_from_descriptor(json.loads(desc))
+        leaks = [dynamics.channel_at_time(pd, t).leakage for t in np.linspace(0.0, 0.5, 600)]
+        first, rest = max(leaks[:256]), max(leaks[256:])
+        assert first < rest
+        argv = ["evolve", "--in", desc, "--tmax", "0.5", "--samples", "600",
+                "--tol", repr((first + rest) / 2)]
+        assert run_cli(argv, capsys)[0] == 0
+        code, _, err = run_cli(argv + ["--strict"], capsys)
+        assert code == 2 and "leakage" in err
+
     def test_non_strict_reports_leakage_quietly(self, capsys):
         args = ["evolve", "--in", '{"hamiltonian":[["XI",1.0]],"psiE":"1"}',
                 "--tmax", "1.0", "--samples", "5"]

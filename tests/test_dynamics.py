@@ -407,6 +407,16 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_for_target(lambda t: 0.5, 1.0, 10)
 
+    @pytest.mark.parametrize("target", [
+        lambda t: math.nan,
+        lambda t: 0.0 if t == 0 else math.nan,
+        lambda t: 0.0 if t == 0 else math.inf,
+        lambda t: -math.inf,
+    ], ids=["all-nan", "nan-after-start", "inf", "minus-inf"])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="^target probability must be finite$"):
+            schedule_for_target(target, 1.0, 3)
+
     @pytest.mark.parametrize("sched", [
         schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200),
         Schedule(((0.0, 1.0), (0.3, -0.5), (0.7, 2.5), (1.2, 0.0), (1.5, -1.25)), 1.9),
