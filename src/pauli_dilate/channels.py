@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -48,10 +47,6 @@ def validate_density_matrices(rhos) -> np.ndarray:
     if np.linalg.eigvalsh(a).min(initial=0.0) < -DEFAULT_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return a
-
-
-def kraus_apply(kraus: Iterable[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    return sum(k @ rho @ k.conj().T for k in kraus)
 
 
 def pauli_kraus(p) -> np.ndarray:

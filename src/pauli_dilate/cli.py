@@ -20,14 +20,14 @@ import numpy as np
 # those: commutant loads pauli, channel channels, collide no dynamics or verify
 from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 
-# an evolve sample, CSV line included, costs about 11-14 us at 2-3 qubits and 36 us at
-# the 5-qubit Hamiltonian cap (2-core Xeon VM, one BLAS thread): 10**5 samples take
-# ~1.3 s, or ~4.7 s at 5 qubits
+# an evolve sample, CSV line included, costs about 6-8 us at 2-3 qubits and 11-12 us at
+# the 5-qubit Hamiltonian cap (2-core Intel Xeon VM, one BLAS thread): 10**5 samples
+# take ~0.7 s, or ~1.2 s at 5 qubits
 MAX_SAMPLES = 10**5
 
-# evolve fits its time grid this many rows per channels_on_grid call, so the stacked
-# unitaries of one call stay a few MB at 5 qubits whatever --samples is
-GRID_CHUNK = 256
+# evolve fits its time grid this many rows per channels_on_grid call; a row holds only
+# the d x 2 block on psi_E, so one call peaks near 2 MB at 5 qubits whatever --samples is
+GRID_CHUNK = 1024
 
 
 def _fmt_real(x: float) -> str:
@@ -37,15 +37,16 @@ def _fmt_real(x: float) -> str:
     return f"{v:.12g}"
 
 
-def _csv_rows(table: np.ndarray, prefix: str = "") -> list[str]:
-    """Each row of a 2-D float table as one CSV line, every real as _fmt_real prints it.
+def _csv_rows(table: np.ndarray, prefix: str = "") -> str:
+    """Each row of a 2-D float table as one newline-ended CSV line, reals as _fmt_real prints them.
 
-    `prefix` is prepended verbatim, so a constant column is formatted once per
-    table.  Adding 0.0 is _fmt_real's -0.0 normalization: IEEE arithmetic gives
-    -0.0 + 0.0 = +0.0.
+    The whole table goes through one `%` operation, and "%.12g" prints what
+    "{:.12g}" prints.  `prefix` is prepended verbatim to every line (its `%`
+    escaped), so a constant column is formatted once per table.  Adding 0.0 is
+    _fmt_real's -0.0 normalization: IEEE arithmetic gives -0.0 + 0.0 = +0.0.
     """
-    line = prefix + ",".join(["{:.12g}"] * table.shape[1])
-    return [line.format(*row) for row in (table + 0.0).tolist()]
+    line = prefix.replace("%", "%%") + ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return line * len(table) % tuple((table + 0.0).ravel().tolist())
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -209,13 +210,13 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
     pd = dilation_from_descriptor(_load_descriptor(args.input))
     ts = np.linspace(0.0, tmax, samples)
-    lines = ["t,pI,px,py,pz,leakage"]
+    parts = ["t,pI,px,py,pz,leakage\n"]
     worst_leak = 0.0
     for s in range(0, samples, GRID_CHUNK):
         grid = channels_on_grid(pd, ts[s:s + GRID_CHUNK])
         worst_leak = max(worst_leak, float(grid.leakage.max()))
-        lines += _csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage)))
-    _emit("\n".join(lines) + "\n", args.output)
+        parts.append(_csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage))))
+    _emit("".join(parts), args.output)
     if args.strict and worst_leak > tol:
         print(f"error: non-Pauli leakage {worst_leak:.3e} exceeds {tol:.1e}", file=sys.stderr)
         return 2
@@ -237,10 +238,8 @@ def cmd_collide(args) -> int:
         dts = [as_reals(v, '"dts" entry') for v in dts]
         cfg = CollisionConfig(a, zeta, dts[0], 1)
         entries = convergence_report(cfg, dts, t_final)
-        lines = ["dt,max_trace_distance"]
-        for entry in entries:
-            lines.append(f"{_fmt_real(entry.dt)},{_fmt_real(entry.max_error)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        ladder = np.array([(entry.dt, entry.max_error) for entry in entries])
+        _emit("dt,max_trace_distance\n" + _csv_rows(ladder), args.output)
         return 0
     if "dt" not in desc or "n" not in desc:
         raise ValueError('collide descriptor needs "dt" and "n" (or "dts" and "t_final")')
@@ -251,7 +250,7 @@ def cmd_collide(args) -> int:
     cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'), int(n))
     entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
     rows = _csv_rows(entries[0].errors, prefix=_fmt_real(cfg.dt) + ",")
-    _emit("\n".join(["dt,t,trace_distance", *rows]) + "\n", args.output)
+    _emit("dt,t,trace_distance\n" + rows, args.output)
     return 0
 
 

@@ -9,6 +9,7 @@ laws are closed-form trigonometric functions of t.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,19 +24,18 @@ from .linalg import (
     as_reals,
     basis_state,
     check_keys,
-    gram_defects,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
-    mat_exp_hermitian_grid,
+    mat_exp_hermitian_block,
 )
 from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
 
-# a channels_on_grid row costs 6-30 us up to 5 qubits but 125 us at 6, where evolve
-# --samples 10**5 would run for about 13 s (2-core Xeon VM, one BLAS thread)
+# a channels_on_grid row costs 2-9 us up to 5 qubits and about 17 us at 6, where evolve
+# --samples 10**5 would run for about 2 s (2-core Intel Xeon VM, one BLAS thread)
 MAX_HAMILTONIAN_QUBITS = 5
 
 
@@ -147,31 +147,10 @@ class ChannelGrid:
         return (self[k] for k in range(len(self)))
 
 
-# Pauli change of basis of the single-qubit Liouville space: the transfer
-# matrix of a map with Liouville matrix S is _LEFT @ S @ _RIGHT / 2, where
-# _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
-_LEFT = PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
-_RIGHT = PAULI_BASIS.reshape(4, 4).T
-
-
-def fit_pauli_transfer(v: Isometry) -> ChannelFit:
-    """Project the induced map onto the Pauli transfer matrix.
-
-    The map rho -> Tr_E[V rho V+] has the Liouville matrix
-    S[(i, k), (j, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]), one contraction
-    of V with its conjugate over the environment index.  A change to the
-    Pauli basis turns it into r[b, a] = Tr(s_b Tr_E[V s_a V+]) / 2.  The
-    probabilities invert the Bloch-scaling relation; the leakage is the
-    Frobenius norm of everything the diagonal Pauli model cannot carry.
-    """
-    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
-    liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
-    r = _LEFT @ liouville @ _RIGHT / 2.0
-    lam = np.real(np.diag(r)[1:])
-    model = np.diag([1.0, *lam])
-    leakage = float(np.linalg.norm(r - model))
-    return ChannelFit(t=math.nan, isometry=v, transfer=r,
-                      probs=probs_from_scaling(lam), lam=lam, leakage=leakage)
+# Pauli change of basis of the single-qubit Liouville space: with
+# L[(i, j), (k, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]), the Pauli transfer
+# matrix r[b, a] = Tr(s_b Tr_E[V s_a V+]) / 2 is the flattened L times this map
+_TRANSFER = np.einsum("bki,ajl->ijklba", PAULI_BASIS, PAULI_BASIS).reshape(16, 16) / 2.0
 
 
 def isometry_at(pd: PhysicalDilation, t: float) -> Isometry:
@@ -182,20 +161,16 @@ def isometry_at(pd: PhysicalDilation, t: float) -> Isometry:
 
 
 def channel_at_time(pd: PhysicalDilation, t: float) -> ChannelFit:
-    """Evolve for time t, trace out the environment, fit a Pauli channel."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    fit = fit_pauli_transfer(isometry_at(pd, t))
-    fit.t = float(t)
-    return fit
+    """Evolve for time t, trace out the environment, fit a Pauli channel: one row of the grid."""
+    return channels_on_grid(pd, [t])[0]
 
 
 def channels_on_grid(pd: PhysicalDilation, times) -> ChannelGrid:
-    """channel_at_time at every time of a 1-d grid, from one eigendecomposition of H.
+    """Pauli fits of the induced channels on a 1-d grid of times, from one eigendecomposition of H.
 
-    The checks of the per-time path hold at every time: the times are finite
-    and nonnegative, H is Hermitian within 1e-12, no phase t |w|max overflows,
-    and V+ V deviates from the identity by at most 1e-10.
+    The checks hold at every time: the times are finite and nonnegative, H is
+    Hermitian within 1e-12, no phase t |w|max overflows, and V+ V deviates
+    from the identity by at most 1e-10.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1:
@@ -208,21 +183,34 @@ def channels_on_grid(pd: PhysicalDilation, times) -> ChannelGrid:
 def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> ChannelGrid:
     """Fit the channels of exp(-i H theta) for every theta, rows labelled by `labels`.
 
-    The isometries are the stacked form of isometry_at and the fits the
-    stacked form of fit_pauli_transfer.
+    Only the block V(theta) = exp(-i H theta) (I (x) psi_E) is evolved.  Its
+    Liouville matrix is A^T conj(A) with A[e, (i, j)] = V[(i, e), j], and the
+    partial trace of that over i is conj(V+ V), which is held to Isometry's
+    1e-10.  The probabilities invert the Bloch-scaling relation; the leakage
+    is the Frobenius norm of everything the diagonal Pauli model cannot carry.
+    Every product is formed row by row, so a row's bits do not depend on its grid.
     """
     n, ds, de = len(thetas), pd.dim_s, pd.dim_e
-    v = mat_exp_hermitian_grid(pd.h, thetas).reshape(n, ds * de, ds, de) @ pd.psi_e
-    if not np.all(gram_defects(v) <= DEFAULT_TOL):  # Isometry's check, NaN included
+    v = mat_exp_hermitian_block(pd.h, thetas, pd.embed())
+    # one sum over e per entry, on strided views: cheaper than a batched 4 x 4 GEMM, and
+    # it allocates only a conjugated column, since the arrays of a chunk set its peak memory
+    a = v.reshape(n, ds, de, ds)
+    liouville = np.empty((n, ds, ds, ds, ds), dtype=np.complex128)
+    for k, l in itertools.product(range(ds), repeat=2):
+        a_kl = a[:, k, :, l].conj()
+        for i, j in itertools.product(range(ds), repeat=2):
+            np.einsum("te,te->t", a[:, i, :, j], a_kl, out=liouville[:, i, j, k, l])
+    gram = liouville[:, 0, :, 0, :] + liouville[:, 1, :, 1, :]  # the trace over i: conj(V+ V)
+    if not np.all(np.linalg.norm(gram - np.eye(ds), axis=(1, 2)) <= DEFAULT_TOL):  # NaN fails
         raise ValueError("V+ V deviates from the identity beyond 1e-10")
-    v4 = v.reshape(n, ds, de, ds)
-    liouville = np.einsum("tiej,tkel->tikjl", v4, v4.conj()).reshape(n, 4, 4)
-    r = _LEFT @ liouville @ _RIGHT / 2.0
+    r = (liouville.reshape(n, 1, 16) @ _TRANSFER).reshape(n, 4, 4)
+    del liouville
     lam = np.real(np.diagonal(r, axis1=1, axis2=2)[:, 1:])
-    model = np.zeros((n, 4, 4))
-    model[:, 0, 0] = 1.0
-    model[:, [1, 2, 3], [1, 2, 3]] = lam
-    leakage = np.linalg.norm(r - model, axis=(1, 2))
+    off_model = r.copy()
+    off_model[:, 0, 0] -= 1.0
+    off_model[:, [1, 2, 3], [1, 2, 3]] -= lam
+    parts = off_model.view(np.float64)  # real and imaginary parts: a norm with no copy
+    leakage = np.sqrt(np.einsum("tij,tij->t", parts, parts))
     return ChannelGrid(np.asarray(labels, dtype=float), v, r, probs_from_scaling(lam), lam,
                        leakage, ds, de)
 

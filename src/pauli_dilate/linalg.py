@@ -117,15 +117,16 @@ def mat_exp_hermitian(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * float(t) * w)) @ v.conj().T
 
 
-def mat_exp_hermitian_grid(h, times) -> np.ndarray:
-    """exp(-i h t) for every t of a 1-d grid, stacked (n, d, d), from one eigendecomposition.
+def mat_exp_hermitian_block(h, times, x) -> np.ndarray:
+    """exp(-i h t) @ x for every t of a 1-d grid, stacked (n, d, k), from one eigendecomposition.
 
-    Each unitary is the product mat_exp_hermitian forms, V exp(-i w t) V+; the
-    overflow check is made once, at the largest |t|.
+    Each product is V exp(-i w t) (V+ x), so only the d x k block is formed,
+    never the d x d unitary; the overflow check is made once, at the largest |t|.
     """
     ts = np.asarray(times, dtype=float)
     w, v = _checked_eigh(h, np.max(np.abs(ts), initial=0.0))
-    return (v * np.exp(-1j * np.multiply.outer(ts, w))[:, None, :]) @ v.conj().T
+    y = v.conj().T @ as_complex_matrix(x)
+    return v @ (np.exp(-1j * np.multiply.outer(ts, w))[:, :, None] * y)
 
 
 def trace_distance(a, b) -> float:
@@ -152,11 +153,3 @@ def basis_state(label: str) -> np.ndarray:
     vec = np.zeros(2 ** len(label), dtype=np.complex128)
     vec[basis_index(label)] = 1.0
     return vec
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Gaussian matrix, phases fixed."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -14,7 +14,6 @@ from pauli_dilate.channels import (
     PauliChannel,
     PauliLiouvillian,
     bloch_state,
-    kraus_apply,
     semigroup_channel,
 )
 from pauli_dilate.collisions import CollisionConfig, convergence_report, fit_decay_rates
@@ -41,8 +40,9 @@ from pauli_dilate.dynamics import (
     schedule_for_target,
     symmetrize_full,
 )
-from pauli_dilate.linalg import basis_state, frob_dist, haar_unitary, kron
+from pauli_dilate.linalg import basis_state, frob_dist, kron
 from pauli_dilate.pauli import ID2, SIGMA, SX, SZ, multiply, pauli, pauli_commutant, pauli_group
+from reference_ops import haar_unitary, kraus_apply
 
 SEED = 987654
 

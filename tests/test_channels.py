@@ -15,7 +15,6 @@ from pauli_dilate.channels import (
     bloch_vectors,
     channel_from_descriptor,
     kraus_action,
-    kraus_apply,
     kraus_choi,
     pauli_kraus,
     probs_from_scaling,
@@ -27,6 +26,7 @@ from pauli_dilate.channels import (
 from pauli_dilate.dilations import GroupRep, defining_pauli_rep
 from pauli_dilate.linalg import DEFAULT_TOL, as_complex_matrix, frob_dist
 from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
+from reference_ops import kraus_apply
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda v: tuple(x / sum(v) for x in v))

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_dilate import cli, dynamics
-from pauli_dilate.cli import MAX_SAMPLES, _csv_rows, _fmt_real, main
+from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, main
 from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 
@@ -248,6 +248,7 @@ class TestEvolveCommand:
                                       '{"hamiltonian":[["ZX",1.3]],"psiE":"1"}'],
                              ids=["generic", "zx"])
     def test_grid_rows_match_per_sample_oracle(self, capsys, monkeypatch, desc, samples):
+        monkeypatch.setattr(cli, "GRID_CHUNK", 256)
         tables = []
 
         def recording(table, prefix=""):
@@ -258,7 +259,7 @@ class TestEvolveCommand:
                                   "--samples", str(samples)], capsys)
         assert code == 0 and err == ""
         table = np.concatenate(tables) if tables else np.empty((0, 6))
-        assert out.splitlines() == ["t,pI,px,py,pz,leakage", *_csv_rows(table)]
+        assert out == "t,pI,px,py,pz,leakage\n" + _csv_rows(table)
         ts = np.linspace(0.0, 3.7, samples)
         assert np.array_equal(table[:, 0], ts)
         pd = dynamics.dilation_from_descriptor(json.loads(desc))
@@ -279,6 +280,7 @@ class TestEvolveCommand:
             raise AssertionError("evolve fitted one time at a time")
         monkeypatch.setattr(dynamics, "channels_on_grid", spy)
         monkeypatch.setattr(dynamics, "channel_at_time", unreachable)
+        monkeypatch.setattr(cli, "GRID_CHUNK", 256)
         code, out, err = run_cli(["evolve", "--in", '{"builder":"depolarizing"}',
                                   "--tmax", "2.0", "--samples", "600", "--strict"], capsys)
         assert code == 0, err
@@ -286,9 +288,34 @@ class TestEvolveCommand:
         assert [len(c) for c in chunks] == [256, 256, 88]
         assert np.array_equal(np.concatenate(chunks), np.linspace(0.0, 2.0, 600))
 
-    def test_strict_reads_the_leakage_of_every_chunk(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "3.14", "--samples", "50"],
+        ["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1"}', "--strict"],
+        ["evolve", "--in", '{"hamiltonian":[["XIXZY",0.3],["YZIXX",0.8],["ZXYIZ",-0.6],'
+                           '["IXZYX",0.5]],"psiE":"1010"}', "--tmax", "7.5", "--samples", "1500"],
+    ], ids=["depolarizing", "zx", "five-qubits"])
+    def test_output_does_not_depend_on_the_chunk(self, capsys, monkeypatch, argv):
+        chunks = []
+        on_grid = dynamics.channels_on_grid
+
+        def spy(pd, times):
+            chunks.append(len(times))
+            return on_grid(pd, times)
+        monkeypatch.setattr(dynamics, "channels_on_grid", spy)
+        outs = set()
+        for chunk in (1, 7, 256, 1024, GRID_CHUNK):
+            monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+            chunks.clear()
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            assert max(chunks) <= chunk and sum(chunks) == len(out.splitlines()) - 1
+            outs.add(out)
+        assert len(outs) == 1
+
+    def test_strict_reads_the_leakage_of_every_chunk(self, capsys, monkeypatch):
         # a system rotation leaks more as t grows up to pi/4, so the worst row of the
-        # grid lies past the first chunk
+        # grid lies past the first chunk of 256
+        monkeypatch.setattr(cli, "GRID_CHUNK", 256)
         desc = '{"hamiltonian":[["XI",1.0]],"psiE":"1"}'
         pd = dynamics.dilation_from_descriptor(json.loads(desc))
         leaks = [dynamics.channel_at_time(pd, t).leakage for t in np.linspace(0.0, 0.5, 600)]
@@ -644,11 +671,20 @@ class TestParserReuse:
         [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
          1.0, -3.0, 1e15, 2.0 ** 60])
 
-    @given(rows=st.lists(st.lists(reals, min_size=3, max_size=3), min_size=1, max_size=8))
-    def test_csv_rows_match_fmt_real(self, rows):
-        want = [",".join(_fmt_real(v) for v in row) for row in rows]
-        assert _csv_rows(np.array(rows)) == want
-        assert _csv_rows(np.array(rows), prefix="0.05,") == ["0.05," + w for w in want]
+    @given(cols=st.integers(1, 6), data=st.data())
+    def test_csv_rows_match_fmt_real(self, cols, data):
+        rows = data.draw(st.lists(st.lists(self.reals, min_size=cols, max_size=cols), max_size=8))
+        # any 64-bit pattern: NaN payloads, subnormals and both zeros included
+        n, seed = data.draw(st.integers(0, 600)), data.draw(st.integers(0, 2**32 - 1))
+        bits = np.random.default_rng(seed).integers(0, 2**64, (n, cols), dtype=np.uint64)
+        # NaNs made quiet: adding 0.0 to a signaling NaN warns, and the program makes none
+        bits[np.isnan(bits.view(np.float64))] |= np.uint64(1 << 51)
+        prefix = data.draw(st.sampled_from(["", "0.05,", "5%,", "%s%%,", "%.12g,", "%(x)s,"]))
+        for table in (np.array(rows, dtype=float).reshape(-1, cols), bits.view(np.float64)):
+            want = "".join(",".join(_fmt_real(v) for v in row) + "\n" for row in table)
+            assert _csv_rows(table) == want
+            assert _csv_rows(table, prefix) == "".join(
+                prefix + line + "\n" for line in want.splitlines())
 
     def test_parser_built_once_and_failure_leaves_no_trace(self, capsys, monkeypatch):
         built = []

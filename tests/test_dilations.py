@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_dilate import dilations
-from pauli_dilate.channels import PauliChannel, kraus_apply
+from pauli_dilate.channels import PauliChannel
 from pauli_dilate.dilations import (
     GroupRep,
     Isometry,
@@ -35,7 +35,6 @@ from pauli_dilate.linalg import (
     basis_state,
     frob_dist,
     gram_defects,
-    haar_unitary,
     kron,
 )
 from pauli_dilate.pauli import (
@@ -51,6 +50,7 @@ from pauli_dilate.pauli import (
     product_table,
     to_matrix,
 )
+from reference_ops import haar_unitary, kraus_apply
 
 
 def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pauli_dilate.channels import probs_from_scaling
 from pauli_dilate.dilations import (
     Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry,
 )
@@ -20,7 +21,6 @@ from pauli_dilate.dynamics import (
     channel_at_time,
     channels_on_grid,
     dilation_from_descriptor,
-    fit_pauli_transfer,
     isometry_at,
     krylov_subspace,
     replay_schedule,
@@ -28,8 +28,11 @@ from pauli_dilate.dynamics import (
     schedule_for_target,
     symmetrize_full,
 )
-from pauli_dilate.linalg import basis_state, frob_dist, haar_unitary, kron
-from pauli_dilate.pauli import ID2, SX, SY, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+from pauli_dilate.linalg import basis_state, frob_dist, kron
+from pauli_dilate.pauli import (
+    ID2, PAULI_BASIS, SX, SY, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix,
+)
+from reference_ops import haar_unitary
 
 
 def replay_by_products(sched, pd):
@@ -41,6 +44,27 @@ def replay_by_products(sched, pd):
         u = scipy.linalg.expm(-1j * f * (t_end - t_start) * pd.h) @ u
         out.append((t_end, u @ pd.embed()))
     return out
+
+
+# the Liouville-to-Pauli change of basis:
+# _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
+_LEFT = PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
+_RIGHT = PAULI_BASIS.reshape(4, 4).T
+
+
+def fit_pauli_transfer(v: Isometry) -> ChannelFit:
+    """Oracle: the Pauli fit of one isometry's channel, from its Liouville matrix.
+
+    S[(i, k), (j, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]) is one contraction of
+    V with its conjugate; the transfer matrix is _LEFT @ S @ _RIGHT / 2.
+    """
+    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
+    r = _LEFT @ liouville @ _RIGHT / 2.0
+    lam = np.real(np.diag(r)[1:])
+    leakage = float(np.linalg.norm(r - np.diag([1.0, *lam])))
+    return ChannelFit(t=math.nan, isometry=v, transfer=r,
+                      probs=probs_from_scaling(lam), lam=lam, leakage=leakage)
 
 
 def transfer_by_traces(v):
@@ -484,8 +508,10 @@ class TestPauliTransfer:
     ])
     def test_matches_trace_loop_on_dilations(self, desc):
         pd = dilation_from_descriptor(desc)
-        for t in (0.0, 0.37, 1.9, 4.4):
+        times = (0.0, 0.37, 1.9, 4.4)
+        for row, t in zip(channels_on_grid(pd, times), times):
             v = isometry_at(pd, t)
+            assert np.max(np.abs(row.transfer - transfer_by_traces(v))) < 1e-14
             assert np.max(np.abs(fit_pauli_transfer(v).transfer - transfer_by_traces(v))) < 1e-14
 
     @pytest.mark.parametrize("dim_e", [1, 2, 4])
@@ -503,7 +529,7 @@ complex_entries = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_inf
 @st.composite
 def superposed_dilations(draw):
     """A random Hermitian H on 2 x dim_e with a normalized, generally non-basis psi_E."""
-    dim_e = draw(st.sampled_from([1, 2, 4]))
+    dim_e = draw(st.sampled_from([1, 2, 4, 8, 16]))
     d = 2 * dim_e
     z = np.array(draw(st.lists(complex_entries, min_size=d * d, max_size=d * d))).reshape(d, d)
     psi = np.array(draw(st.lists(complex_entries, min_size=dim_e, max_size=dim_e).filter(
@@ -527,13 +553,14 @@ grid_times = st.one_of(
 
 @given(superposed_dilations(), grid_times)
 def test_grid_matches_per_time_loop(pd, times):
-    # oracle: channel_at_time at each time, one eigendecomposition and one fit per time
+    # oracle: the full propagator of isometry_at and the einsum fit, one eigendecomposition
+    # and one fit per time
     grid = channels_on_grid(pd, times)
     assert len(grid) == len(times)
     assert grid.isometries.shape == (len(times), 2 * pd.dim_e, 2)
     for k, t in enumerate(times):
-        fit = channel_at_time(pd, t)
-        assert grid.t[k] == fit.t
+        fit = fit_pauli_transfer(isometry_at(pd, t))
+        assert grid.t[k] == t
         assert np.max(np.abs(grid.isometries[k] - fit.isometry.v)) < 1e-12
         assert np.max(np.abs(grid.transfer[k] - fit.transfer)) < 1e-12
         assert np.max(np.abs(grid.probs[k] - fit.probs)) < 1e-12

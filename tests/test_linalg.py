@@ -10,13 +10,14 @@ from pauli_dilate.linalg import (
     basis_index,
     basis_state,
     frob_dist,
-    haar_unitary,
     kron,
     mat_exp_hermitian,
+    mat_exp_hermitian_block,
     partial_trace_env,
     trace_distance,
 )
 from pauli_dilate.pauli import ID2, SX, SZ
+from reference_ops import haar_unitary
 
 finite_complex = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                                     allow_nan=False, allow_infinity=False)
@@ -155,6 +156,30 @@ class TestMatExp:
     def test_matches_scipy_expm(self, h, t):
         # oracle: scaling-and-squaring Pade exponential of the full matrix
         assert frob_dist(mat_exp_hermitian(h, t), scipy.linalg.expm(-1j * t * h)) < 1e-12
+
+
+class TestMatExpBlock:
+    @given(st.sampled_from([2, 4, 8, 16]).flatmap(lambda d: st.tuples(
+               hermitian(d), st.lists(finite_complex, min_size=2 * d, max_size=2 * d))),
+           st.lists(st.floats(-4.0, 4.0), max_size=5))
+    def test_matches_scipy_expm_times_block(self, hx, times):
+        # oracle: the full Pade exponential of each time, then the product with the block
+        h, entries = hx
+        x = np.array(entries).reshape(len(h), 2)
+        out = mat_exp_hermitian_block(h, times, x)
+        assert out.shape == (len(times), len(h), 2)
+        for row, t in zip(out, times):
+            assert frob_dist(row, scipy.linalg.expm(-1j * t * h) @ x) < 1e-12
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            mat_exp_hermitian_block(np.array([[0, 1], [0, 0]]), [1.0], np.eye(2))
+
+    def test_rejects_an_overflowing_phase(self):
+        h = 1e300 * kron(SZ, SX)
+        assert np.all(np.isfinite(mat_exp_hermitian_block(h, [0.0, 1e-10], np.eye(4)[:, :2])))
+        with pytest.raises(ValueError, match="overflows"):
+            mat_exp_hermitian_block(h, [0.0, -1e10], np.eye(4)[:, :2])
 
 
 class TestNormsAndRank:

@@ -12,7 +12,6 @@ from pauli_dilate.channels import (
     PauliChannel,
     bloch_state,
     bloch_vector,
-    kraus_apply,
     validate_density_matrix,
 )
 from pauli_dilate.dynamics import (
@@ -22,6 +21,7 @@ from pauli_dilate.dynamics import (
 )
 from pauli_dilate.linalg import basis_state, frob_dist
 from pauli_dilate.pauli import SX, SZ, pauli, pauli_group, product_table, to_matrix
+from reference_ops import kraus_apply
 
 
 def test_run_all_passes():
