@@ -9,7 +9,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("pauli", "linalg", "channels", "dilations", "dynamics", "collisions", "verify", "cli")
+_MODULES = ("validation", "pauli", "linalg", "channels", "dilations", "dynamics", "collisions",
+            "verify", "cli")
 
 # module -> the public names it defines
 _EXPORTS = {
@@ -26,8 +27,9 @@ _EXPORTS = {
                  "build_phase_damping_dilation", "channel_at_time", "channels_on_grid",
                  "isometry_at", "krylov_subspace", "replay_schedule",
                  "restricted_commutator_norm", "schedule_for_target", "symmetrize_full"),
-    "linalg": ("ToleranceError", "basis_state", "frob_dist", "kron", "mat_exp_hermitian"),
+    "linalg": ("basis_state", "frob_dist", "kron", "mat_exp_hermitian"),
     "pauli": ("PauliString", "commutes", "multiply", "pauli_commutant", "to_matrix"),
+    "validation": ("ToleranceError",),
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, as_reals, check_keys
+from .linalg import as_complex_matrix
 from .pauli import ID2, PAULI_BASIS, SIGMA
+from .validation import DEFAULT_TOL, as_reals, check_keys
 
 PROB_TOL = 1e-12
 

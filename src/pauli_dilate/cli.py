@@ -11,22 +11,29 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+# every command imports the layers it reads when it runs, so a process loads only those:
+# commutant loads pauli, channel channels, collide no dynamics or verify.  Here only evolve
+# and collide import numpy, and pauli's string algebra needs none, so commutant runs without
+# it
+from .validation import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 
-# every command imports the layers it reads when it runs, so a process loads only
-# those: commutant loads pauli, channel channels, collide no dynamics or verify
-from .linalg import DEFAULT_TOL, ToleranceError, as_reals, check_keys
+if TYPE_CHECKING:
+    import numpy as np
 
 # an evolve sample, CSV line included, costs about 6-8 us at 2-3 qubits and 11-12 us at
 # the 5-qubit Hamiltonian cap (2-core Intel Xeon VM, one BLAS thread): 10**5 samples
 # take ~0.7 s, or ~1.2 s at 5 qubits
 MAX_SAMPLES = 10**5
 
-# evolve fits its time grid this many rows per channels_on_grid call; a row holds only
-# the d x 2 block on psi_E, so one call peaks near 2 MB at 5 qubits whatever --samples is
+# evolve fits its time grid this many rows per channels_on_grid call (a row holds only the
+# d x 2 block on psi_E, so one call peaks near 2 MB at 5 qubits whatever --samples is), and
+# evolve and collide render their CSV tables in slices of this many rows
 GRID_CHUNK = 1024
 
 
@@ -66,12 +73,13 @@ def _render_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    # numbers by their abstract type, so numpy scalars print as the Python values they hold
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, complex):
-        return f"[{_fmt_real(obj.real)}, {_fmt_real(obj.imag)}]"
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _fmt_real(obj)
+    if isinstance(obj, numbers.Complex):
+        return f"[{_fmt_real(obj.real)}, {_fmt_real(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -79,11 +87,13 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj)}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: Iterable[str], out: str | None) -> None:
+    """Write the parts in order to the file `out`, or to stdout without one."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _load_descriptor(arg: str | None) -> dict:
@@ -140,7 +150,7 @@ def cmd_channel(args) -> int:
         "kraus_rank": rank,
         "choi_eigenvalues": spectrum,
     }
-    _emit(_render_json(report) + "\n", args.output)
+    _emit([_render_json(report), "\n"], args.output)
     return 0
 
 
@@ -153,7 +163,7 @@ def cmd_dilate(args) -> int:
         "isometry_defect": v.defect(),
         "isometry": [list(row) for row in v.v],
     }
-    _emit(_render_json(report) + "\n", args.output)
+    _emit([_render_json(report), "\n"], args.output)
     return 0
 
 
@@ -174,7 +184,7 @@ def cmd_rep(args) -> int:
             "jz": [list(row) for row in gens.jz],
             "residuals": list(gens.residuals),
         }
-    _emit(_render_json(report) + "\n", args.output)
+    _emit([_render_json(report), "\n"], args.output)
     return 0
 
 
@@ -196,11 +206,13 @@ def cmd_commutant(args) -> int:
         "count": len(result),
         "commutant": [str(p) for p in result],
     }
-    _emit(_render_json(report) + "\n", args.output)
+    _emit([_render_json(report), "\n"], args.output)
     return 0
 
 
 def cmd_evolve(args) -> int:
+    import numpy as np
+
     from .dynamics import channels_on_grid, dilation_from_descriptor
 
     tmax = _nonneg(args.tmax, 2 * math.pi, "--tmax")
@@ -216,7 +228,7 @@ def cmd_evolve(args) -> int:
         grid = channels_on_grid(pd, ts[s:s + GRID_CHUNK])
         worst_leak = max(worst_leak, float(grid.leakage.max()))
         parts.append(_csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage))))
-    _emit("".join(parts), args.output)
+    _emit(parts, args.output)
     if args.strict and worst_leak > tol:
         print(f"error: non-Pauli leakage {worst_leak:.3e} exceeds {tol:.1e}", file=sys.stderr)
         return 2
@@ -224,6 +236,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_collide(args) -> int:
+    import numpy as np
+
     from .collisions import CollisionConfig, convergence_report
 
     desc = _load_descriptor(args.input)
@@ -239,7 +253,7 @@ def cmd_collide(args) -> int:
         cfg = CollisionConfig(a, zeta, dts[0], 1)
         entries = convergence_report(cfg, dts, t_final)
         ladder = np.array([(entry.dt, entry.max_error) for entry in entries])
-        _emit("dt,max_trace_distance\n" + _csv_rows(ladder), args.output)
+        _emit(["dt,max_trace_distance\n", _csv_rows(ladder)], args.output)
         return 0
     if "dt" not in desc or "n" not in desc:
         raise ValueError('collide descriptor needs "dt" and "n" (or "dts" and "t_final")')
@@ -249,8 +263,10 @@ def cmd_collide(args) -> int:
         raise ValueError(f'"n" must be a whole number of collisions, got {n}')
     cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'), int(n))
     entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
-    rows = _csv_rows(entries[0].errors, prefix=_fmt_real(cfg.dt) + ",")
-    _emit("dt,t,trace_distance\n" + rows, args.output)
+    errors, prefix = entries[0].errors, _fmt_real(cfg.dt) + ","
+    slices = (_csv_rows(errors[s:s + GRID_CHUNK], prefix)
+              for s in range(0, len(errors), GRID_CHUNK))
+    _emit(chain(["dt,t,trace_distance\n"], slices), args.output)
     return 0
 
 
@@ -269,7 +285,7 @@ def cmd_verify(args) -> int:
                      f"residual={r.residual:.3e} tol={r.tol:.1e}{extra}")
     all_ok = all(r.passed for r in results)
     lines.append(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} ({len(results)} total)")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines), "\n"], args.output)
     return 0 if all_ok else 2
 
 

@@ -22,16 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceError,
-    as_complex_matrix,
-    frob_dist,
-    gram_defects,
-    kron,
-    partial_trace_env,
-)
+from .linalg import as_complex_matrix, frob_dist, gram_defects, kron, partial_trace_env
 from .pauli import ID2, PAULI_BASIS, PHASES, SZ, pauli_group, product_table
+from .validation import DEFAULT_TOL, ToleranceError
 
 
 @dataclass(frozen=True)

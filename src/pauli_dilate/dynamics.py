@@ -19,17 +19,15 @@ import numpy as np
 from .channels import PauliChannel, probs_from_scaling
 from .dilations import Isometry
 from .linalg import (
-    DEFAULT_TOL,
     as_complex_matrix,
-    as_reals,
     basis_state,
-    check_keys,
     hermiticity_defect,
     kron,
     mat_exp_hermitian,
     mat_exp_hermitian_block,
 )
 from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
+from .validation import DEFAULT_TOL, as_reals, check_keys
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)

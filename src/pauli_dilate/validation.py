@@ -1,0 +1,39 @@
+"""Tolerances and descriptor-field checks, shared by every layer and free of numpy.
+
+`cli` reads these before it knows which command runs, so a command that does
+no numerical work (`commutant`) starts without numpy.
+"""
+
+from __future__ import annotations
+
+DEFAULT_TOL = 1e-10
+
+
+class ToleranceError(RuntimeError):
+    """A numerical residual exceeded its acceptance tolerance."""
+
+
+def as_reals(value, field: str, count: int | None = None):
+    """A descriptor field as one float, or as a tuple of `count` floats.
+
+    Only ints and floats count as numbers.  Anything else, a string, a boolean
+    or a missing (None) field included, raises a one-line ValueError naming
+    the field, the expected form and the value received.
+    """
+    items = (value,) if count is None else value
+    if (isinstance(items, (list, tuple)) and len(items) == (count or 1)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
+        try:
+            reals = tuple(float(v) for v in items)
+            return reals[0] if count is None else reals
+        except OverflowError:  # an int past the float range
+            pass
+    form = "a number" if count is None else f"a list of {count} numbers"
+    raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
+
+
+def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:
+    """Reject a descriptor key that `form` does not read, naming it and the keys it reads."""
+    for key in desc:
+        if key not in keys:
+            raise ValueError(f"{form} does not read key {key!r} (its keys: {', '.join(keys)})")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import channels, collisions, dilations, dynamics, linalg
 from . import pauli as pauli_mod
+from .validation import ToleranceError
 
 
 # Closed forms the checks compare against, written once.  Plain tuples, so
@@ -294,7 +295,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
         worst = max(worst, _max_norm(canonical @ target.psi_e - target.psi_e, axis=-1))
         try:
             sol = dilations.solve_env_rep(dynamics.isometry_at(target, 0.4), sys_rep)
-        except (linalg.ToleranceError, ValueError) as exc:
+        except (ToleranceError, ValueError) as exc:
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
         worst = max(worst, _max_norm(sol.rep.stack - canonical),
                     _max_norm(sol.rep.stack @ target.psi_e - target.psi_e, axis=-1))

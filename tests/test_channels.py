@@ -24,7 +24,8 @@ from pauli_dilate.channels import (
     validate_density_matrix,
 )
 from pauli_dilate.dilations import GroupRep, defining_pauli_rep
-from pauli_dilate.linalg import DEFAULT_TOL, as_complex_matrix, frob_dist
+from pauli_dilate.linalg import as_complex_matrix, frob_dist
+from pauli_dilate.validation import DEFAULT_TOL
 from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
 from reference_ops import kraus_apply
 

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_dilate import cli, dynamics
-from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, main
+from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, _render_json, main
+from pauli_dilate.collisions import CollisionConfig, convergence_report
 from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 
@@ -345,6 +346,17 @@ class TestCollideCommand:
         assert lines[0] == "dt,t,trace_distance"
         assert len(lines) == 12  # header + n + 1 states
 
+    def test_long_trajectory_renders_in_slices_as_one_table(self, capsys, tmp_path):
+        n = 2 * GRID_CHUNK + 5  # three slices, the last one short
+        desc = f'{{"a":[0.5,0.4,0.3],"zeta":1.0,"dt":0.001,"n":{n}}}'
+        cfg = CollisionConfig((0.5, 0.4, 0.3), 1.0, 0.001, n)
+        errors = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)[0].errors
+        want = "dt,t,trace_distance\n" + _csv_rows(errors, "0.001,")
+        assert run_cli(["collide", "--in", desc], capsys)[:2] == (0, want)
+        path = tmp_path / "trajectory.csv"
+        assert run_cli(["collide", "--in", desc, "--out", str(path)], capsys)[:2] == (0, "")
+        assert path.read_text() == want
+
     def test_convergence_table(self, capsys):
         desc = '{"a":[0,0,1],"zeta":1.0,"dts":[0.1,0.05],"t_final":1.0}'
         code, out, _ = run_cli(["collide", "--in", desc], capsys)
@@ -507,6 +519,17 @@ class TestVerifyCommand:
 class TestCliContract:
     def test_unknown_command_exits_one(self, capsys):
         assert run_cli(["bogus"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("value", [
+        np.int8(-5), np.uint32(7), np.int64(2**62), np.float16(0.1), np.float32(1 / 3),
+        np.float64(-0.0), np.float64(1e-300), np.complex64(0.1 - 2j),
+        np.complex128(complex(-0.0, 1e300)),
+    ], ids=repr)
+    def test_numpy_scalars_render_as_the_python_values_they_hold(self, value):
+        held = value.item()
+        assert type(held) in (int, float, complex)
+        assert _render_json(value) == _render_json(held)
+        assert _render_json({"k": [value, value]}) == _render_json({"k": [held, held]})
 
     def test_missing_input_exits_one(self, capsys):
         assert run_cli(["channel"], capsys)[0] == 1

@@ -30,13 +30,7 @@ from pauli_dilate.dynamics import (
     build_phase_damping_dilation,
     isometry_at,
 )
-from pauli_dilate.linalg import (
-    ToleranceError,
-    basis_state,
-    frob_dist,
-    gram_defects,
-    kron,
-)
+from pauli_dilate.linalg import basis_state, frob_dist, gram_defects, kron
 from pauli_dilate.pauli import (
     ID2,
     PAULI_BASIS,
@@ -50,6 +44,7 @@ from pauli_dilate.pauli import (
     product_table,
     to_matrix,
 )
+from pauli_dilate.validation import ToleranceError
 from reference_ops import haar_unitary, kraus_apply
 
 

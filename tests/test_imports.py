@@ -19,7 +19,8 @@ import pauli_dilate
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE_DIR = SRC / "pauli_dilate"
 
-# runs `python -m pauli_dilate <argv>` and prints its exit code and the package's loaded modules
+# runs `python -m pauli_dilate <argv>` and prints its exit code, the package's loaded modules
+# and whether numpy was loaded
 PROBE = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["pauli-dilate", *json.loads(sys.argv[1])]
@@ -29,24 +30,28 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("pauli_dilate", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code,
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "modules": sorted(m[len("pauli_dilate."):] for m in sys.modules
                                     if m.startswith("pauli_dilate."))}))
 """
 
-BASE = {"cli", "linalg"}
+# what every command loads; commutant alone does no numerical work, and loads neither
+# linalg nor numpy
+BASE = {"cli", "validation"}
 COMMANDS = {
     "commutant": (["--in", '{"generators": ["ZZ", "XX"], "qubits": 2}'], {"pauli"}),
     "channel": (["--in", '{"type": "liouvillian", "gamma": [0.1, 0.2, 0.3]}'],
-                {"pauli", "channels"}),
+                {"linalg", "pauli", "channels"}),
     "dilate": (["--in", '{"type": "pauli", "p": [0.4, 0.3, 0.2, 0.1]}'],
-               {"pauli", "channels", "dilations"}),
-    "rep": (["--in", '{"type": "depolarizing", "p": 0.3}'], {"pauli", "channels", "dilations"}),
+               {"linalg", "pauli", "channels", "dilations"}),
+    "rep": (["--in", '{"type": "depolarizing", "p": 0.3}'],
+            {"linalg", "pauli", "channels", "dilations"}),
     "collide": (["--in", '{"a": [0.5, 0.4, 0.3], "zeta": 1.0, "dts": [0.1, 0.05], '
-                 '"t_final": 0.5}'], {"pauli", "channels", "collisions"}),
+                 '"t_final": 0.5}'], {"linalg", "pauli", "channels", "collisions"}),
     "evolve": (["--in", '{"builder": "generic", "a": [0.5, 0.4, 0.3]}', "--samples", "3"],
-               {"pauli", "channels", "dilations", "dynamics"}),
-    "verify": ([], {"pauli", "channels", "dilations", "dynamics", "collisions", "verify"}),
+               {"linalg", "pauli", "channels", "dilations", "dynamics"}),
+    "verify": ([], {"linalg", "pauli", "channels", "dilations", "dynamics", "collisions",
+                    "verify"}),
 }
 
 
@@ -64,6 +69,7 @@ def test_command_loads_only_its_layers(command):
     got = json.loads(_run(PROBE, json.dumps([command, *argv])))
     assert got["code"] == 0
     assert set(got["modules"]) == BASE | layers
+    assert got["numpy"] == (command != "commutant")
 
 
 def test_importing_the_package_loads_no_module():
@@ -87,8 +93,9 @@ PUBLIC = {
                  "build_phase_damping_dilation", "channel_at_time", "channels_on_grid",
                  "isometry_at", "krylov_subspace", "replay_schedule",
                  "restricted_commutator_norm", "schedule_for_target", "symmetrize_full"],
-    "linalg": ["ToleranceError", "basis_state", "frob_dist", "kron", "mat_exp_hermitian"],
+    "linalg": ["basis_state", "frob_dist", "kron", "mat_exp_hermitian"],
     "pauli": ["PauliString", "commutes", "multiply", "pauli_commutant", "to_matrix"],
+    "validation": ["ToleranceError"],
 }
 
 
@@ -127,14 +134,16 @@ class TestNamespace:
 # module -> the package modules it may import; `cli` may import any layer inside a
 # command, where the command reads it, and nowhere else
 LAYERS = {
+    "validation": set(),
     "linalg": set(),
     "pauli": set(),
-    "channels": {"linalg", "pauli"},
-    "dilations": {"linalg", "pauli"},
-    "dynamics": {"linalg", "pauli", "channels", "dilations"},
+    "channels": {"linalg", "pauli", "validation"},
+    "dilations": {"linalg", "pauli", "validation"},
+    "dynamics": {"linalg", "pauli", "channels", "dilations", "validation"},
     "collisions": {"channels", "pauli"},
-    "verify": {"linalg", "pauli", "channels", "dilations", "dynamics", "collisions"},
-    "cli": {"linalg"},
+    "verify": {"linalg", "pauli", "channels", "dilations", "dynamics", "collisions",
+               "validation"},
+    "cli": {"validation"},
     "__main__": {"cli"},
     "__init__": set(),
 }

@@ -3,9 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_dilate import pauli as pauli_mod
 from pauli_dilate.linalg import frob_dist
 from pauli_dilate.pauli import (
     FACTOR_MATS,
@@ -17,8 +18,10 @@ from pauli_dilate.pauli import (
     pauli_basis_expand,
     pauli_commutant,
     pauli_group,
+    product_table,
     to_matrix,
 )
+from reference_ops import commutant_by_letters, commutes_by_letters, multiply_by_letters
 
 phases = st.sampled_from([1, -1, 1j, -1j])
 strings = st.integers(1, 3).flatmap(
@@ -135,6 +138,12 @@ class TestTextFormat:
         for bad in ("", "A", "iX", "+-X", "x"):
             with pytest.raises(ValueError):
                 pauli(bad)
+
+    @pytest.mark.parametrize("factors", [(), ("XY",), ("x",), ("X", ""), (1,)])
+    def test_rejects_bad_factors(self, factors):
+        # a multi-letter factor would otherwise join into masks of the wrong width
+        with pytest.raises(ValueError, match="invalid factors"):
+            PauliString(1, factors)
 
     def test_rejects_bad_phase(self):
         with pytest.raises(ValueError):
@@ -289,3 +298,88 @@ class TestCommutant:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             pauli_commutant([pauli("XX")], 3)
+
+
+def strings_on(n: int):
+    """Pauli strings on n qubits, with any phase."""
+    return st.builds(lambda ph, f: PauliString(ph, tuple(f)), phases,
+                     st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+
+
+def tuples_on_one_size(count: int, most: int = 6):
+    """`count` strings on the same number of qubits, 1 to `most`."""
+    return st.integers(1, most).flatmap(lambda n: st.tuples(*[strings_on(n)] * count))
+
+
+generator_sets = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(strings_on(n), max_size=4)))
+
+
+def held(p: PauliString) -> tuple:
+    """Everything a string holds, its masks included, so a wrongly built string shows."""
+    return (p.phase, p.factors, p.x, p.z)
+
+
+def group_labels(gens: list[PauliString]) -> tuple[str, ...]:
+    """The labels of the group the strings generate, in the order the oracle finds them."""
+    found = {}
+    for p in (PauliString(1, ("I",) * gens[0].n_qubits), *gens):
+        found.setdefault(str(p), p)
+    size = 0
+    while size < len(found):
+        size = len(found)
+        for a, b in product(list(found.values()), repeat=2):
+            c = multiply_by_letters(a, b)
+            found.setdefault(str(c), c)
+    return tuple(found)
+
+
+class TestBitPathOracle:
+    """The bit-mask algebra against the per-letter rules of reference_ops."""
+
+    @given(tuples_on_one_size(2))
+    def test_multiply(self, pair):
+        a, b = pair
+        assert held(multiply(a, b)) == held(multiply_by_letters(a, b))
+
+    @given(tuples_on_one_size(2))
+    def test_commutes(self, pair):
+        assert commutes(*pair) == commutes_by_letters(*pair)
+
+    @given(tuples_on_one_size(2, most=3))
+    def test_commutes_matches_the_matrix_commutator(self, pair):
+        ma, mb = (to_matrix(p) for p in pair)
+        assert commutes(*pair) == (frob_dist(ma @ mb, mb @ ma) < 1e-12)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(strings_on(n), min_size=1, max_size=3)))
+    def test_product_table(self, gens):
+        labels = group_labels(gens)
+        parsed = [pauli(g) for g in labels]
+        want = [[labels.index(str(multiply_by_letters(a, b))) for b in parsed] for a in parsed]
+        assert product_table(labels).tolist() == want
+
+    @settings(max_examples=30)
+    @given(generator_sets)
+    def test_commutant(self, case):
+        n, gens = case
+        got = pauli_commutant(gens, n)
+        assert [held(p) for p in got] == [held(p) for p in commutant_by_letters(gens, n)]
+
+    def test_masks_put_the_first_factor_highest(self):
+        p = pauli("-iXYZI")
+        assert (p.x, p.z) == (0b1100, 0b0110)
+
+
+class TestMatrixForms:
+    """The matrix forms, which pauli builds on first use, are one set of objects."""
+
+    def test_forms_share_their_matrices(self):
+        sigma = (pauli_mod.SX, pauli_mod.SY, pauli_mod.SZ)
+        assert all(s is t for s, t in zip(pauli_mod.SIGMA, sigma, strict=True))
+        assert pauli_mod.FACTOR_MATS == {"I": pauli_mod.ID2, "X": sigma[0], "Y": sigma[1],
+                                         "Z": sigma[2]}
+        assert np.array_equal(pauli_mod.PAULI_BASIS, np.array((pauli_mod.ID2, *pauli_mod.SIGMA)))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="has no attribute 'SW'"):
+            pauli_mod.SW

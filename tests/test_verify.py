@@ -21,6 +21,7 @@ from pauli_dilate.dynamics import (
 )
 from pauli_dilate.linalg import basis_state, frob_dist
 from pauli_dilate.pauli import SX, SZ, pauli, pauli_group, product_table, to_matrix
+from pauli_dilate.validation import DEFAULT_TOL
 from reference_ops import kraus_apply
 
 
@@ -326,7 +327,7 @@ def perturbed_solver(monkeypatch, angle):
     solve = dilations.solve_env_rep
     calls = Counter()
 
-    def perturbed(v, sys_rep, tol=linalg.DEFAULT_TOL):
+    def perturbed(v, sys_rep, tol=DEFAULT_TOL):
         sol = solve(v, sys_rep, tol)
         i = calls["n"] % len(sol.rep.labels)
         calls["n"] += 1
