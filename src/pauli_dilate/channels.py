@@ -7,23 +7,38 @@ A Pauli channel is the mixture rho -> sum_a p_a sigma_a rho sigma_a over
 
 which is invertible, so the channel is equivalently described by its
 probability 4-vector or its scaling 3-vector.
+
+A channel, a semigroup and their descriptors are Python floats, and so is
+the minimal dilation of a channel with its environment representation: the
+isometry stacks sqrt(p_a) sigma_a, pi_E(g) is the table of commutation signs,
+and the SU(2) generators of the isotropic case are the adjoint
+representation.  None of it needs numpy, so `channel`, `dilate` and `rep`
+start without it.  The matrix and stack helpers (pauli_kraus, kraus_choi,
+kraus_action, the Bloch-state and density-matrix forms, the scaling maps of
+stacks, and a channel's apply, kraus_ops and choi) import numpy on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import pauli
+from .pauli import PauliString, commutes, pauli_group
+from .validation import (DEFAULT_TOL, as_reals, check_keys, require_env_rep_residual,
+                         require_minimal, require_rotation_generators)
 
-from .linalg import as_complex_matrix
-from .pauli import ID2, PAULI_BASIS, SIGMA
-from .validation import DEFAULT_TOL, as_reals, check_keys
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_TOL = 1e-12
 
 
 def validate_density_matrix(rho) -> np.ndarray:
+    from .linalg import as_complex_matrix
+
     a = as_complex_matrix(rho)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {a.shape}")
@@ -36,6 +51,7 @@ def validate_density_matrices(rhos) -> np.ndarray:
     Hermiticity, trace and positivity are tested for the whole stack at once,
     positivity from one batched eigvalsh; a failure raises the one-matrix message.
     """
+    np = pauli._numpy()
     a = np.asarray(rhos, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 density matrices, got shape {a.shape}")
@@ -55,7 +71,8 @@ def pauli_kraus(p) -> np.ndarray:
 
     `p` holds valid weights, one 4-vector or an (n, 4) stack.
     """
-    return np.sqrt(np.asarray(p, dtype=float))[..., None, None] * PAULI_BASIS
+    np = pauli._numpy()
+    return np.sqrt(np.asarray(p, dtype=float))[..., None, None] * pauli.PAULI_BASIS
 
 
 def kraus_choi(kraus: np.ndarray) -> np.ndarray:
@@ -63,28 +80,29 @@ def kraus_choi(kraus: np.ndarray) -> np.ndarray:
 
     Entry ((i, a), (j, b)) is phi[E_ij][a, b] = sum_k K_k[a, i] conj(K_k[b, j]).
     """
-    out = np.einsum("...kai,...kbj->...iajb", kraus, kraus.conj())
+    out = pauli._numpy().einsum("...kai,...kbj->...iajb", kraus, kraus.conj())
     return out.reshape(*out.shape[:-4], 4, 4)
 
 
 def kraus_action(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k+ for (..., k, 2, 2) Kraus stacks and (..., 2, 2) states."""
-    return np.einsum("...kab,...bc,...kdc->...ad", kraus, rho, kraus.conj())
+    return pauli._numpy().einsum("...kab,...bc,...kdc->...ad", kraus, rho, kraus.conj())
 
 
 def bloch_states(r) -> np.ndarray:
     """Density matrices (I + r . sigma) / 2 of an (n, 3) stack of Bloch vectors with |r| <= 1."""
+    np = pauli._numpy()
     v = np.asarray(r, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError("Bloch vector must have 3 components")
     if np.any(np.linalg.norm(v, axis=1) > 1 + 1e-12):
         raise ValueError("Bloch vector lies outside the unit ball")
-    return 0.5 * (ID2 + np.einsum("ni,iab->nab", v, PAULI_BASIS[1:]))
+    return 0.5 * (pauli.ID2 + np.einsum("ni,iab->nab", v, pauli.PAULI_BASIS[1:]))
 
 
 def bloch_state(r) -> np.ndarray:
     """Density matrix (I + r . sigma) / 2 for a Bloch vector with |r| <= 1."""
-    v = np.asarray(r, dtype=float)
+    v = pauli._numpy().asarray(r, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have 3 components")
     return bloch_states(v[None])[0]
@@ -92,11 +110,24 @@ def bloch_state(r) -> np.ndarray:
 
 def bloch_vectors(rhos: np.ndarray) -> np.ndarray:
     """Bloch vectors tr(sigma_i rho) of an (n, 2, 2) stack of states: shape (n, 3)."""
-    return np.einsum("iab,nba->ni", PAULI_BASIS[1:], rhos).real
+    return pauli._numpy().einsum("iab,nba->ni", pauli.PAULI_BASIS[1:], rhos).real
 
 
 def bloch_vector(rho) -> np.ndarray:
+    from .linalg import as_complex_matrix
+
     return bloch_vectors(as_complex_matrix(rho)[None])[0]
+
+
+def _scalings(pi, px, py, pz):
+    """Bloch scalings (lx, ly, lz) of probabilities, on Python floats or on numpy columns."""
+    return pi + px - py - pz, pi - px + py - pz, pi - px - py + pz
+
+
+def _probs(lx, ly, lz):
+    """Probabilities (pI, px, py, pz) of Bloch scalings, on Python floats or on numpy columns."""
+    return (0.25 * (1 + lx + ly + lz), 0.25 * (1 + lx - ly - lz), 0.25 * (1 - lx + ly - lz),
+            0.25 * (1 - lx - ly + lz))
 
 
 def scalings_from_probs(p) -> np.ndarray:
@@ -104,10 +135,10 @@ def scalings_from_probs(p) -> np.ndarray:
 
     An (n, 4) stack of probabilities gives the (n, 3) stack of scalings.
     """
+    np = pauli._numpy()
     a = np.asarray(p, dtype=float)
     # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
-    pi, px, py, pz = a.tolist() if a.ndim == 1 else a.T
-    return np.array([pi + px - py - pz, pi - px + py - pz, pi - px - py + pz]).T
+    return np.array(_scalings(*(a.tolist() if a.ndim == 1 else a.T))).T
 
 
 def probs_from_scaling(lam) -> np.ndarray:
@@ -115,12 +146,125 @@ def probs_from_scaling(lam) -> np.ndarray:
 
     An (n, 3) stack of scalings gives the (n, 4) stack of probabilities.
     """
+    np = pauli._numpy()
     a = np.asarray(lam, dtype=float)
     # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
-    lx, ly, lz = a.tolist() if a.ndim == 1 else a.T
-    return 0.25 * np.array(
-        [1 + lx + ly + lz, 1 + lx - ly - lz, 1 - lx + ly - lz, 1 - lx - ly + lz]
-    ).T
+    return np.array(_probs(*(a.tolist() if a.ndim == 1 else a.T))).T
+
+
+# sigma_a in the slot order I, x, y, z, as rows of Python complex numbers
+_SLOTS = "IXYZ"
+_SIGMA = tuple(tuple(tuple(complex(v) for v in row) for row in m) for m in (
+    ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1))))
+# the Levi-Civita symbol on the slots x, y, z (1, 2, 3); 0 wherever the I slot appears
+_EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
+
+
+def _matmul(a, b) -> list[list[complex]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _on_system(g, rows) -> list[list[complex]]:
+    """(g (x) I) V for a 2x2 g and V given by its rows, row i * r + j for system index i."""
+    r = len(rows) // 2
+    return [[g[i][0] * a + g[i][1] * b for a, b in zip(rows[j], rows[r + j])]
+            for i in (0, 1) for j in range(r)]
+
+
+def _on_env(e, rows) -> list[list[complex]]:
+    """(I (x) e) V for an r x r e and V given by its rows, row i * r + j for system index i."""
+    r = len(e)
+    return [row for i in (0, 1) for row in _matmul(e, rows[i * r:(i + 1) * r])]
+
+
+def _adjoint(a) -> list[list[complex]]:
+    return [[v.conjugate() for v in col] for col in zip(*a)]
+
+
+def _identity(n: int) -> list[list[complex]]:
+    return [[complex(i == j) for j in range(n)] for i in range(n)]
+
+
+def _sub(a, b) -> list[list[complex]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _frob_dist(a, b) -> float:
+    """||a - b||_F, the squares of the real parts summed first, then those of the imaginary."""
+    d = [z for row in _sub(a, b) for z in row]
+    return math.sqrt(sum(z.real * z.real for z in d) + sum(z.imag * z.imag for z in d))
+
+
+def _gram_defect(rows) -> float:
+    """||W+ W - I||_F of a two-column matrix W given by its rows, summed in row order."""
+    return _frob_dist(_matmul(_adjoint(rows), rows), _identity(2))
+
+
+@dataclass(frozen=True)
+class MinimalDilation:
+    """The minimal Stinespring isometry V of a Pauli channel, in Python complex numbers.
+
+    `slots` are the Kraus slots a with p_a > 0, as 0-3 in the order I, x, y, z.
+    With r = len(slots), row i * r + j of `rows` is K_j[i, :] = sqrt(p_a) sigma_a[i, :]
+    for the j-th slot a: the layout of dilations.dilation_from_kraus.  `defect` is
+    ||V+ V - I||_F, summed row by row.
+    """
+
+    slots: tuple[int, ...]
+    rows: tuple[tuple[complex, complex], ...]
+    kraus_rank: int
+    defect: float
+
+    def env_rep(self, tol: float = DEFAULT_TOL) -> list[tuple[str, list, float, float]]:
+        """pi_E(g) = diag(chi_a(g)) over the slots, for the 16 Pauli-group elements g.
+
+        g sigma_a g+ = chi_a(g) sigma_a, and chi_a(g) = +1 where sigma_a commutes
+        with g (pauli.commutes) and -1 where it anticommutes, so V g =
+        (g (x) pi_E(g)) V.  Each element, in pauli_group() order, comes as (label,
+        pi_E(g), the residual ||V g - (g (x) pi_E(g)) V||_F, the unitarity defect
+        ||pi_E(g)+ pi_E(g) - I||_F).  Raises ToleranceError, as
+        dilations.solve_env_rep does, when the worst residual exceeds tol.
+        """
+        r = len(self.slots)
+        sigmas = [PauliString(1, (_SLOTS[a],)) for a in self.slots]
+        elements = []
+        for g in pauli_group():
+            chi = [1 if commutes(s, g) else -1 for s in sigmas]
+            pi_e = [[complex(c) if j == k else 0j for k in range(r)] for j, c in enumerate(chi)]
+            mat = [[g.phase * v for v in row] for row in _SIGMA[_SLOTS.index(g.factors[0])]]
+            lifted = _on_env(pi_e, _on_system(mat, self.rows))
+            residual = _frob_dist(_matmul(self.rows, mat), lifted)
+            defect = _frob_dist(_matmul(_adjoint(pi_e), pi_e), _identity(r))
+            elements.append((str(g), pi_e, residual, defect))
+        require_env_rep_residual(max(e[2] for e in elements), tol)
+        return elements
+
+    def su2_generators(self, tol: float = DEFAULT_TOL) -> tuple[list, tuple[float, ...]]:
+        """The rotation generators (J_a)[b, c] = -2i eps_abc on the slots x, y, z, 0 on I.
+
+        They are the adjoint representation of su(2), and they solve
+        (I (x) J_a) V = V sigma_a - (sigma_a (x) I) V when px = py = pz, which
+        needs all four slots.  Returns ([jx, jy, jz], residuals): residual a is the
+        larger of that equation's ||.||_F and ||J_a - J_a+||_F.  Raises
+        ToleranceError, as dilations.solve_su2_generators does, when the worst
+        residual or the defect of [J_a, J_b] = 2i eps_abc J_c exceeds tol.
+        """
+        if self.slots != (0, 1, 2, 3):
+            raise ValueError("the SU(2) generators act on the four Kraus slots I, x, y, z")
+        gens = [[[-2j * _EPS.get((a, b, c), 0) for c in range(4)] for b in range(4)]
+                for a in (1, 2, 3)]
+        residuals = []
+        for a, j in zip((1, 2, 3), gens):
+            s = _SIGMA[a]
+            rhs = _sub(_matmul(self.rows, s), _on_system(s, self.rows))
+            residuals.append(max(_frob_dist(_on_env(j, self.rows), rhs),
+                                 _frob_dist(j, _adjoint(j))))
+        algebra = max(_frob_dist(_sub(_matmul(ja, jb), _matmul(jb, ja)),
+                                 [[2j * v for v in row] for row in jc])
+                      for ja, jb, jc in (gens, gens[1:] + gens[:1], gens[2:] + gens[:2]))
+        require_rotation_generators(max(*residuals, algebra), tol)
+        return gens, tuple(residuals)
 
 
 @dataclass(frozen=True)
@@ -179,12 +323,33 @@ class PauliChannel:
         spectrum = sorted((2.0 * p for p in self.p), reverse=True)
         return spectrum, sum(v > DEFAULT_TOL for v in spectrum)
 
-    def bloch_scaling(self) -> np.ndarray:
-        return scalings_from_probs(self.p)
+    def minimal_dilation(self) -> MinimalDilation:
+        """The isometry stacked from the Kraus operators of kraus_ops(), in closed form.
+
+        It is checked as dilations.dilation_from_kraus and Isometry check theirs:
+        sum_j K_j+ K_j (summed slot by slot) and V+ V (summed row by row) must be
+        the identity within DEFAULT_TOL.  A weight in (0, 5e-11] keeps a slot that
+        the Kraus rank does not count, and is rejected as not minimal.
+        """
+        slots = tuple(a for a, p in enumerate(self.p) if p > 0.0)
+        kraus = [[[math.sqrt(self.p[a]) * v for v in row] for row in _SIGMA[a]] for a in slots]
+        if _gram_defect([row for k in kraus for row in k]) > DEFAULT_TOL:
+            raise ValueError("Kraus set is not trace preserving")
+        rows = tuple(tuple(k[i]) for i in range(2) for k in kraus)
+        defect = _gram_defect(rows)
+        if defect > DEFAULT_TOL:
+            raise ValueError("V+ V deviates from the identity beyond 1e-10")
+        rank = self.choi_spectrum()[1]
+        require_minimal(rank, len(slots))
+        return MinimalDilation(slots, rows, rank, defect)
+
+    def bloch_scaling(self) -> tuple[float, float, float]:
+        return _scalings(*self.p)
 
     def compose(self, other: "PauliChannel") -> "PauliChannel":
         """Channel composition; scalings multiply componentwise."""
-        return PauliChannel(tuple(probs_from_scaling(self.bloch_scaling() * other.bloch_scaling())))
+        return PauliChannel(_probs(*(a * b for a, b in zip(self.bloch_scaling(),
+                                                           other.bloch_scaling()))))
 
 
 @dataclass(frozen=True)
@@ -204,11 +369,13 @@ class PauliLiouvillian:
         object.__setattr__(self, "gamma", g)
 
     def apply(self, rho) -> np.ndarray:
+        from .linalg import as_complex_matrix
+
         a = as_complex_matrix(rho)
         if a.shape != (2, 2):
             raise ValueError("Liouvillian acts on 2x2 matrices")
-        out = np.zeros_like(a)
-        for g, s in zip(self.gamma, SIGMA):
+        out = pauli._numpy().zeros_like(a)
+        for g, s in zip(self.gamma, pauli.SIGMA):
             out += g * (s @ a @ s - a)
         return out
 
@@ -218,16 +385,22 @@ def semigroup_scalings(gamma, t) -> np.ndarray:
 
     A column of times t[:, None] gives one row of scalings per time.
     """
+    np = pauli._numpy()
     g = np.asarray(gamma, dtype=float)
     with np.errstate(over="ignore"):  # an exponent past the float range decays to 0
         return np.exp(-t * (2.0 * (g.sum() - g)))
 
 
 def semigroup_channel(lv: PauliLiouvillian, t: float) -> PauliChannel:
-    """The Pauli channel exp(L t) in closed form."""
+    """The Pauli channel exp(L t) in closed form, semigroup_scalings on Python floats.
+
+    The exponent is never positive, and one past the float range is -inf, which
+    math.exp takes to 0.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    return PauliChannel(tuple(probs_from_scaling(semigroup_scalings(lv.gamma, t))))
+    total = sum(lv.gamma)
+    return PauliChannel(_probs(*(math.exp(-t * (2.0 * (total - g))) for g in lv.gamma)))
 
 
 def channel_from_descriptor(desc: dict):

@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 # every command imports the layers it reads when it runs, so a process loads only those:
-# commutant loads pauli, channel channels, collide no dynamics or verify.  Here only evolve
-# and collide import numpy, and pauli's string algebra needs none, so commutant runs without
-# it
+# commutant loads pauli; channel, dilate and rep load pauli and channels, whose channel
+# arithmetic, minimal dilation and environment representation are closed forms in Python
+# floats; collide loads no dynamics or verify.  Only evolve, collide and verify import numpy
 from .validation import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 
 if TYPE_CHECKING:
@@ -118,22 +118,14 @@ def _nonneg(value: float | None, default: float, flag: str) -> float:
     return value
 
 
-def _minimal_dilation(args, command: str) -> tuple:
-    """The channel of --in, its dilation stacked from the nonzero Kraus slots, its Kraus rank.
-
-    A weight in (0, 5e-11] keeps a slot that the Kraus rank does not count;
-    such a dilation is not minimal and is rejected.
-    """
+def _pauli_channel(args, command: str):
+    """The PauliChannel of --in; a Liouvillian is rejected."""
     from .channels import PauliChannel, channel_from_descriptor
-    from .dilations import dilation_from_kraus, require_minimal
 
     ch = channel_from_descriptor(_load_descriptor(args.input))
     if not isinstance(ch, PauliChannel):
         raise ValueError(f"{command} expects a channel descriptor, not a Liouvillian")
-    v = dilation_from_kraus(ch.kraus_ops())
-    rank = ch.choi_spectrum()[1]
-    require_minimal(rank, v.dim_e)
-    return ch, v, rank
+    return ch
 
 
 def cmd_channel(args) -> int:
@@ -155,35 +147,34 @@ def cmd_channel(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    _, v, rank = _minimal_dilation(args, "dilate")
+    dil = _pauli_channel(args, "dilate").minimal_dilation()
     report = {
-        "dim_system": v.dim_s,
-        "dim_env": v.dim_e,
-        "kraus_rank": rank,
-        "isometry_defect": v.defect(),
-        "isometry": [list(row) for row in v.v],
+        "dim_system": 2,
+        "dim_env": len(dil.slots),
+        "kraus_rank": dil.kraus_rank,
+        "isometry_defect": dil.defect,
+        "isometry": [list(row) for row in dil.rows],
     }
     _emit([_render_json(report), "\n"], args.output)
     return 0
 
 
 def cmd_rep(args) -> int:
-    from .dilations import defining_pauli_rep, rep_report, solve_env_rep, solve_su2_generators
-
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
-    ch, v, _ = _minimal_dilation(args, "rep")
-    sol = solve_env_rep(v, defining_pauli_rep(), tol=tol)
-    report = rep_report(sol)
-    report["channel"] = {"probabilities": list(ch.p)}
+    ch = _pauli_channel(args, "rep")
+    dil = ch.minimal_dilation()
+    elements = dil.env_rep(tol)
+    report = {
+        "dim_env": len(dil.slots),
+        "max_residual": max(residual for _, _, residual, _ in elements),
+        "elements": [{"label": g, "matrix": m, "residual": residual, "unitarity_defect": defect}
+                     for g, m, residual, defect in elements],
+        "channel": {"probabilities": list(ch.p)},
+    }
     px, py, pz = ch.p[1:]
-    if v.dim_e == 4 and abs(px - py) <= 1e-12 and abs(py - pz) <= 1e-12:
-        gens = solve_su2_generators(v, tol=tol)
-        report["su2_generators"] = {
-            "jx": [list(row) for row in gens.jx],
-            "jy": [list(row) for row in gens.jy],
-            "jz": [list(row) for row in gens.jz],
-            "residuals": list(gens.residuals),
-        }
+    if len(dil.slots) == 4 and abs(px - py) <= 1e-12 and abs(py - pz) <= 1e-12:
+        (jx, jy, jz), residuals = dil.su2_generators(tol)
+        report["su2_generators"] = {"jx": jx, "jy": jy, "jz": jz, "residuals": list(residuals)}
     _emit([_render_json(report), "\n"], args.output)
     return 0
 

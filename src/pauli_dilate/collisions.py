@@ -24,6 +24,11 @@ from .pauli import GENERIC_TERMS, string_hamiltonian
 
 MAX_COLLISIONS = 10**6
 
+# convergence_report fills a rung's table this many rows at a time, so its temporaries stay
+# a few (1024, 3) arrays however long the trajectory; every row is computed on its own, so
+# the table's bits do not depend on the chunk
+TABLE_CHUNK = 1024
+
 # Bloch vector of the initial state of every trajectory, (1, 1, 1) / sqrt(3) as it
 # reads back from its density matrix: the z component rounds one unit lower through 1 +- z
 _INITIAL_BLOCH = (0.5773502691896258, 0.5773502691896258, 0.5773502691896257)
@@ -111,8 +116,8 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
     Every trajectory starts from the Bloch vector r0 = (1, 1, 1) / sqrt(3).  For qubit
     states the trace distance is half the Euclidean distance of the Bloch
     vectors, so the states lambda^k r0 are compared with the closed-form
-    semigroup exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt in
-    one pass.
+    semigroup exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt,
+    TABLE_CHUNK rows at a time.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
@@ -136,11 +141,16 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
     r0 = np.array(_INITIAL_BLOCH)
     entries = []
     for run, n in rungs:
-        t = np.arange(n + 1) * run.dt
-        states = collision_channel(run).bloch_scaling() ** np.arange(n + 1)[:, None] * r0
-        exact = semigroup_scalings(gamma, t[:, None]) * r0
-        errors = 0.5 * np.linalg.norm(states - exact, axis=1)
-        entries.append(ConvergenceEntry(run.dt, np.column_stack((t, errors))))
+        lam = np.array(collision_channel(run).bloch_scaling())
+        table = np.empty((n + 1, 2))
+        for s in range(0, n + 1, TABLE_CHUNK):
+            k = np.arange(s, min(s + TABLE_CHUNK, n + 1))
+            t = k * run.dt
+            states = lam ** k[:, None] * r0
+            exact = semigroup_scalings(gamma, t[:, None]) * r0
+            table[s:s + len(k), 0] = t
+            table[s:s + len(k), 1] = 0.5 * np.linalg.norm(states - exact, axis=1)
+        entries.append(ConvergenceEntry(run.dt, table))
     return entries
 
 
@@ -151,7 +161,7 @@ def fit_decay_rates(cfg: CollisionConfig) -> np.ndarray:
     the log-linear slope is exactly log(lambda_i) / dt; inverting
     slope_i = -2 sum_{j != i} gamma_j gives the rates.
     """
-    scalings = collision_channel(cfg).bloch_scaling()
+    scalings = np.array(collision_channel(cfg).bloch_scaling())
     if scalings.min() <= 0:
         raise ValueError("Bloch component crossed zero; cannot fit a decay rate")
     u = -np.log(scalings) / (2.0 * cfg.dt)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .linalg import as_complex_matrix, frob_dist, gram_defects, kron, partial_trace_env
 from .pauli import ID2, PAULI_BASIS, PHASES, SZ, pauli_group, product_table
-from .validation import DEFAULT_TOL, ToleranceError
+from .validation import (DEFAULT_TOL, ToleranceError, require_env_rep_residual, require_minimal,
+                         require_rotation_generators)
 
 
 @dataclass(frozen=True)
@@ -188,13 +189,6 @@ def channel_of_isometry(v: Isometry, rho) -> np.ndarray:
     return partial_trace_env(v.v @ a @ v.v.conj().T, v.dim_s, v.dim_e)
 
 
-def require_minimal(kraus_rank: int, dim_e: int) -> None:
-    """Reject a dilation whose environment has a slot the Kraus rank does not count."""
-    if kraus_rank < dim_e:
-        raise ValueError(f"dilation is not minimal (Kraus rank {kraus_rank}, environment dim "
-                         f"{dim_e}); remove vanishing probabilities first")
-
-
 def _solve_env_operators(v: Isometry, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares X_k with (I (x) X_k) V = rhs_k, rhs of shape (k, dim_s, dim_e, dim_s).
 
@@ -224,12 +218,7 @@ def solve_env_rep(v: Isometry, sys_rep: GroupRep, tol: float = DEFAULT_TOL) -> E
     rhs = np.einsum("gai,aeb,gbj->giej", pi_s.conj(), v3, pi_s)
     xs, res = _solve_env_operators(v, rhs)
     residuals = dict(zip(sys_rep.labels, res.tolist()))
-    worst = max(residuals.values())
-    if worst > tol:
-        raise ToleranceError(
-            f"environment representation residual {worst:.3e} exceeds {tol:.1e}; "
-            "channel is not covariant under the given representation or the "
-            "dilation is not minimal")
+    require_env_rep_residual(max(residuals.values()), tol)
     return EnvRepSolution(GroupRep(sys_rep.labels, xs), residuals)
 
 
@@ -252,11 +241,7 @@ def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators
         frob_dist(jy @ jz - jz @ jy, 2j * jx),
         frob_dist(jz @ jx - jx @ jz, 2j * jy),
     )
-    worst = max(max(residuals), algebra)
-    if worst > tol:
-        raise ToleranceError(
-            f"rotation-generator defect {worst:.3e} exceeds {tol:.1e}; "
-            "the channel has no rotation-covariant structure")
+    require_rotation_generators(max(max(residuals), algebra), tol)
     return SU2Generators(jx, jy, jz, residuals)
 
 
@@ -275,21 +260,3 @@ def check_strong_conservation(kraus: Iterable[np.ndarray], j) -> bool:
     if lift > DEFAULT_TOL:
         raise ToleranceError(f"conserved quantity fails to lift to the dilation ({lift:.3e})")
     return True
-
-
-def rep_report(sol: EnvRepSolution) -> dict:
-    """JSON-ready summary of a solved environment representation."""
-    rep = sol.rep
-    elements = []
-    for g, m, defect in zip(rep.labels, rep.stack, rep.unitarity_defects.tolist()):
-        elements.append({
-            "label": g,
-            "matrix": m.tolist(),
-            "residual": sol.residuals[g],
-            "unitarity_defect": defect,
-        })
-    return {
-        "dim_env": sol.rep.space_dim,
-        "max_residual": sol.max_residual,
-        "elements": elements,
-    }

@@ -1,4 +1,5 @@
-"""Tolerances and descriptor-field checks, shared by every layer and free of numpy.
+"""Tolerances, descriptor-field checks and the dilation checks whose messages the
+closed forms and the solvers share; used by every layer and free of numpy.
 
 `cli` reads these before it knows which command runs, so a command that does
 no numerical work (`commutant`) starts without numpy.
@@ -37,3 +38,27 @@ def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:
     for key in desc:
         if key not in keys:
             raise ValueError(f"{form} does not read key {key!r} (its keys: {', '.join(keys)})")
+
+
+def require_minimal(kraus_rank: int, dim_e: int) -> None:
+    """Reject a dilation whose environment has a slot the Kraus rank does not count."""
+    if kraus_rank < dim_e:
+        raise ValueError(f"dilation is not minimal (Kraus rank {kraus_rank}, environment dim "
+                         f"{dim_e}); remove vanishing probabilities first")
+
+
+def require_env_rep_residual(worst: float, tol: float) -> None:
+    """Reject an environment representation whose worst residual exceeds tol."""
+    if worst > tol:
+        raise ToleranceError(
+            f"environment representation residual {worst:.3e} exceeds {tol:.1e}; "
+            "channel is not covariant under the given representation or the "
+            "dilation is not minimal")
+
+
+def require_rotation_generators(worst: float, tol: float) -> None:
+    """Reject SU(2) generators whose worst defect, algebra included, exceeds tol."""
+    if worst > tol:
+        raise ToleranceError(
+            f"rotation-generator defect {worst:.3e} exceeds {tol:.1e}; "
+            "the channel has no rotation-covariant structure")

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pauli_dilate import channels
 from pauli_dilate.channels import (
     PauliChannel,
     PauliLiouvillian,
@@ -20,12 +21,19 @@ from pauli_dilate.channels import (
     probs_from_scaling,
     scalings_from_probs,
     semigroup_channel,
+    semigroup_scalings,
     validate_density_matrices,
     validate_density_matrix,
 )
-from pauli_dilate.dilations import GroupRep, defining_pauli_rep
+from pauli_dilate.dilations import (
+    GroupRep,
+    defining_pauli_rep,
+    dilation_from_kraus,
+    solve_env_rep,
+    solve_su2_generators,
+)
 from pauli_dilate.linalg import as_complex_matrix, frob_dist
-from pauli_dilate.validation import DEFAULT_TOL
+from pauli_dilate.validation import DEFAULT_TOL, ToleranceError
 from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
 from reference_ops import kraus_apply
 
@@ -330,6 +338,110 @@ class TestStackedForms:
     def test_stack_shape_is_checked(self):
         assert "got shape (2, 2)" in _message(validate_density_matrices, ID2 / 2)
         assert _message(bloch_states, [0.1, 0.2, 0.3]) == "Bloch vector must have 3 components"
+
+
+# channels of Kraus rank 1-4: a nonempty set of slots, each weight at least 1% before
+# normalization
+ranked_prob_vectors = st.tuples(
+    st.sets(st.integers(0, 3), min_size=1), st.lists(st.floats(0.01, 1.0), min_size=4,
+                                                      max_size=4)).map(
+    lambda sw: tuple(w / sum(sw[1][a] for a in sw[0]) if a in sw[0] else 0.0
+                     for a, w in enumerate(sw[1])))
+isotropic_channels = st.floats(1e-3, 0.33).map(lambda q: PauliChannel((1 - 3 * q, q, q, q)))
+
+
+def _array(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.complex128)
+
+
+def _solver_rounding(p) -> float:
+    """The relative error the least-squares solvers may show: 1e-15 times the condition
+    number sqrt(max p_a / min p_a) of the environment slices of V, over the nonzero slots."""
+    weights = [q for q in p if q > 0]
+    return 1e-15 * math.sqrt(max(weights) / min(weights))
+
+
+class TestClosedFormDilation:
+    """The minimal dilation, pi_E and the SU(2) generators against the numerical solvers."""
+
+    @given(ranked_prob_vectors)
+    def test_rows_are_dilation_from_kraus(self, p):
+        ch = PauliChannel(p)
+        dil = ch.minimal_dilation()
+        v = dilation_from_kraus(ch.kraus_ops())
+        assert dil.slots == tuple(a for a, q in enumerate(p) if q > 0)
+        assert dil.kraus_rank == len(dil.slots) == v.dim_e
+        assert np.array_equal(_array(dil.rows), v.v)
+        assert abs(dil.defect - v.defect()) <= 1e-15
+
+    @given(ranked_prob_vectors)
+    @example((0.7, 0.1, 0.1, 0.1))
+    @example((0.5, 0.3, 0.2, 0.0))
+    @example((0.0, 0.0, 1.0, 0.0))
+    def test_characters_match_solve_env_rep(self, p):
+        dil = PauliChannel(p).minimal_dilation()
+        sol = solve_env_rep(dilation_from_kraus(PauliChannel(p).kraus_ops()),
+                            defining_pauli_rep())
+        elements = dil.env_rep()
+        assert [g for g, *_ in elements] == list(sol.rep.labels)
+        stack = np.array([_array(m) for _, m, _, _ in elements])
+        assert np.max(np.abs(stack - sol.rep.stack)) <= _solver_rounding(p)
+        # diagonal, with the signs +-1 in every slot, and every check computed as 0
+        assert np.array_equal(stack, np.array([np.diag(np.diag(m)) for m in stack]))
+        assert set(np.diag(stack[5]).tolist()) <= {1, -1}
+        assert all(residual == defect == 0.0 for _, _, residual, defect in elements)
+
+    @given(isotropic_channels)
+    @example(PauliChannel.depolarizing(0.3))
+    def test_su2_generators_match_solver(self, ch):
+        gens, residuals = ch.minimal_dilation().su2_generators()
+        want = solve_su2_generators(dilation_from_kraus(ch.kraus_ops()))
+        for got, j in zip(gens, (want.jx, want.jy, want.jz)):
+            # the entries are 0 and +-2i, and the solver's error is relative to them
+            assert np.max(np.abs(_array(got) - j)) <= 2 * _solver_rounding(ch.p)
+        assert residuals == (0.0, 0.0, 0.0)
+
+    def test_su2_generators_need_four_slots(self):
+        with pytest.raises(ValueError, match="four Kraus slots"):
+            PauliChannel.phase_damping(0.3).minimal_dilation().su2_generators()
+
+    def test_residuals_are_computed_against_the_isometry(self, monkeypatch):
+        # a table that calls every slot commuting leaves V g != (g (x) pi_E(g)) V
+        dil = PauliChannel((0.4, 0.3, 0.2, 0.1)).minimal_dilation()
+        monkeypatch.setattr(channels, "commutes", lambda a, b: True)
+        with pytest.raises(ToleranceError, match=r"^environment representation residual "
+                                                 r"\S+ exceeds 1\.0e-10; channel is not "
+                                                 r"covariant"):
+            dil.env_rep()
+
+    def test_tolerance_messages(self):
+        dil = PauliChannel.depolarizing(0.3).minimal_dilation()
+        with pytest.raises(ToleranceError, match=r"^environment representation residual "
+                                                 r"0\.000e\+00 exceeds -1\.0e\+00;"):
+            dil.env_rep(-1.0)
+        with pytest.raises(ToleranceError, match=r"^rotation-generator defect 0\.000e\+00 "
+                                                 r"exceeds -1\.0e\+00; the channel has no "
+                                                 r"rotation-covariant structure$"):
+            dil.su2_generators(-1.0)
+
+
+class TestPythonFloatForms:
+    """The numpy-free channel arithmetic against the numpy stack forms it shares a formula with."""
+
+    @given(sparse_prob_vectors)
+    def test_bloch_scaling_is_scalings_from_probs(self, p):
+        lam = PauliChannel(p).bloch_scaling()
+        assert type(lam) is tuple and all(type(v) is float for v in lam)
+        assert np.array_equal(np.array(lam), scalings_from_probs(p))
+
+    @given(st.lists(st.floats(0, 1e3), min_size=3, max_size=3),
+           st.floats(0, 1e3) | st.sampled_from([0.0, 1e-300, 1e300, 1e308]))
+    def test_semigroup_channel_is_the_numpy_path_within_one_ulp(self, g, t):
+        # math.exp and np.exp may differ by one ulp in a scaling lambda <= 1; a
+        # probability, a quarter of a sum of four such terms, then moves by at most ulp(1)
+        got = semigroup_channel(PauliLiouvillian(tuple(g)), t).p
+        want = probs_from_scaling(semigroup_scalings(g, t))
+        assert all(a == b or abs(a - b) <= math.ulp(1.0) for a, b in zip(got, want))
 
 
 class TestCovariance:

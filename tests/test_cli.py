@@ -136,6 +136,14 @@ class TestRepCommand:
         assert code == 1
         assert "minimal" in err
 
+    def test_table_is_exact_so_any_tolerance_passes(self, capsys):
+        # every residual is computed from exact +-1 characters and exact products, so it is 0
+        report = run_json(["rep", "--in", '{"type":"depolarizing","p":0.3}', "--tol", "0"], capsys)
+        assert report["max_residual"] == 0
+        assert report["su2_generators"]["residuals"] == [0, 0, 0]
+        assert {v for e in report["elements"] for row in e["matrix"] for z in row for v in z} \
+            == {-1, 0, 1}
+
     def test_zero_weight_slot_is_dropped(self, capsys):
         # the channel above with its 1e-11 weight set to 0 (and moved to py to keep the sum)
         report = run_json(["rep", "--in", '{"type":"pauli","p":[0.5,0.25,0.25,0]}'], capsys)
@@ -673,6 +681,15 @@ class TestCliContract:
             assert runs[0].stdout
 
 
+# the commands that run without numpy: a Pauli and a Liouvillian channel, dilate, and an
+# isotropic rep, whose report includes the SU(2) generators
+NUMPY_FREE = [
+    ["channel", "--in", '{"type":"pauli","p":[0.4,0.3,0.2,0.1]}'],
+    ["channel", "--in", '{"type":"liouvillian","gamma":[0.1,0.2,0.3]}', "--tmax", "2.5"],
+    ["dilate", "--in", '{"type":"pauli","p":[0.5,0.3,0.2,0]}'],
+    ["rep", "--in", '{"type":"depolarizing","p":0.3}'],
+]
+
 README_CSV = [
     ["collide", "--in", '{"a":[0,0,1],"zeta":1.0,"dt":0.05,"n":20}'],
     ["collide", "--in", '{"a":[1,1,1],"zeta":1.0,"dts":[0.1,0.05,0.025],"t_final":1.0}'],
@@ -725,6 +742,13 @@ class TestParserReuse:
         first = run_cli(argv, capsys)
         assert run_cli(argv, capsys) == first
         assert first[:2] == fresh_process(argv)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: a[0] + "-" + a[2])
+def test_numpy_free_commands_print_the_same_bytes_cold_and_in_process(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+    assert fresh_process(argv) == fresh_process(argv) == (code, out)
 
 
 def test_verify_seed_changes_nothing_substantive(capsys):

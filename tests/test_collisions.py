@@ -297,6 +297,18 @@ class TestConvergence:
                                   f"more than the cap of {MAX_COLLISIONS} per ladder")
         assert calls == []
 
+    def test_table_does_not_depend_on_the_chunk(self, monkeypatch):
+        # rungs of 2, 3, 1001 and 5001 rows, in chunks that split each one differently, and in
+        # one chunk
+        cfg = CollisionConfig((0.5, 0.4, 0.3), 1.0, 0.1, 1)
+        dts, t_final = [1.0, 0.5, 1e-3, 2e-4], 1.0
+        want = [e.errors for e in convergence_report(cfg, dts, t_final)]
+        assert [len(t) for t in want] == [2, 3, 1001, 5001]
+        for chunk in (1, 7, 1000, 1001, 10**4):
+            monkeypatch.setattr(collisions, "TABLE_CHUNK", chunk)
+            got = [e.errors for e in convergence_report(cfg, dts, t_final)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     @pytest.mark.parametrize("dts, message", [
         ([1.0, 1e-9], "1e+09 collisions exceed the cap of 1000000 per trajectory"),
         ([1.0, -0.1], "collision duration must be finite and positive, got -0.1"),

@@ -19,7 +19,6 @@ from pauli_dilate.dilations import (
     pauli_channel_isometry,
     pauli_rep_law_defect,
     phase_damping_isometry,
-    rep_report,
     _solve_env_operators,
     solve_env_rep,
     solve_su2_generators,
@@ -612,15 +611,8 @@ class TestGroupRep:
 
         monkeypatch.setattr(dilations, "gram_defects", counted)
         sol = solve_env_rep(depolarizing_isometry(0.3), sys_rep)
-        rep_report(sol)
         assert calls == [16]
         assert list(sol.unitarity_defects.values()) == sol.rep.unitarity_defects.tolist()
-
-    def test_rep_report_reads_the_rows(self):
-        sol = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep())
-        report = rep_report(sol)
-        assert [e["label"] for e in report["elements"]] == list(sol.rep.labels)
-        assert [e["matrix"] for e in report["elements"]] == sol.rep.stack.tolist()
 
     @given(st.lists(st.sampled_from([0.0, 1e-13, 1e-8, 0.3]), min_size=16, max_size=16),
            st.integers(0, 2**32 - 1))
