@@ -2,29 +2,16 @@
 """Sweep the three dilation builders and write their probability curves.
 
 Produces one CSV per builder (t, pI, px, py, pz, leakage), suitable for
-plotting the trigonometric probability laws.
+plotting the trigonometric probability laws.  Each file is what
+`pauli-dilate evolve --out` writes for the builder's descriptor.
 """
 
 import argparse
+import json
 import math
 from pathlib import Path
 
-import numpy as np
-
-from pauli_dilate.dynamics import (
-    build_depolarizing_dilation,
-    build_generic_pauli_dilation,
-    build_phase_damping_dilation,
-    channels_on_grid,
-)
-
-
-def sweep(pd, times):
-    grid = channels_on_grid(pd, times)
-    table = np.column_stack((grid.t, grid.probs, grid.leakage)).tolist()
-    rows = ["t,pI,px,py,pz,leakage"]
-    rows += [",".join(f"{v:.12g}" for v in row) for row in table]
-    return "\n".join(rows) + "\n"
+from pauli_dilate import cli
 
 
 def main():
@@ -38,15 +25,17 @@ def main():
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    times = np.linspace(0.0, args.tmax, args.samples)
     builders = {
-        "phase_damping": build_phase_damping_dilation(),
-        "depolarizing": build_depolarizing_dilation(),
-        "generic": build_generic_pauli_dilation(*args.a),
+        "phase_damping": {"builder": "phase_damping"},
+        "depolarizing": {"builder": "depolarizing"},
+        "generic": {"builder": "generic", "a": list(args.a)},
     }
-    for name, pd in builders.items():
+    for name, desc in builders.items():
         path = outdir / f"evolve_{name}.csv"
-        path.write_text(sweep(pd, times))
+        code = cli.main(["evolve", "--in", json.dumps(desc), "--tmax", repr(args.tmax),
+                         "--samples", str(args.samples), "--out", str(path)])
+        if code:
+            raise SystemExit(code)
         print(f"wrote {path}")
 
 

@@ -24,9 +24,9 @@ _EXPORTS = {
                   "solve_env_rep", "solve_su2_generators"),
     "dynamics": ("ChannelGrid", "KrylovSubspace", "PhysicalDilation", "Schedule",
                  "build_depolarizing_dilation", "build_generic_pauli_dilation",
-                 "build_phase_damping_dilation", "channel_at_time", "channels_on_grid",
-                 "isometry_at", "krylov_subspace", "replay_schedule",
-                 "restricted_commutator_norm", "schedule_for_target", "symmetrize_full"),
+                 "build_phase_damping_dilation", "channels_on_grid", "isometry_at",
+                 "krylov_subspace", "replay_schedule", "restricted_commutator_norm",
+                 "schedule_for_target", "symmetrize_full"),
     "linalg": ("basis_state", "frob_dist", "kron", "mat_exp_hermitian"),
     "pauli": ("PauliString", "commutes", "multiply", "pauli_commutant", "to_matrix"),
     "validation": ("ToleranceError",),

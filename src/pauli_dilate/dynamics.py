@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import PauliChannel, probs_from_scaling
+from .channels import probs_from_scaling
 from .dilations import Isometry
 from .linalg import (
     as_complex_matrix,
@@ -95,54 +95,22 @@ class Schedule:
         object.__setattr__(self, "knots", tuple((float(t), float(f)) for t, f in self.knots))
 
 
-@dataclass
-class ChannelFit:
-    """Pauli fit of the channel induced by a dilation at one time."""
-
-    t: float
-    isometry: Isometry
-    transfer: np.ndarray     # 4x4 Pauli transfer matrix
-    probs: np.ndarray        # fitted (pI, px, py, pz), unclamped
-    lam: np.ndarray          # fitted Bloch scalings
-    leakage: float           # norm of the non-Pauli part of the transfer
-
-    def pauli_channel(self) -> PauliChannel:
-        return PauliChannel(tuple(self.probs))
-
-
 @dataclass(frozen=True)
 class ChannelGrid:
     """Pauli fits of the channels induced by one dilation on a grid of times.
 
-    Each array stacks the matching ChannelFit field along its first axis and
-    is held as a read-only view; iterating (or indexing) gives the fits one
-    ChannelFit row at a time.
+    Each array has one row per time and is held as a read-only view.
     """
 
     t: np.ndarray            # (n,) time of each row
-    isometries: np.ndarray   # (n, dim_s * dim_e, dim_s)
-    transfer: np.ndarray     # (n, 4, 4) Pauli transfer matrices
     probs: np.ndarray        # (n, 4) fitted (pI, px, py, pz), unclamped
-    lam: np.ndarray          # (n, 3) fitted Bloch scalings
-    leakage: np.ndarray      # (n,) norms of the non-Pauli parts
-    dim_s: int
-    dim_e: int
+    leakage: np.ndarray      # (n,) norms of the non-Pauli parts of the transfer matrices
 
     def __post_init__(self):
-        for name in ("t", "isometries", "transfer", "probs", "lam", "leakage"):
+        for name in ("t", "probs", "leakage"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, k: int) -> ChannelFit:
-        return ChannelFit(float(self.t[k]), Isometry(self.isometries[k], self.dim_s, self.dim_e),
-                          self.transfer[k], self.probs[k], self.lam[k], float(self.leakage[k]))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 # Pauli change of basis of the single-qubit Liouville space: with
@@ -156,11 +124,6 @@ def isometry_at(pd: PhysicalDilation, t: float) -> Isometry:
     d = pd.dim_s * pd.dim_e
     # u @ pd.embed(): contract each column block of u with psi_E, building no kron
     return Isometry(u.reshape(d, pd.dim_s, pd.dim_e) @ pd.psi_e, pd.dim_s, pd.dim_e)
-
-
-def channel_at_time(pd: PhysicalDilation, t: float) -> ChannelFit:
-    """Evolve for time t, trace out the environment, fit a Pauli channel: one row of the grid."""
-    return channels_on_grid(pd, [t])[0]
 
 
 def channels_on_grid(pd: PhysicalDilation, times) -> ChannelGrid:
@@ -209,8 +172,7 @@ def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> 
     off_model[:, [1, 2, 3], [1, 2, 3]] -= lam
     parts = off_model.view(np.float64)  # real and imaginary parts: a norm with no copy
     leakage = np.sqrt(np.einsum("tij,tij->t", parts, parts))
-    return ChannelGrid(np.asarray(labels, dtype=float), v, r, probs_from_scaling(lam), lam,
-                       leakage, ds, de)
+    return ChannelGrid(np.asarray(labels, dtype=float), probs_from_scaling(lam), leakage)
 
 
 def build_phase_damping_dilation() -> PhysicalDilation:

@@ -402,13 +402,13 @@ def check_alternate_initial_state() -> CheckResult:
     deph, _ = _builders()["phase_damping"]
     pd = dynamics.PhysicalDilation(deph.h, linalg.basis_state("0"), 2, 2)
     times = (0.4, 0.7, 1.3)
-    worst = 0.0
+    grid = dynamics.channels_on_grid(pd, times)
+    laws = np.array([_law((0, 0, 1), t) for t in times])
+    worst = max(float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
     for t in times:
-        fit = dynamics.channel_at_time(pd, t)
         s, c = math.sin(t), math.cos(t)
         isometry = ((-1j * s, 0), (c, 0), (0, 1j * s), (0, c))
-        worst = max(worst, fit.leakage, float(np.max(np.abs(fit.probs - _law((0, 0, 1), t)))),
-                    linalg.frob_dist(fit.isometry.v, isometry))
+        worst = max(worst, linalg.frob_dist(dynamics.isometry_at(pd, t).v, isometry))
     sys_rep = dilations.defining_pauli_rep()
     stack = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep).rep.stack
     worst = max(worst, _max_norm(stack - _canonical_env_rep(2, xy_sign=-1)),

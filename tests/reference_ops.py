@@ -1,10 +1,13 @@
-"""Reference operations that only the tests use: Haar-random unitaries, a Kraus sum, and
-the per-letter rules of the Pauli string algebra, the oracle of its bit-mask path."""
+"""Reference operations that only the tests use: Haar-random unitaries, a Kraus sum, the
+per-time Pauli fit of a channel, the oracle of the time grid, and the per-letter rules of
+the Pauli string algebra, the oracle of its bit-mask path."""
 
 from itertools import product
 
 import numpy as np
 
+from pauli_dilate.dilations import Isometry
+from pauli_dilate.dynamics import PhysicalDilation, isometry_at
 from pauli_dilate.pauli import PauliString
 
 
@@ -19,6 +22,51 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def kraus_apply(kraus, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k+, one Kraus operator at a time."""
     return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+_SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# the Liouville-to-Pauli change of basis:
+# _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
+_LEFT = _SIGMAS.transpose(0, 2, 1).reshape(4, 4)
+_RIGHT = _SIGMAS.reshape(4, 4).T
+# (pI, px, py, pz) from (1, lam_x, lam_y, lam_z): sigma_a keeps its own axis and flips the others
+_PROBS_OF_SCALING = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 4
+
+
+def pauli_fit(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """(probs, leakage) of a 4x4 Pauli transfer matrix: the probabilities of its diagonal
+    Bloch scalings, and the Frobenius norm of everything the diagonal model cannot carry."""
+    scalings = np.array([1.0, *np.real(np.diag(r)[1:])])
+    return _PROBS_OF_SCALING @ scalings, float(np.linalg.norm(r - np.diag(scalings)))
+
+
+def fit_pauli_transfer(v: Isometry) -> tuple[np.ndarray, np.ndarray, float]:
+    """(transfer, probs, leakage) of one isometry's channel, from its Liouville matrix.
+
+    S[(i, k), (j, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]) is one contraction of
+    V with its conjugate; the transfer matrix is _LEFT @ S @ _RIGHT / 2.
+    """
+    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
+    liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
+    r = _LEFT @ liouville @ _RIGHT / 2.0
+    return (r, *pauli_fit(r))
+
+
+def transfer_by_traces(v: Isometry) -> np.ndarray:
+    """r[b, a] = Tr(s_b phi[s_a]) / 2 with phi applied through its Kraus slices."""
+    kraus = [v.v[e::v.dim_e] for e in range(v.dim_e)]
+    r = np.zeros((4, 4), dtype=np.complex128)
+    for a, s_in in enumerate(_SIGMAS):
+        out = kraus_apply(kraus, s_in)
+        for b, s_out in enumerate(_SIGMAS):
+            r[b, a] = np.trace(s_out @ out) / 2
+    return r
+
+
+def fit_at(pd: PhysicalDilation, t: float) -> tuple[np.ndarray, float]:
+    """(probs, leakage) of a dilation's channel at time t, one time at a time: the full
+    propagator of isometry_at, then the einsum fit.  The oracle of a time grid's row."""
+    return fit_pauli_transfer(isometry_at(pd, t))[1:]
 
 
 # sigma_a . sigma_b = phase * sigma_c

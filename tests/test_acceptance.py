@@ -32,7 +32,7 @@ from pauli_dilate.dynamics import (
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
-    channel_at_time,
+    channels_on_grid,
     isometry_at,
     krylov_subspace,
     replay_schedule,
@@ -158,28 +158,20 @@ def test_criterion_04_pauli_commutants():
 
 def test_criterion_05_time_evolution_laws():
     tol = 1e-10
-    worst = 0.0
-    pd = build_phase_damping_dilation()
-    for t in TIME_GRID:
-        fit = channel_at_time(pd, t)
-        worst = max(worst, fit.leakage)
-        worst = max(worst, abs(fit.probs[3] - 0.5 * (1 - math.cos(2 * t))))
-    dep = build_depolarizing_dilation()
-    for t in TIME_GRID:
-        fit = channel_at_time(dep, t)
-        worst = max(worst, fit.leakage)
-        total = 1 - fit.probs[0]
-        worst = max(worst, abs(total - 0.5 * (1 - math.cos(2 * math.sqrt(3) * t))))
+    grid = channels_on_grid(build_phase_damping_dilation(), TIME_GRID)
+    worst = max(grid.leakage.max(),
+                np.max(np.abs(grid.probs[:, 3] - 0.5 * (1 - np.cos(2 * TIME_GRID)))))
+    grid = channels_on_grid(build_depolarizing_dilation(), TIME_GRID)
+    total = 1 - grid.probs[:, 0]
+    worst = max(worst, grid.leakage.max(),
+                np.max(np.abs(total - 0.5 * (1 - np.cos(2 * math.sqrt(3) * TIME_GRID)))))
     a = (0.6, 0.5, 0.3)
     xi = sum(v * v for v in a)
     assert xi <= 1
-    gen = build_generic_pauli_dilation(*a)
-    for t in TIME_GRID:
-        fit = channel_at_time(gen, t)
-        worst = max(worst, fit.leakage)
-        s = math.sin(math.sqrt(xi) * t) ** 2 / xi
-        for i, w in enumerate(a):
-            worst = max(worst, abs(fit.probs[i + 1] - w * w * s))
+    grid = channels_on_grid(build_generic_pauli_dilation(*a), TIME_GRID)
+    s = np.sin(math.sqrt(xi) * TIME_GRID) ** 2 / xi
+    worst = max(worst, grid.leakage.max(),
+                np.max(np.abs(grid.probs[:, 1:] - np.outer(s, np.square(a)))))
     report(5, "builder probability laws and non-Pauli leakage on the time grid",
            worst <= tol, worst, tol)
 
@@ -212,12 +204,10 @@ def test_criterion_07_full_symmetrization():
     tol = 1e-9
     dep = build_depolarizing_dilation()
     sym = symmetrize_full(dep, krylov_subspace(dep))
-    worst = 0.0
-    for t in TIME_GRID:
-        fit = channel_at_time(sym, t)
-        total = 1 - fit.probs[0]
-        worst = max(worst, abs(total - 0.5 * (1 - math.cos(2 * math.sqrt(3) * t))))
-        worst = max(worst, fit.leakage)
+    grid = channels_on_grid(sym, TIME_GRID)
+    total = 1 - grid.probs[:, 0]
+    worst = max(grid.leakage.max(),
+                np.max(np.abs(total - 0.5 * (1 - np.cos(2 * math.sqrt(3) * TIME_GRID)))))
     gens = solve_su2_generators(depolarizing_isometry(0.3))
     for s, j in zip(SIGMA, (gens.jx, gens.jy, gens.jz)):
         total_gen = kron(s, np.eye(4)) + kron(np.eye(2), j)
@@ -231,10 +221,8 @@ def test_criterion_08_rotating_phase_and_dilation_freedom():
     sys_rep = defining_pauli_rep()
     pd = build_phase_damping_dilation()
     rotated = PhysicalDilation(pd.h + kron(ID2, SX), pd.psi_e, 2, 2)
-    worst_prob = 0.0
-    for t in TIME_GRID:
-        worst_prob = max(worst_prob, float(np.max(np.abs(
-            channel_at_time(pd, t).probs - channel_at_time(rotated, t).probs))))
+    worst_prob = float(np.max(np.abs(
+        channels_on_grid(pd, TIME_GRID).probs - channels_on_grid(rotated, TIME_GRID).probs)))
     prob_ok = worst_prob <= 1e-10
 
     alt = PhysicalDilation(pd.h, basis_state("0"), 2, 2)
@@ -326,7 +314,8 @@ def test_criterion_11_property_suite():
     ok = ok and triviality <= 1e-10
 
     sched = schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200)
-    worst_rt = max(abs(f.probs[3] - math.sin(3 * f.t) ** 2) for f in replay_schedule(sched))
+    grid = replay_schedule(sched)
+    worst_rt = float(np.max(np.abs(grid.probs[:, 3] - np.sin(3 * grid.t) ** 2)))
     ok = ok and worst_rt <= 1e-6
     report(11, "group table, CPTP battery, conserved-sector triviality, schedule round trip",
            ok, worst_rt, 1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,19 +7,18 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pauli_dilate.channels import probs_from_scaling
+from pauli_dilate.channels import PauliChannel
 from pauli_dilate.dilations import (
     Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry,
 )
 from pauli_dilate.dynamics import (
     TIME_GRID,
-    ChannelFit,
+    ChannelGrid,
     PhysicalDilation,
     Schedule,
     build_depolarizing_dilation,
     build_generic_pauli_dilation,
     build_phase_damping_dilation,
-    channel_at_time,
     channels_on_grid,
     dilation_from_descriptor,
     isometry_at,
@@ -29,10 +29,8 @@ from pauli_dilate.dynamics import (
     symmetrize_full,
 )
 from pauli_dilate.linalg import basis_state, frob_dist, kron
-from pauli_dilate.pauli import (
-    ID2, PAULI_BASIS, SX, SY, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix,
-)
-from reference_ops import haar_unitary
+from pauli_dilate.pauli import SX, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+from reference_ops import fit_at, fit_pauli_transfer, haar_unitary, pauli_fit, transfer_by_traces
 
 
 def replay_by_products(sched, pd):
@@ -44,39 +42,6 @@ def replay_by_products(sched, pd):
         u = scipy.linalg.expm(-1j * f * (t_end - t_start) * pd.h) @ u
         out.append((t_end, u @ pd.embed()))
     return out
-
-
-# the Liouville-to-Pauli change of basis:
-# _LEFT[b, (i, k)] = s_b[k, i] and _RIGHT[(j, l), a] = s_a[j, l]
-_LEFT = PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
-_RIGHT = PAULI_BASIS.reshape(4, 4).T
-
-
-def fit_pauli_transfer(v: Isometry) -> ChannelFit:
-    """Oracle: the Pauli fit of one isometry's channel, from its Liouville matrix.
-
-    S[(i, k), (j, l)] = sum_e V[(i, e), j] conj(V[(k, e), l]) is one contraction of
-    V with its conjugate; the transfer matrix is _LEFT @ S @ _RIGHT / 2.
-    """
-    v3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
-    liouville = np.einsum("iej,kel->ikjl", v3, v3.conj()).reshape(4, 4)
-    r = _LEFT @ liouville @ _RIGHT / 2.0
-    lam = np.real(np.diag(r)[1:])
-    leakage = float(np.linalg.norm(r - np.diag([1.0, *lam])))
-    return ChannelFit(t=math.nan, isometry=v, transfer=r,
-                      probs=probs_from_scaling(lam), lam=lam, leakage=leakage)
-
-
-def transfer_by_traces(v):
-    """Oracle: r[b, a] = Tr(s_b phi[s_a]) / 2 with phi applied through its Kraus slices."""
-    kraus = [v.v[e::v.dim_e] for e in range(v.dim_e)]
-    basis = (ID2, SX, SY, SZ)
-    r = np.zeros((4, 4), dtype=np.complex128)
-    for a, s_in in enumerate(basis):
-        out = sum(k @ s_in @ k.conj().T for k in kraus)
-        for b, s_out in enumerate(basis):
-            r[b, a] = np.trace(s_out @ out) / 2
-    return r
 
 
 def generic_probs(a, t):
@@ -111,17 +76,14 @@ class TestPhysicalDilationType:
 
 class TestPhaseDampingBuilder:
     def test_probability_law_on_grid(self):
-        pd = build_phase_damping_dilation()
-        for t in TIME_GRID:
-            fit = channel_at_time(pd, t)
-            assert fit.leakage < 1e-10
-            expected = np.array([math.cos(t) ** 2, 0, 0, math.sin(t) ** 2])
-            assert np.max(np.abs(fit.probs - expected)) < 1e-10
+        grid = channels_on_grid(build_phase_damping_dilation(), TIME_GRID)
+        assert grid.leakage.max() < 1e-10
+        expected = np.array([[math.cos(t) ** 2, 0, 0, math.sin(t) ** 2] for t in TIME_GRID])
+        assert np.max(np.abs(grid.probs - expected)) < 1e-10
 
     def test_quarter_and_half_pi(self):
-        pd = build_phase_damping_dilation()
-        assert abs(channel_at_time(pd, math.pi / 4).probs[3] - 0.5) < 1e-12
-        assert abs(channel_at_time(pd, math.pi / 2).probs[3] - 1.0) < 1e-12
+        grid = channels_on_grid(build_phase_damping_dilation(), [math.pi / 4, math.pi / 2])
+        assert np.max(np.abs(grid.probs[:, 3] - [0.5, 1.0])) < 1e-12
 
     def test_isometry_is_rotated_closed_form(self):
         pd = build_phase_damping_dilation()
@@ -135,23 +97,21 @@ class TestPhaseDampingBuilder:
             assert frob_dist(isometry_at(pd, t).v, expected) < 1e-13
 
     def test_time_zero_identity(self):
-        fit = channel_at_time(build_phase_damping_dilation(), 0.0)
-        assert np.allclose(fit.probs, (1, 0, 0, 0), atol=1e-14)
+        grid = channels_on_grid(build_phase_damping_dilation(), [0.0])
+        assert np.allclose(grid.probs[0], (1, 0, 0, 0), atol=1e-14)
 
 
 class TestDepolarizingBuilder:
     def test_probability_law_on_grid(self):
-        pd = build_depolarizing_dilation()
-        for t in TIME_GRID:
-            fit = channel_at_time(pd, t)
-            assert fit.leakage < 1e-10
-            total = math.sin(math.sqrt(3) * t) ** 2
-            expected = np.array([1 - total, total / 3, total / 3, total / 3])
-            assert np.max(np.abs(fit.probs - expected)) < 1e-10
+        grid = channels_on_grid(build_depolarizing_dilation(), TIME_GRID)
+        assert grid.leakage.max() < 1e-10
+        total = np.sin(math.sqrt(3) * TIME_GRID) ** 2
+        expected = np.column_stack((1 - total, total / 3, total / 3, total / 3))
+        assert np.max(np.abs(grid.probs - expected)) < 1e-10
 
     def test_full_depolarization_time(self):
-        fit = channel_at_time(build_depolarizing_dilation(), math.pi / (2 * math.sqrt(3)))
-        assert abs(fit.probs[0]) < 1e-12  # p(t) = 1
+        grid = channels_on_grid(build_depolarizing_dilation(), [math.pi / (2 * math.sqrt(3))])
+        assert abs(grid.probs[0, 0]) < 1e-12  # p(t) = 1
 
     def test_isometry_matches_static_family_up_to_slot_phases(self):
         # the Hamiltonian generates the -i-phased variant of the static
@@ -188,34 +148,30 @@ class TestDepolarizingBuilder:
 class TestGenericBuilder:
     @pytest.mark.parametrize("a", [(0.6, 0.5, 0.3), (0.5, 0.5, 0.5), (0.9, 0.1, 0.2)])
     def test_probability_law(self, a):
-        pd = build_generic_pauli_dilation(*a)
-        for t in TIME_GRID:
-            fit = channel_at_time(pd, t)
-            assert fit.leakage < 1e-10
-            assert np.max(np.abs(fit.probs - generic_probs(a, t))) < 1e-10
+        grid = channels_on_grid(build_generic_pauli_dilation(*a), TIME_GRID)
+        assert grid.leakage.max() < 1e-10
+        expected = np.array([generic_probs(a, t) for t in TIME_GRID])
+        assert np.max(np.abs(grid.probs - expected)) < 1e-10
 
     def test_single_axis_reduces_to_dephasing_type(self):
         a3 = 0.7
-        pd = build_generic_pauli_dilation(0.0, 0.0, a3)
-        for t in (0.3, 0.9, 2.2):
-            fit = channel_at_time(pd, t)
-            assert abs(fit.probs[3] - math.sin(a3 * t) ** 2) < 1e-12
-            assert abs(fit.probs[1]) < 1e-12 and abs(fit.probs[2]) < 1e-12
+        times = np.array([0.3, 0.9, 2.2])
+        probs = channels_on_grid(build_generic_pauli_dilation(0.0, 0.0, a3), times).probs
+        assert np.max(np.abs(probs[:, 3] - np.sin(a3 * times) ** 2)) < 1e-12
+        assert np.max(np.abs(probs[:, 1:3])) < 1e-12
 
     def test_probabilities_sum_to_total_law(self):
         a = (0.6, 0.5, 0.3)
         xi = sum(v * v for v in a)
-        pd = build_generic_pauli_dilation(*a)
-        for t in (0.5, 1.5):
-            fit = channel_at_time(pd, t)
-            assert abs(sum(fit.probs[1:]) - math.sin(math.sqrt(xi) * t) ** 2) < 1e-12
+        times = np.array([0.5, 1.5])
+        probs = channels_on_grid(build_generic_pauli_dilation(*a), times).probs
+        total = np.sin(math.sqrt(xi) * times) ** 2
+        assert np.max(np.abs(probs[:, 1:].sum(axis=1) - total)) < 1e-12
 
     def test_equal_weights_give_depolarizing_family(self):
-        pd = build_generic_pauli_dilation(0.5, 0.5, 0.5)
-        for t in (0.4, 1.3):
-            fit = channel_at_time(pd, t)
-            assert abs(fit.probs[1] - fit.probs[2]) < 1e-13
-            assert abs(fit.probs[2] - fit.probs[3]) < 1e-13
+        probs = channels_on_grid(build_generic_pauli_dilation(0.5, 0.5, 0.5), [0.4, 1.3]).probs
+        assert np.max(np.abs(probs[:, 1] - probs[:, 2])) < 1e-13
+        assert np.max(np.abs(probs[:, 2] - probs[:, 3])) < 1e-13
 
     def test_invariant_state_for_generic_builder(self):
         pd = build_generic_pauli_dilation(0.6, 0.5, 0.3)
@@ -232,11 +188,11 @@ class TestFittedDistributions:
             build_generic_pauli_dilation(0.6, 0.5, 0.3),
         ]
         for pd in builders:
-            for t in TIME_GRID:
-                fit = channel_at_time(pd, t)
-                assert fit.probs.min() > -1e-10
-                assert abs(fit.probs.sum() - 1.0) < 1e-10
-                fit.pauli_channel()  # constructible as a valid channel
+            probs = channels_on_grid(pd, TIME_GRID).probs
+            assert probs.min() > -1e-10
+            assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-10
+            for row in probs:
+                PauliChannel(tuple(row))  # constructible as a valid channel
 
 
 class TestKrylov:
@@ -300,11 +256,9 @@ class TestSymmetrizeFull:
     def test_channel_unchanged(self):
         pd = build_depolarizing_dilation()
         sym = symmetrize_full(pd, krylov_subspace(pd))
-        for t in TIME_GRID:
-            a = channel_at_time(pd, t)
-            b = channel_at_time(sym, t)
-            assert np.max(np.abs(a.probs - b.probs)) < 1e-9
-            assert b.leakage < 1e-9
+        a, b = channels_on_grid(pd, TIME_GRID), channels_on_grid(sym, TIME_GRID)
+        assert np.max(np.abs(a.probs - b.probs)) < 1e-9
+        assert b.leakage.max() < 1e-9
 
     def test_full_space_commutators_vanish(self):
         pd = build_depolarizing_dilation()
@@ -414,14 +368,14 @@ class TestSchedule:
     def test_round_trip_oscillatory(self):
         target = lambda t: math.sin(3 * t) ** 2
         sched = schedule_for_target(target, 2.0, 200)
-        for fit in replay_schedule(sched):
-            assert abs(fit.probs[3] - target(fit.t)) < 1e-6
+        grid = replay_schedule(sched)
+        assert np.max(np.abs(grid.probs[:, 3] - [target(t) for t in grid.t])) < 1e-6
 
     def test_round_trip_monotone(self):
         target = lambda t: 0.5 * (1 - math.cos(t))
         sched = schedule_for_target(target, 3.0, 120)
-        for fit in replay_schedule(sched):
-            assert abs(fit.probs[3] - target(fit.t)) < 1e-6
+        grid = replay_schedule(sched)
+        assert np.max(np.abs(grid.probs[:, 3] - [target(t) for t in grid.t])) < 1e-6
 
     def test_rejects_target_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -451,12 +405,14 @@ class TestSchedule:
         build_generic_pauli_dilation(0.6, -0.5, 0.3),
     ], ids=["phase_damping", "depolarizing", "generic"])
     def test_replay_matches_segment_products(self, sched, pd):
-        fits = replay_schedule(sched, pd)
+        grid = replay_schedule(sched, pd)
         oracle = replay_by_products(sched, pd)
-        assert len(fits) == len(oracle)
-        for fit, (t_end, v) in zip(fits, oracle):
-            assert fit.t == t_end
-            assert frob_dist(fit.isometry.v, v) < 1e-12
+        assert len(grid.t) == len(oracle)
+        for k, (t_end, v) in enumerate(oracle):
+            _, probs, leakage = fit_pauli_transfer(Isometry(v, pd.dim_s, pd.dim_e))
+            assert grid.t[k] == t_end
+            assert np.max(np.abs(grid.probs[k] - probs)) < 1e-12
+            assert abs(grid.leakage[k] - leakage) < 1e-12
 
 
 class TestDescriptors:
@@ -509,18 +465,20 @@ class TestPauliTransfer:
     def test_matches_trace_loop_on_dilations(self, desc):
         pd = dilation_from_descriptor(desc)
         times = (0.0, 0.37, 1.9, 4.4)
-        for row, t in zip(channels_on_grid(pd, times), times):
+        grid = channels_on_grid(pd, times)
+        for k, t in enumerate(times):
             v = isometry_at(pd, t)
-            assert np.max(np.abs(row.transfer - transfer_by_traces(v))) < 1e-14
-            assert np.max(np.abs(fit_pauli_transfer(v).transfer - transfer_by_traces(v))) < 1e-14
+            probs, leakage = pauli_fit(transfer_by_traces(v))
+            assert np.max(np.abs(grid.probs[k] - probs)) < 1e-14
+            assert abs(grid.leakage[k] - leakage) < 1e-14
+            assert np.max(np.abs(fit_pauli_transfer(v)[0] - transfer_by_traces(v))) < 1e-14
 
     @pytest.mark.parametrize("dim_e", [1, 2, 4])
     def test_matches_trace_loop_on_random_isometries(self, rng, dim_e):
         for _ in range(10):
             u = haar_unitary(2 * dim_e, rng)
             v = Isometry(u[:, :2], 2, dim_e)
-            fit = fit_pauli_transfer(v)
-            assert np.max(np.abs(fit.transfer - transfer_by_traces(v))) < 1e-14
+            assert np.max(np.abs(fit_pauli_transfer(v)[0] - transfer_by_traces(v))) < 1e-14
 
 
 complex_entries = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
@@ -556,27 +514,26 @@ def test_grid_matches_per_time_loop(pd, times):
     # oracle: the full propagator of isometry_at and the einsum fit, one eigendecomposition
     # and one fit per time
     grid = channels_on_grid(pd, times)
-    assert len(grid) == len(times)
-    assert grid.isometries.shape == (len(times), 2 * pd.dim_e, 2)
+    assert grid.t.shape == grid.leakage.shape == (len(times),)
+    assert grid.probs.shape == (len(times), 4)
     for k, t in enumerate(times):
-        fit = fit_pauli_transfer(isometry_at(pd, t))
+        probs, leakage = fit_at(pd, t)
         assert grid.t[k] == t
-        assert np.max(np.abs(grid.isometries[k] - fit.isometry.v)) < 1e-12
-        assert np.max(np.abs(grid.transfer[k] - fit.transfer)) < 1e-12
-        assert np.max(np.abs(grid.probs[k] - fit.probs)) < 1e-12
-        assert abs(grid.leakage[k] - fit.leakage) < 1e-12
+        assert np.max(np.abs(grid.probs[k] - probs)) < 1e-12
+        assert abs(grid.leakage[k] - leakage) < 1e-12
 
 
 def test_grid_is_read_only():
     g = channels_on_grid(build_phase_damping_dilation(), [0.3, 0.6])
-    stacks = [g.t, g.isometries, g.transfer, g.probs, g.lam, g.leakage]
+    assert [f.name for f in dataclasses.fields(ChannelGrid)] == ["t", "probs", "leakage"]
+    stacks = [g.t, g.probs, g.leakage]
     before = [a.copy() for a in stacks]
-    row = g[0]
-    for arr in [*stacks, row.isometry.v, row.transfer, row.probs, row.lam]:
+    for arr in stacks:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 5.0
     assert all(np.array_equal(a, b) for a, b in zip(stacks, before))
-    assert g[0].isometry.defect() < 1e-15
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.t = np.zeros(2)
 
 
 def test_grid_does_not_freeze_the_callers_times():
@@ -585,14 +542,13 @@ def test_grid_does_not_freeze_the_callers_times():
     times[0] = 0.1  # the grid holds a read-only view; the caller's array stays writable
 
 
-def test_grid_rows_are_channel_fits():
+def test_a_row_does_not_depend_on_its_grid():
     pd = build_depolarizing_dilation()
-    rows = list(channels_on_grid(pd, TIME_GRID[:4]))
-    for row, t in zip(rows, TIME_GRID[:4]):
-        fit = channel_at_time(pd, t)
-        assert isinstance(row, ChannelFit) and isinstance(row.isometry, Isometry)
-        assert row.t == fit.t and row.leakage == channels_on_grid(pd, [t]).leakage[0]
-        assert np.array_equal(row.probs, fit.probs)
+    grid = channels_on_grid(pd, TIME_GRID[:4])
+    for k, t in enumerate(TIME_GRID[:4]):
+        row = channels_on_grid(pd, [t])
+        assert row.t[0] == grid.t[k] and row.leakage[0] == grid.leakage[k]
+        assert np.array_equal(row.probs[0], grid.probs[k])
 
 
 # A dilation's arrays are read-only and its constructor rejects both faults, so
@@ -625,8 +581,3 @@ def _denormalized():
 def test_grid_rejects(make_pd, times, message):
     with pytest.raises(ValueError, match=message):
         channels_on_grid(make_pd(), times)
-
-
-def test_channel_at_time_rejects_negative_time():
-    with pytest.raises(ValueError):
-        channel_at_time(build_phase_damping_dilation(), -0.1)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pauli_dilate import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # scripts whose whole stdout is pinned
@@ -50,3 +52,21 @@ def test_script_runs(tmp_path, script):
     assert run.stdout
     if script in GOLDEN_STDOUT:
         assert_matches_golden(run.stdout, GOLDEN / GOLDEN_STDOUT[script])
+
+
+def test_evolve_builders_writes_what_evolve_prints(tmp_path, capsys):
+    # the script forwards its grid and weights to evolve, one descriptor per builder
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["--outdir", "sweep", "--tmax", "3.3", "--samples", "7", "--a", "0.1", "-0.4", "0.25"]
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "evolve_builders.py"), *argv],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    descriptors = {"phase_damping": '{"builder":"phase_damping"}',
+                   "depolarizing": '{"builder":"depolarizing"}',
+                   "generic": '{"builder":"generic","a":[0.1,-0.4,0.25]}'}
+    for name, desc in descriptors.items():
+        assert cli.main(["evolve", "--in", desc, "--tmax", "3.3", "--samples", "7"]) == 0
+        want = capsys.readouterr().out
+        assert len(want.splitlines()) == 8
+        assert (tmp_path / "sweep" / f"evolve_{name}.csv").read_text() == want

@@ -283,12 +283,12 @@ def alternate_initial_state_loop():
     times = (0.4, 0.7, 1.3)
     worst = 0.0
     for t in times:
-        fit = dynamics.channel_at_time(pd, t)
+        fit = dynamics.channels_on_grid(pd, [t])
         s, c = math.sin(t), math.cos(t)
         isometry = ((-1j * s, 0), (c, 0), (0, 1j * s), (0, c))
-        worst = max(worst, fit.leakage,
-                    float(np.max(np.abs(fit.probs - verify._law((0, 0, 1), t)))),
-                    frob_dist(fit.isometry.v, isometry))
+        worst = max(worst, float(fit.leakage[0]),
+                    float(np.max(np.abs(fit.probs[0] - verify._law((0, 0, 1), t)))),
+                    frob_dist(dynamics.isometry_at(pd, t).v, isometry))
     sys_rep = dilations.defining_pauli_rep()
     sol = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep)
     flipped = canonical_env_rep_by_label(2, xy_sign=-1)
