@@ -29,8 +29,7 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, a in CONFIGS.items():
-        cfg = CollisionConfig(a, args.zeta, args.dts[0], 1)
-        entries = convergence_report(cfg, args.dts, args.t_final)
+        entries = convergence_report(a, args.zeta, args.dts, args.t_final)
         rows = ["dt,t,trace_distance"]
         for entry in entries:  # errors: one (t, trace distance) row per collision count
             rows.extend(f"{entry.dt:.12g},{t:.12g},{err:.12g}" for t, err in entry.errors.tolist())
@@ -43,8 +42,7 @@ def main():
             print(f"  dt={dt:<8g} max_error={err:.6g}")
         for big, small in zip(errs, errs[1:]):
             print(f"  ratio {big / small:.3f}")
-        fine = CollisionConfig(a, args.zeta, args.dts[-1],
-                               int(round(args.t_final / args.dts[-1])))
+        fine = CollisionConfig(a, args.zeta, args.dts[-1])
         print(f"  fitted rates at dt={args.dts[-1]}: {fit_decay_rates(fine)}"
               f" (targets {fine.rates()})")
 

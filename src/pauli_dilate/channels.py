@@ -136,9 +136,7 @@ def scalings_from_probs(p) -> np.ndarray:
     An (n, 4) stack of probabilities gives the (n, 3) stack of scalings.
     """
     np = pauli._numpy()
-    a = np.asarray(p, dtype=float)
-    # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
-    return np.array(_scalings(*(a.tolist() if a.ndim == 1 else a.T))).T
+    return np.array(_scalings(*np.asarray(p, dtype=float).T)).T
 
 
 def probs_from_scaling(lam) -> np.ndarray:
@@ -147,9 +145,7 @@ def probs_from_scaling(lam) -> np.ndarray:
     An (n, 3) stack of scalings gives the (n, 4) stack of probabilities.
     """
     np = pauli._numpy()
-    a = np.asarray(lam, dtype=float)
-    # one vector as Python floats, whose arithmetic is cheaper than numpy scalars'
-    return np.array(_probs(*(a.tolist() if a.ndim == 1 else a.T))).T
+    return np.array(_probs(*np.asarray(lam, dtype=float).T)).T
 
 
 # sigma_a in the slot order I, x, y, z, as rows of Python complex numbers
@@ -213,7 +209,6 @@ class MinimalDilation:
 
     slots: tuple[int, ...]
     rows: tuple[tuple[complex, complex], ...]
-    kraus_rank: int
     defect: float
 
     def env_rep(self, tol: float = DEFAULT_TOL) -> list[tuple[str, list, float, float]]:
@@ -339,9 +334,8 @@ class PauliChannel:
         defect = _gram_defect(rows)
         if defect > DEFAULT_TOL:
             raise ValueError("V+ V deviates from the identity beyond 1e-10")
-        rank = self.choi_spectrum()[1]
-        require_minimal(rank, len(slots))
-        return MinimalDilation(slots, rows, rank, defect)
+        require_minimal(self.choi_spectrum()[1], len(slots))
+        return MinimalDilation(slots, rows, defect)
 
     def bloch_scaling(self) -> tuple[float, float, float]:
         return _scalings(*self.p)

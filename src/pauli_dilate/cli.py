@@ -102,7 +102,7 @@ def _load_descriptor(arg: str | None) -> dict:
     text = arg if arg.lstrip().startswith(("{", "[")) else Path(arg).read_text()
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"malformed JSON descriptor: {exc}") from exc
     if not isinstance(desc, dict):
         raise ValueError(f"descriptor must be an object, got {type(desc).__name__}")
@@ -151,7 +151,7 @@ def cmd_dilate(args) -> int:
     report = {
         "dim_system": 2,
         "dim_env": len(dil.slots),
-        "kraus_rank": dil.kraus_rank,
+        "kraus_rank": len(dil.slots),
         "isometry_defect": dil.defect,
         "isometry": [list(row) for row in dil.rows],
     }
@@ -241,8 +241,7 @@ def cmd_collide(args) -> int:
         if not isinstance(dts, list) or not dts:
             raise ValueError('"dts" must be a non-empty list of collision durations')
         dts = [as_reals(v, '"dts" entry') for v in dts]
-        cfg = CollisionConfig(a, zeta, dts[0], 1)
-        entries = convergence_report(cfg, dts, t_final)
+        entries = convergence_report(a, zeta, dts, t_final)
         ladder = np.array([(entry.dt, entry.max_error) for entry in entries])
         _emit(["dt,max_trace_distance\n", _csv_rows(ladder)], args.output)
         return 0
@@ -252,8 +251,10 @@ def cmd_collide(args) -> int:
     n = as_reals(desc["n"], '"n"')
     if not n.is_integer():
         raise ValueError(f'"n" must be a whole number of collisions, got {n}')
-    cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'), int(n))
-    entries = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)
+    cfg = CollisionConfig(a, zeta, as_reals(desc["dt"], '"dt"'))
+    if n < 1:
+        raise ValueError("need at least one collision")
+    entries = convergence_report(a, zeta, [cfg.dt], n * cfg.dt)
     errors, prefix = entries[0].errors, _fmt_real(cfg.dt) + ","
     slices = (_csv_rows(errors[s:s + GRID_CHUNK], prefix)
               for s in range(0, len(errors), GRID_CHUNK))

@@ -36,7 +36,7 @@ _INITIAL_BLOCH = (0.5773502691896258, 0.5773502691896258, 0.5773502691896257)
 
 @dataclass(frozen=True)
 class CollisionConfig:
-    """Lindblad weights a, rate scale zeta, collision duration dt, count n.
+    """Lindblad weights a, rate scale zeta and collision duration dt.
 
     The interaction strength is nu = sqrt(zeta / dt), so nu^2 dt = zeta
     holds exactly at any dt.
@@ -45,7 +45,6 @@ class CollisionConfig:
     a: tuple[float, float, float]
     zeta: float
     dt: float
-    n: int
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
@@ -63,8 +62,6 @@ class CollisionConfig:
         if not math.isfinite(2.0 * self.zeta * xi + math.sqrt(xi) * self.nu * self.dt):
             raise ValueError(f"zeta = {self.zeta} and dt = {self.dt} overflow the rates or the "
                              f"collision angle for weights {a}")
-        if self.n < 1:
-            raise ValueError("need at least one collision")
         object.__setattr__(self, "a", a)
 
     @property
@@ -107,9 +104,9 @@ class ConvergenceEntry:
         return float(self.errors[:, 1].max())
 
 
-def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
+def convergence_report(a: Sequence[float], zeta: float, dts: Sequence[float],
                        t_final: float) -> list[ConvergenceEntry]:
-    """Trajectory error against the exact semigroup for each dt.
+    """Trajectory error of the collision model (a, zeta) against its semigroup for each dt.
 
     Each rung runs round(t_final / dt) collisions, at most MAX_COLLISIONS, and
     so do all rungs together; every rung is checked before any is computed.
@@ -119,12 +116,13 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
     semigroup exp(-2 t_k (sum_j gamma_j - gamma_i)) r0 at every t_k = k dt,
     TABLE_CHUNK rows at a time.
     """
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError(f"t_final must be finite and positive, got {t_final}")
     rungs = []
     total = 0
     for dt in dts:
-        run = CollisionConfig(cfg.a, cfg.zeta, float(dt), cfg.n)  # the dt and overflow checks
+        run = CollisionConfig(a, zeta, float(dt))  # the weight, rate, dt and overflow checks
+        # in the loop, so a fault of the model and the first dt is named before one of t_final
+        if not (math.isfinite(t_final) and t_final > 0):
+            raise ValueError(f"t_final must be finite and positive, got {t_final}")
         steps = t_final / run.dt
         if not steps <= MAX_COLLISIONS:
             raise ValueError(f"{steps:.6g} collisions exceed the cap of {MAX_COLLISIONS} "
@@ -137,11 +135,10 @@ def convergence_report(cfg: CollisionConfig, dts: Sequence[float],
             raise ValueError(f"the first {len(rungs) + 1} rungs hold {total} collisions, more "
                              f"than the cap of {MAX_COLLISIONS} per ladder")
         rungs.append((run, n))
-    gamma = cfg.rates()
     r0 = np.array(_INITIAL_BLOCH)
     entries = []
     for run, n in rungs:
-        lam = np.array(collision_channel(run).bloch_scaling())
+        lam, gamma = np.array(collision_channel(run).bloch_scaling()), run.rates()
         table = np.empty((n + 1, 2))
         for s in range(0, n + 1, TABLE_CHUNK):
             k = np.arange(s, min(s + TABLE_CHUNK, n + 1))

@@ -33,16 +33,19 @@ class Isometry:
     """A (dim_s * dim_e) x dim_s matrix V with V+ V = I, held as a read-only copy."""
 
     v: np.ndarray
-    dim_s: int
-    dim_e: int
+    dim_s: int = field(init=False)
+    dim_e: int = field(init=False)
 
     def __post_init__(self):
         a = as_complex_matrix(self.v).copy()
-        if a.shape != (self.dim_s * self.dim_e, self.dim_s):
-            raise ValueError(f"isometry shape {a.shape} does not match dims "
-                             f"({self.dim_s}, {self.dim_e})")
+        rows, ds = a.shape
+        if not 0 < ds <= rows or rows % ds:
+            raise ValueError(f"isometry shape {a.shape} needs a positive multiple of its "
+                             "column count as its row count")
         a.flags.writeable = False
         object.__setattr__(self, "v", a)
+        object.__setattr__(self, "dim_s", ds)
+        object.__setattr__(self, "dim_e", rows // ds)
         if self.defect() > DEFAULT_TOL:
             raise ValueError("V+ V deviates from the identity beyond 1e-10")
 
@@ -163,7 +166,7 @@ def dilation_from_kraus(kraus: Sequence[np.ndarray]) -> Isometry:
         raise ValueError("Kraus set is not trace preserving")
     # row (i, j) of V is row i of the j-th Kraus operator
     v = np.stack(ops, axis=1)
-    return Isometry(v.reshape(dim_s * len(ops), dim_s), dim_s, len(ops))
+    return Isometry(v.reshape(dim_s * len(ops), dim_s))
 
 
 def phase_damping_isometry(p: float) -> Isometry:

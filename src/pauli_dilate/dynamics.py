@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,25 +43,26 @@ class PhysicalDilation:
 
     h: np.ndarray
     psi_e: np.ndarray
-    dim_s: int
-    dim_e: int
+    dim_s: int = field(init=False)
+    dim_e: int = field(init=False)
 
     def __post_init__(self):
         h = as_complex_matrix(self.h).copy()
         psi = np.array(self.psi_e, dtype=np.complex128).reshape(-1)
-        d = self.dim_s * self.dim_e
-        if h.shape != (d, d):
-            raise ValueError(f"Hamiltonian shape {h.shape} does not match dims")
+        d, de = len(h), psi.size
+        if h.shape != (d, d) or not 0 < de <= d or d % de:
+            raise ValueError(f"Hamiltonian shape {h.shape} is not square with a positive "
+                             f"multiple of the environment dimension {de} as its size")
         if hermiticity_defect(h) > 1e-12:
             raise ValueError("Hamiltonian is not Hermitian within 1e-12")
-        if psi.shape != (self.dim_e,):
-            raise ValueError("environment state dimension mismatch")
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("environment state is not normalized")
         h.flags.writeable = False
         psi.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "psi_e", psi)
+        object.__setattr__(self, "dim_s", d // de)
+        object.__setattr__(self, "dim_e", de)
 
     def embed(self) -> np.ndarray:
         """The (dim_s*dim_e) x dim_s injection |phi> -> |phi> (x) |psi_E>."""
@@ -70,8 +71,11 @@ class PhysicalDilation:
 
 @dataclass(frozen=True)
 class KrylovSubspace:
-    basis: np.ndarray  # orthonormal columns
-    dim: int
+    basis: np.ndarray  # orthonormal columns, one per dimension
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -121,9 +125,8 @@ _TRANSFER = np.einsum("bki,ajl->ijklba", PAULI_BASIS, PAULI_BASIS).reshape(16, 1
 
 def isometry_at(pd: PhysicalDilation, t: float) -> Isometry:
     u = mat_exp_hermitian(pd.h, t)
-    d = pd.dim_s * pd.dim_e
     # u @ pd.embed(): contract each column block of u with psi_E, building no kron
-    return Isometry(u.reshape(d, pd.dim_s, pd.dim_e) @ pd.psi_e, pd.dim_s, pd.dim_e)
+    return Isometry(u.reshape(len(u), pd.dim_s, pd.dim_e) @ pd.psi_e)
 
 
 def channels_on_grid(pd: PhysicalDilation, times) -> ChannelGrid:
@@ -178,7 +181,7 @@ def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> 
 def build_phase_damping_dilation() -> PhysicalDilation:
     """H = Z (x) X with the environment qubit in |1>; p(t) = sin^2(t)."""
     h = string_hamiltonian([("ZX", 1.0)])
-    return PhysicalDilation(h, basis_state("1"), 2, 2)
+    return PhysicalDilation(h, basis_state("1"))
 
 
 def build_depolarizing_dilation() -> PhysicalDilation:
@@ -193,7 +196,7 @@ def build_generic_pauli_dilation(a1: float, a2: float, a3: float) -> PhysicalDil
     p_i(t) = a_i^2 sin^2(sqrt(xi) t) / xi.
     """
     h = string_hamiltonian(list(zip(GENERIC_TERMS, (a1, a2, a3))))
-    return PhysicalDilation(h, basis_state("11"), 2, 4)
+    return PhysicalDilation(h, basis_state("11"))
 
 
 def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
@@ -241,7 +244,7 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
             raise ValueError("psiE label must cover the environment qubits, and every "
                              "Hamiltonian string needs the system qubit and at least one of them")
         h = string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
-        return PhysicalDilation(h, basis_state(psi_label), 2, 2 ** (n - 1))
+        return PhysicalDilation(h, basis_state(psi_label))
     raise ValueError("dilation descriptor needs 'builder' or 'hamiltonian'")
 
 
@@ -251,7 +254,6 @@ def krylov_subspace(pd: PhysicalDilation) -> KrylovSubspace:
     Seeds run over the system basis; powers of H are applied until the rank
     saturates.  Gram-Schmidt with one reorthogonalization pass.
     """
-    dim = pd.dim_s * pd.dim_e
     basis: list[np.ndarray] = []
 
     def add(vec: np.ndarray) -> bool:
@@ -269,13 +271,13 @@ def krylov_subspace(pd: PhysicalDilation) -> KrylovSubspace:
     for col in pd.embed().T:
         if add(col):
             frontier.append(basis[-1])
-    while frontier and len(basis) < dim:
+    while frontier and len(basis) < len(pd.h):
         next_frontier = []
         for vec in frontier:
             if add(pd.h @ vec):
                 next_frontier.append(basis[-1])
         frontier = next_frontier
-    return KrylovSubspace(np.column_stack(basis), len(basis))
+    return KrylovSubspace(np.column_stack(basis))
 
 
 def restricted_commutator_norm(pd: PhysicalDilation, sym, k: KrylovSubspace) -> float:
@@ -296,10 +298,9 @@ def symmetrize_full(pd: PhysicalDilation, k: KrylovSubspace) -> PhysicalDilation
     invariance = np.linalg.norm(pd.h @ p - p @ (pd.h @ p))
     if invariance > DEFAULT_TOL:
         raise ValueError(f"subspace is not invariant under H (defect {invariance:.3e})")
-    d = pd.dim_s * pd.dim_e
-    h2 = p @ pd.h @ p + (np.eye(d) - p)
+    h2 = p @ pd.h @ p + (np.eye(len(p)) - p)
     h2 = 0.5 * (h2 + h2.conj().T)
-    return PhysicalDilation(h2, pd.psi_e, pd.dim_s, pd.dim_e)
+    return PhysicalDilation(h2, pd.psi_e)
 
 
 def schedule_for_target(p_target: Callable[[float], float], t_final: float,

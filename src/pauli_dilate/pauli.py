@@ -158,13 +158,15 @@ def string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
     if not math.isfinite(sum(abs(float(c)) for _, c in terms)):  # bounds every entry of the sum
         raise ValueError("Hamiltonian coefficients must be finite, and so must the sum of "
                          f"their magnitudes, got {[float(c) for _, c in terms]}")
-    mats = []
+    # summed in place in term order, so memory stays a few matrices however many terms there
+    # are; from 0, as sum() starts, so a -0.0 entry adds up to the same bits
+    h = 0
     for label, coeff in terms:
         p = pauli(label)
         if p.phase not in (1, -1):
             raise ValueError("Hamiltonian strings must carry a real phase")
-        mats.append(float(coeff) * to_matrix(p))
-    return sum(mats)
+        h += float(coeff) * to_matrix(p)
+    return h
 
 
 @lru_cache(maxsize=16)
@@ -215,14 +217,26 @@ def pauli_basis_expand(m, tol: float = 1e-12) -> dict[PauliString, complex]:
 
 
 def pauli_commutant(generators: Iterable[PauliString], qubits: int) -> list[PauliString]:
-    """Phase-free strings commuting with every generator, in enumeration order."""
+    """Phase-free strings commuting with every generator, in enumeration order.
+
+    Commuting with g and h means commuting with gh, so the scan tests only the
+    generators whose masks x << n | z are independent over GF(2) of the ones
+    kept before them, at most 2n: a mask that the kept ones reduce to 0 is a
+    product of them.
+    """
     if not 1 <= qubits <= MAX_COMMUTANT_QUBITS:
         raise ValueError(f"qubits must be between 1 and {MAX_COMMUTANT_QUBITS}, got {qubits}")
-    gens = list(generators)
-    for g in gens:
+    reduced, independent = [], []
+    for g in generators:
         if g.n_qubits != qubits:
             raise ValueError("generator qubit count mismatch")
-    return [p for p in iter_strings(qubits) if all(commutes(p, g) for g in gens)]
+        m = g.x << qubits | g.z
+        for r in reduced:
+            m = min(m, m ^ r)  # clears r's leading bit when m holds it
+        if m:
+            reduced.append(m)
+            independent.append(g)
+    return [p for p in iter_strings(qubits) if all(commutes(p, g) for g in independent)]
 
 
 def pauli_group() -> list[PauliString]:

@@ -330,7 +330,7 @@ def check_krylov_structure() -> CheckResult:
     worst = max(worst, float(np.linalg.norm(p @ dep.h - p @ dep.h @ p)))
     pd_deph, _ = _builders()["phase_damping"]
     ok = ok and dynamics.krylov_subspace(pd_deph).dim == 4
-    zero = dynamics.PhysicalDilation(np.zeros((8, 8)), linalg.basis_state("11"), 2, 4)
+    zero = dynamics.PhysicalDilation(np.zeros((8, 8)), linalg.basis_state("11"))
     ok = ok and dynamics.krylov_subspace(zero).dim == 2
     return CheckResult("krylov-structure", ok and worst <= 1e-10, worst, 1e-10)
 
@@ -376,7 +376,7 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     if commutator > 1e-12:
         return CheckResult("rotating-phase-freedom", False, commutator, 1e-9,
                            "free environment term does not commute with H")
-    rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
+    rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e)
     base = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
     rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
     worst = float(np.max(np.abs(base.probs - rot.probs)))
@@ -400,7 +400,7 @@ def check_alternate_initial_state() -> CheckResult:
     flipped, and it leaves |0> fixed.
     """
     deph, _ = _builders()["phase_damping"]
-    pd = dynamics.PhysicalDilation(deph.h, linalg.basis_state("0"), 2, 2)
+    pd = dynamics.PhysicalDilation(deph.h, linalg.basis_state("0"))
     times = (0.4, 0.7, 1.3)
     grid = dynamics.channels_on_grid(pd, times)
     laws = np.array([_law((0, 0, 1), t) for t in times])
@@ -444,12 +444,12 @@ def check_collision_bath_conditions() -> CheckResult:
             c = complex(psi.conj() @ bi.conj().T @ bj @ psi)
             worst = max(worst, abs(c - (1.0 if i == j else 0.0)))
     # the closed-form collision channel against the dilation it stands for
-    cfg = collisions.CollisionConfig((0.7, 0.5, 0.3), 1.0, 0.05, 4)
-    pd = dynamics.PhysicalDilation(collisions.collision_hamiltonian(cfg.a, cfg.nu), psi, 2, 4)
+    cfg = collisions.CollisionConfig((0.7, 0.5, 0.3), 1.0, 0.05)
+    pd = dynamics.PhysicalDilation(collisions.collision_hamiltonian(cfg.a, cfg.nu), psi)
     v = dynamics.isometry_at(pd, cfg.dt)
     channel = collisions.collision_channel(cfg)
     fast = exact = channels.bloch_state(np.array([0.2, -0.3, 0.4]))
-    for _ in range(cfg.n):
+    for _ in range(4):
         fast = channel.apply(fast)
         exact = dilations.channel_of_isometry(v, exact)
         worst = max(worst, linalg.frob_dist(fast, exact))
@@ -457,8 +457,7 @@ def check_collision_bath_conditions() -> CheckResult:
 
 
 def check_collision_convergence_trend() -> CheckResult:
-    cfg = collisions.CollisionConfig((0, 0, 1), 1.0, 0.1, 10)
-    entries = collisions.convergence_report(cfg, [0.1, 0.05], 1.0)
+    entries = collisions.convergence_report((0, 0, 1), 1.0, [0.1, 0.05], 1.0)
     ok = entries[1].max_error < entries[0].max_error
     return CheckResult("collision-convergence-trend", ok, entries[1].max_error,
                        entries[0].max_error, f"errors={[e.max_error for e in entries]}")

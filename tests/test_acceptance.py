@@ -220,12 +220,12 @@ def test_criterion_08_rotating_phase_and_dilation_freedom():
     tol = 1e-9
     sys_rep = defining_pauli_rep()
     pd = build_phase_damping_dilation()
-    rotated = PhysicalDilation(pd.h + kron(ID2, SX), pd.psi_e, 2, 2)
+    rotated = PhysicalDilation(pd.h + kron(ID2, SX), pd.psi_e)
     worst_prob = float(np.max(np.abs(
         channels_on_grid(pd, TIME_GRID).probs - channels_on_grid(rotated, TIME_GRID).probs)))
     prob_ok = worst_prob <= 1e-10
 
-    alt = PhysicalDilation(pd.h, basis_state("0"), 2, 2)
+    alt = PhysicalDilation(pd.h, basis_state("0"))
     sol = solve_env_rep(isometry_at(alt, 0.4), sys_rep)
     worst = 0.0
     for g in sys_rep.labels:
@@ -237,7 +237,7 @@ def test_criterion_08_rotating_phase_and_dilation_freedom():
     v = phase_damping_isometry(0.3)
     for seed in range(5):
         w = haar_unitary(2, np.random.default_rng(SEED + seed))
-        sol_w = solve_env_rep(Isometry(kron(ID2, w) @ v.v, 2, 2), sys_rep)
+        sol_w = solve_env_rep(Isometry(kron(ID2, w) @ v.v), sys_rep)
         for g in sys_rep.labels:
             worst = max(worst, frob_dist(sol_w.rep.mats[g], w @ base.mats[g] @ w.conj().T))
     report(8, "rotating phase is redundant; dilation freedom conjugates the representation",
@@ -271,14 +271,13 @@ def test_criterion_10_collision_convergence_and_rates():
     ok = True
     worst_ratio_dev = 0.0
     for a in ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)):
-        cfg = CollisionConfig(a, 1.0, 0.1, 10)
-        errs = [e.max_error for e in convergence_report(cfg, dts, 1.0)]
+        errs = [e.max_error for e in convergence_report(a, 1.0, dts, 1.0)]
         ok = ok and all(big > small for big, small in zip(errs, errs[1:]))
         for big, small in zip(errs, errs[1:]):
             ratio = big / small
             ok = ok and 1.6 <= ratio <= 2.4
             worst_ratio_dev = max(worst_ratio_dev, abs(ratio - 2.0))
-        fine = CollisionConfig(a, 1.0, 0.0125, 80)
+        fine = CollisionConfig(a, 1.0, 0.0125)
         rates = fit_decay_rates(fine)
         target = fine.rates()
         for got, want in zip(rates, target):

@@ -370,7 +370,7 @@ class TestClosedFormDilation:
         dil = ch.minimal_dilation()
         v = dilation_from_kraus(ch.kraus_ops())
         assert dil.slots == tuple(a for a, q in enumerate(p) if q > 0)
-        assert dil.kraus_rank == len(dil.slots) == v.dim_e
+        assert ch.choi_spectrum()[1] == len(dil.slots) == v.dim_e
         assert np.array_equal(_array(dil.rows), v.v)
         assert abs(dil.defect - v.defect()) <= 1e-15
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pauli_dilate import cli, dynamics
 from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, _render_json, main
-from pauli_dilate.collisions import CollisionConfig, convergence_report
+from pauli_dilate.collisions import convergence_report
 from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 from reference_ops import fit_at
@@ -359,8 +359,7 @@ class TestCollideCommand:
     def test_long_trajectory_renders_in_slices_as_one_table(self, capsys, tmp_path):
         n = 2 * GRID_CHUNK + 5  # three slices, the last one short
         desc = f'{{"a":[0.5,0.4,0.3],"zeta":1.0,"dt":0.001,"n":{n}}}'
-        cfg = CollisionConfig((0.5, 0.4, 0.3), 1.0, 0.001, n)
-        errors = convergence_report(cfg, [cfg.dt], cfg.n * cfg.dt)[0].errors
+        errors = convergence_report((0.5, 0.4, 0.3), 1.0, [0.001], n * 0.001)[0].errors
         want = "dt,t,trace_distance\n" + _csv_rows(errors, "0.001,")
         assert run_cli(["collide", "--in", desc], capsys)[:2] == (0, want)
         path = tmp_path / "trajectory.csv"
@@ -384,6 +383,40 @@ class TestCollideCommand:
     def test_rejects_missing_fields(self, capsys):
         code, _, _ = run_cli(["collide", "--in", '{"a":[0,0,1],"zeta":1.0}'], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("desc, message", [
+        ('"dt":0.1,"n":0', "need at least one collision"),
+        ('"dt":0.1,"n":-3', "need at least one collision"),
+        ('"dt":0.1,"n":2.5', '"n" must be a whole number of collisions, got 2.5'),
+        ('"dt":0,"n":3', "collision duration must be finite and positive, got 0.0"),
+        ('"dt":0,"n":0', "collision duration must be finite and positive, got 0.0"),
+        ('"dt":1e-6,"n":1000001', "1e+06 collisions exceed the cap of 1000000 per trajectory"),
+        ('"dts":[],"t_final":1', '"dts" must be a non-empty list of collision durations'),
+        ('"dts":[0.1],"t_final":0', "t_final must be finite and positive, got 0.0"),
+        ('"dts":[1e-300],"t_final":1', "1e+300 collisions exceed the cap of 1000000 per "
+                                       "trajectory"),
+    ])
+    def test_edge_cases_keep_their_messages(self, capsys, desc, message):
+        desc = '{"a":[0.5,0.4,0.3],"zeta":1.0,' + desc + "}"
+        assert run_cli(["collide", "--in", desc], capsys) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("desc, message", [
+        ('"zeta":-1,"dts":[0.1],"t_final":0', "zeta must be finite and nonnegative, got -1.0"),
+        ('"zeta":1,"dts":[0],"t_final":0',
+         "collision duration must be finite and positive, got 0.0"),
+        ('"zeta":1,"dts":[0.1,0],"t_final":0', "t_final must be finite and positive, got 0.0"),
+        ('"zeta":-1,"dt":0,"n":0', "zeta must be finite and nonnegative, got -1.0"),
+    ])
+    def test_model_faults_are_named_before_the_ladder_or_trajectory_length(self, capsys, desc,
+                                                                           message):
+        desc = '{"a":[0.5,0.4,0.3],' + desc + "}"
+        assert run_cli(["collide", "--in", desc], capsys) == (1, "", f"error: {message}\n")
+
+    def test_one_collision_of_a_tiny_duration_runs(self, capsys):
+        code, out, _ = run_cli(["collide", "--in",
+                                '{"a":[0.5,0.4,0.3],"zeta":1.0,"dt":1e-300,"n":3}'], capsys)
+        assert code == 0 and out.splitlines()[1:] == ["1e-300,0,0", "1e-300,1e-300,0",
+                                                      "1e-300,2e-300,0", "1e-300,3e-300,0"]
 
     @pytest.mark.parametrize("desc", [
         '{"a":[NaN,0,0],"zeta":1,"dt":0.1,"n":3}',
@@ -535,6 +568,16 @@ class TestCliContract:
 
     def test_missing_file_exits_one(self, capsys):
         assert run_cli(["channel", "--in", "/nonexistent.json"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("command", ["channel", "commutant", "collide"])
+    def test_deeply_nested_json_ends_in_one_line(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * 50000)
+        for arg in ("[" * 3000, '{"generators": ' + "[" * 3000 + "]" * 3000 + "}", str(path)):
+            code, out, err = run_cli([command, "--in", arg], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: malformed JSON descriptor: maximum recursion depth")
+            assert err.count("\n") == 1
 
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run_cli(["channel", "--in", '{"type":"phase_damping","p":0.1}'], capsys)

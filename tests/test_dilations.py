@@ -94,17 +94,29 @@ def factor_of(label: str) -> str:
 class TestIsometryType:
     def test_validates_isometry_property(self):
         with pytest.raises(ValueError):
-            Isometry(np.ones((4, 2)), 2, 2)
+            Isometry(np.ones((4, 2)))
 
     def test_validates_shape(self):
-        with pytest.raises(ValueError):
-            Isometry(np.eye(4), 2, 2)
+        # np.eye(4) is a 4 x 4 unitary, an isometry with dim_e 1; 3 rows hold no whole
+        # number of 2-dimensional system blocks
+        with pytest.raises(ValueError, match="positive multiple"):
+            Isometry(np.eye(3)[:, :2])
+
+    @given(st.integers(0, 12), st.integers(0, 12))
+    def test_dims_come_from_the_shape(self, rows, cols):
+        v = np.eye(rows, cols)
+        if 0 < cols <= rows and rows % cols == 0:
+            iso = Isometry(v)
+            assert (iso.dim_s, iso.dim_e) == (cols, rows // cols)
+        else:
+            with pytest.raises(ValueError, match="^isometry shape"):
+                Isometry(v)
 
     @pytest.mark.parametrize("dim_s, dim_e", [(1, 1), (2, 1), (2, 2), (2, 4), (4, 2)])
     def test_defect_is_distance_of_gram_to_identity(self, rng, dim_s, dim_e):
         # the diagonal is shifted in place; the identity it replaces is the oracle, bit for bit
         for _ in range(20):
-            v = Isometry(haar_unitary(dim_s * dim_e, rng)[:, :dim_s], dim_s, dim_e)
+            v = Isometry(haar_unitary(dim_s * dim_e, rng)[:, :dim_s])
             gram = v.v.conj().T @ v.v
             assert v.defect() == float(np.linalg.norm(gram - np.eye(dim_s)))
             assert v.defect() == v.defect()  # the stored matrix is not changed
@@ -112,7 +124,7 @@ class TestIsometryType:
     def test_holds_a_read_only_copy(self):
         # complex input of the final shape, which a coercion alone would not copy
         given_array = phase_damping_isometry(0.3).v.copy()
-        v = Isometry(given_array, 2, 2)
+        v = Isometry(given_array)
         assert not np.shares_memory(v.v, given_array)
         with pytest.raises(ValueError, match="read-only"):
             v.v[0, 0] = 5.0
@@ -177,7 +189,7 @@ class TestChannelOfIsometry:
         base = channel_of_isometry(v, rho)
         for seed in range(3):
             w = haar_unitary(4, np.random.default_rng(seed))
-            rotated = Isometry(kron(ID2, w) @ v.v, 2, 4)
+            rotated = Isometry(kron(ID2, w) @ v.v)
             assert frob_dist(channel_of_isometry(rotated, rho), base) < 1e-13
 
     def test_zero_probability_channel_is_identity(self, rng):
@@ -245,7 +257,7 @@ class TestEnvRepresentation:
         base = solve_env_rep(v, sys_rep).rep
         for seed in range(3):
             w = haar_unitary(2, np.random.default_rng(seed))
-            rotated = Isometry(kron(ID2, w) @ v.v, 2, 2)
+            rotated = Isometry(kron(ID2, w) @ v.v)
             sol = solve_env_rep(rotated, sys_rep)
             for g in sys_rep.labels:
                 assert frob_dist(sol.rep.mats[g], w @ base.mats[g] @ w.conj().T) < 1e-9
@@ -287,7 +299,7 @@ def covariant_isometries(draw):
         v = pauli_channel_isometry(draw(_probabilities))
         if kind == "rotated":
             w = haar_unitary(4, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-            v = Isometry(kron(ID2, w) @ v.v, 2, 4)
+            v = Isometry(kron(ID2, w) @ v.v)
         return v
     if kind == "phase_damping":  # p(t) = sin^2 t stays inside (0, 1)
         return isometry_at(build_phase_damping_dilation(), draw(st.floats(0.1, 1.4)))

@@ -53,20 +53,31 @@ def generic_probs(a, t):
 class TestPhysicalDilationType:
     def test_validates_hermiticity(self):
         with pytest.raises(ValueError):
-            PhysicalDilation(np.array([[0, 1], [0, 0]]), np.array([1.0]), 2, 1)
+            PhysicalDilation(np.array([[0, 1], [0, 0]]), np.array([1.0]))
 
     def test_validates_state_norm(self):
         with pytest.raises(ValueError):
-            PhysicalDilation(np.zeros((4, 4)), np.array([1.0, 1.0]), 2, 2)
+            PhysicalDilation(np.zeros((4, 4)), np.array([1.0, 1.0]))
 
     def test_rejects_non_finite_state(self):
         with pytest.raises(ValueError):
-            PhysicalDilation(np.zeros((4, 4)), np.array([math.nan, 0.0]), 2, 2)
+            PhysicalDilation(np.zeros((4, 4)), np.array([math.nan, 0.0]))
+
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 6))
+    def test_dims_come_from_the_arrays(self, rows, cols, dim_e):
+        h, psi = np.zeros((rows, cols)), np.eye(max(dim_e, 1))[0, :dim_e]
+        if rows == cols and 0 < dim_e <= rows and rows % dim_e == 0:
+            pd = PhysicalDilation(h, psi)
+            assert (pd.dim_s, pd.dim_e) == (rows // dim_e, dim_e)
+            assert pd.embed().shape == (rows, pd.dim_s)
+        else:
+            with pytest.raises(ValueError, match="^Hamiltonian shape"):
+                PhysicalDilation(h, psi)
 
     def test_holds_read_only_copies(self):
         # complex input of the final shapes, which a coercion alone would not copy
         h, psi = to_matrix(pauli("ZX")), basis_state("1")
-        pd = PhysicalDilation(h, psi, 2, 2)
+        pd = PhysicalDilation(h, psi)
         for held, given_array in ((pd.h, h), (pd.psi_e, psi)):
             assert not np.shares_memory(held, given_array)
             with pytest.raises(ValueError, match="read-only"):
@@ -212,7 +223,7 @@ class TestKrylov:
         assert krylov_subspace(build_phase_damping_dilation()).dim == 4
 
     def test_zero_hamiltonian_keeps_initial_slice(self):
-        pd = PhysicalDilation(np.zeros((8, 8)), basis_state("11"), 2, 4)
+        pd = PhysicalDilation(np.zeros((8, 8)), basis_state("11"))
         assert krylov_subspace(pd).dim == 2
 
     def test_invariance_of_block_and_complement(self):
@@ -280,10 +291,18 @@ class TestSymmetrizeFull:
         sym = symmetrize_full(pd, k)
         assert frob_dist(sym.h, pd.h) < 1e-12
 
+    @pytest.mark.parametrize("pd", [build_phase_damping_dilation(), build_depolarizing_dilation(),
+                                    PhysicalDilation(np.zeros((8, 8)), basis_state("11"))])
+    def test_dim_is_the_column_count(self, pd):
+        from pauli_dilate.dynamics import KrylovSubspace
+        k = krylov_subspace(pd)
+        assert k.dim == k.basis.shape[1]
+        assert KrylovSubspace(k.basis[:, :1]).dim == 1
+
     def test_rejects_non_invariant_subspace(self):
         pd = build_depolarizing_dilation()
         from pauli_dilate.dynamics import KrylovSubspace
-        bad = KrylovSubspace(np.column_stack([basis_state("111"), basis_state("110")]), 2)
+        bad = KrylovSubspace(np.column_stack([basis_state("111"), basis_state("110")]))
         with pytest.raises(ValueError):
             symmetrize_full(pd, bad)
 
@@ -409,7 +428,7 @@ class TestSchedule:
         oracle = replay_by_products(sched, pd)
         assert len(grid.t) == len(oracle)
         for k, (t_end, v) in enumerate(oracle):
-            _, probs, leakage = fit_pauli_transfer(Isometry(v, pd.dim_s, pd.dim_e))
+            _, probs, leakage = fit_pauli_transfer(Isometry(v))
             assert grid.t[k] == t_end
             assert np.max(np.abs(grid.probs[k] - probs)) < 1e-12
             assert abs(grid.leakage[k] - leakage) < 1e-12
@@ -477,7 +496,7 @@ class TestPauliTransfer:
     def test_matches_trace_loop_on_random_isometries(self, rng, dim_e):
         for _ in range(10):
             u = haar_unitary(2 * dim_e, rng)
-            v = Isometry(u[:, :2], 2, dim_e)
+            v = Isometry(u[:, :2])
             assert np.max(np.abs(fit_pauli_transfer(v)[0] - transfer_by_traces(v))) < 1e-14
 
 
@@ -492,7 +511,7 @@ def superposed_dilations(draw):
     z = np.array(draw(st.lists(complex_entries, min_size=d * d, max_size=d * d))).reshape(d, d)
     psi = np.array(draw(st.lists(complex_entries, min_size=dim_e, max_size=dim_e).filter(
         lambda v: np.linalg.norm(v) > 0.1)))
-    return PhysicalDilation(0.5 * (z + z.conj().T), psi / np.linalg.norm(psi), 2, dim_e)
+    return PhysicalDilation(0.5 * (z + z.conj().T), psi / np.linalg.norm(psi))
 
 
 @given(superposed_dilations(), st.floats(0.0, 4.0))
@@ -573,7 +592,7 @@ def _denormalized():
     (build_phase_damping_dilation, [0.5, math.nan], "finite and nonnegative"),
     (build_phase_damping_dilation, [math.inf], "finite and nonnegative"),
     (build_phase_damping_dilation, [[0.0, 1.0]], "1-d grid"),
-    (lambda: PhysicalDilation(1e300 * to_matrix(pauli("ZX")), basis_state("1"), 2, 2),
+    (lambda: PhysicalDilation(1e300 * to_matrix(pauli("ZX")), basis_state("1")),
      [0.0, 1e10], "overflows"),
     (_non_hermitian, [0.0], "not Hermitian"),
     (_denormalized, [0.0, 1.0], "deviates from the identity"),

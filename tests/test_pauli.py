@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pauli_dilate.pauli import (
     pauli_commutant,
     pauli_group,
     product_table,
+    string_hamiltonian,
     to_matrix,
 )
 from reference_ops import commutant_by_letters, commutes_by_letters, multiply_by_letters
@@ -334,6 +337,14 @@ def group_labels(gens: list[PauliString]) -> tuple[str, ...]:
     return tuple(found)
 
 
+def counting_commutes(calls: list):
+    """pauli.commutes, noting each call in `calls`."""
+    def counted(a, b):
+        calls.append((a, b))
+        return commutes(a, b)
+    return counted
+
+
 class TestBitPathOracle:
     """The bit-mask algebra against the per-letter rules of reference_ops."""
 
@@ -365,9 +376,57 @@ class TestBitPathOracle:
         got = pauli_commutant(gens, n)
         assert [held(p) for p in got] == [held(p) for p in commutant_by_letters(gens, n)]
 
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_commutant_scans_an_independent_subset(self, data):
+        # repeats and products span nothing new, so the scan may drop them; every string is
+        # tested against at most 2n generators, however many are given
+        n = data.draw(st.integers(1, 5))
+        base = data.draw(st.lists(strings_on(n), min_size=1, max_size=2 * n + 2))
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)),
+                                   max_size=8))
+        repeats = data.draw(st.lists(st.sampled_from(base), max_size=4))
+        gens = data.draw(st.permutations(base + [multiply(a, b) for a, b in pairs] + repeats))
+        want = [p for p in iter_strings(n) if all(commutes(p, g) for g in gens)]
+        calls = []
+        with mock.patch.object(pauli_mod, "commutes", counting_commutes(calls)):
+            got = pauli_commutant(gens, n)
+        assert [held(p) for p in got] == [held(p) for p in want]
+        met_by_identity = [g for p, g in calls if p.x == p.z == 0]  # it commutes with all
+        assert len(met_by_identity) == _f2_rank(gens)
+        assert len(calls) <= 4 ** n * 2 * n
+
+    def test_identity_generators_cost_no_test(self):
+        calls = []
+        with mock.patch.object(pauli_mod, "commutes", counting_commutes(calls)):
+            got = pauli_commutant([pauli("-III")] * 200, 3)
+        assert got == list(iter_strings(3)) and calls == []
+
     def test_masks_put_the_first_factor_highest(self):
         p = pauli("-iXYZI")
         assert (p.x, p.z) == (0b1100, 0b0110)
+
+
+class TestStringHamiltonian:
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(
+        st.builds(lambda sign, f: sign + "".join(f), st.sampled_from(["", "-"]),
+                  st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-5, 5)), min_size=1, max_size=12)))
+    def test_equals_the_list_sum_bit_for_bit(self, terms):
+        # signed zeros included: the sum starts from 0 as sum() does
+        want = sum([float(c) * to_matrix(pauli(label)) for label, c in terms])
+        assert string_hamiltonian(terms).tobytes() == want.tobytes()
+
+    def test_many_terms_stay_within_a_few_matrices(self):
+        terms = [("ZXXXX", 1e-3)] * 2000
+        string_hamiltonian(terms[:1])  # the matrix forms are built once, outside the trace
+        tracemalloc.start()
+        try:
+            h = string_hamiltonian(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * h.nbytes  # the 2000 term matrices would be 2000 h.nbytes
 
 
 class TestMatrixForms:

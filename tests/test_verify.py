@@ -130,8 +130,7 @@ def test_builder_table_is_one_read_only_table():
 def test_perturbed_hamiltonian_fails_commutant_membership():
     base = build_depolarizing_dilation()
     # X on the system alone anticommutes with the ZZZ symmetry string
-    perturbed = PhysicalDilation(base.h + to_matrix(pauli("XII")),
-                                 base.psi_e, base.dim_s, base.dim_e)
+    perturbed = PhysicalDilation(base.h + to_matrix(pauli("XII")), base.psi_e)
     result = verify.check_hamiltonian_commutant_membership(
         perturbed, generators=("ZZZ", "XZI", "YIZ"))
     assert not result.passed
@@ -139,14 +138,14 @@ def test_perturbed_hamiltonian_fails_commutant_membership():
 
 def test_perturbed_initial_state_fails_invariance():
     base = build_depolarizing_dilation()
-    perturbed = PhysicalDilation(base.h, basis_state("10"), base.dim_s, base.dim_e)
+    perturbed = PhysicalDilation(base.h, basis_state("10"))
     result = verify.check_invariant_environment_state(perturbed)
     assert not result.passed
 
 
 def test_environment_without_reference_fails_invariance():
     # three environment qubits: no builder family has that representation
-    pd = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"), 2, 8)
+    pd = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"))
     result = verify.check_invariant_environment_state(pd)
     assert not result.passed
     assert "dim_e=8" in result.detail
@@ -259,7 +258,7 @@ def rotating_phase_freedom_loop(pd, h_env):
     commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
     if commutator > 1e-12:
         return commutator
-    rotated = PhysicalDilation(pd.h + lifted, pd.psi_e, pd.dim_s, pd.dim_e)
+    rotated = PhysicalDilation(pd.h + lifted, pd.psi_e)
     base = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
     rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
     worst = float(np.max(np.abs(base.probs - rot.probs)))
@@ -279,7 +278,7 @@ def rotating_phase_freedom_loop(pd, h_env):
 
 def alternate_initial_state_loop():
     deph, _ = verify._builders()["phase_damping"]
-    pd = PhysicalDilation(deph.h, basis_state("0"), 2, 2)
+    pd = PhysicalDilation(deph.h, basis_state("0"))
     times = (0.4, 0.7, 1.3)
     worst = 0.0
     for t in times:
@@ -342,8 +341,8 @@ def perturbed_solver(monkeypatch, angle):
 def representation_cases():
     builders = verify._builders()
     deph, dep = builders["phase_damping"][0], builders["depolarizing"][0]
-    moved = PhysicalDilation(dep.h, basis_state("10"), dep.dim_s, dep.dim_e)
-    no_reference = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"), 2, 8)
+    moved = PhysicalDilation(dep.h, basis_state("10"))
+    no_reference = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"))
     return {
         "environment-representations": (
             verify.check_environment_representations, environment_representations_loop),
