@@ -19,7 +19,8 @@ def as_reals(value, field: str, count: int | None = None):
 
     Only ints and floats count as numbers.  Anything else, a string, a boolean
     or a missing (None) field included, raises a one-line ValueError naming
-    the field, the expected form and the value received.
+    the field, the expected form and the value received, whose repr is cut
+    after 160 characters.
     """
     items = (value,) if count is None else value
     if (isinstance(items, (list, tuple)) and len(items) == (count or 1)
@@ -30,7 +31,10 @@ def as_reals(value, field: str, count: int | None = None):
         except OverflowError:  # an int past the float range
             pass
     form = "a number" if count is None else f"a list of {count} numbers"
-    raise ValueError(f"{field} must be {form}, got {'nothing' if value is None else repr(value)}")
+    got = "nothing" if value is None else repr(value)
+    if len(got) > 160:
+        got = f"{got[:160]}... ({len(got)} characters)"
+    raise ValueError(f"{field} must be {form}, got {got}")
 
 
 def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:

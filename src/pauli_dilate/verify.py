@@ -95,6 +95,69 @@ def _max_norm(diff: np.ndarray, axis=(-2, -1)) -> float:
     return float(np.linalg.norm(diff, axis=axis).max(initial=0.0))
 
 
+class _Fixture:
+    """What several checks read, each derived on its first read and then shared.  run_all
+    makes one per run and a check called alone makes its own, so nothing outlives a run;
+    arrays are read-only and lists are tuples, so no check changes what the next reads."""
+
+    def __init__(self):
+        self._made = {}
+
+    def _once(self, key, make, owner=None):
+        # the entry holds `owner`, so an id(owner) in the key names no other object meanwhile
+        if key not in self._made:
+            self._made[key] = owner, make()
+        return self._made[key][1]
+
+    def commutant(self, labels) -> tuple[pauli_mod.PauliString, ...]:
+        gens = tuple(pauli_mod.pauli(s) for s in labels)
+        return self._once(gens, lambda: tuple(pauli_mod.pauli_commutant(gens, gens[0].n_qubits)))
+
+    def grid(self, pd: dynamics.PhysicalDilation) -> dynamics.ChannelGrid:
+        """pd's channels on TIME_GRID."""
+        return self._once(("grid", id(pd)),
+                          lambda: dynamics.channels_on_grid(pd, dynamics.TIME_GRID), pd)
+
+    def env_rep(self, pd: dynamics.PhysicalDilation, t: float) -> dilations.GroupRep:
+        """pi_E solved from pd's isometry V(t)."""
+        return self._once(("env_rep", id(pd), t), lambda: dilations.solve_env_rep(
+            dynamics.isometry_at(pd, t), dilations.defining_pauli_rep()).rep, pd)
+
+    @functools.cached_property
+    def phase_damping_v(self) -> dilations.Isometry:
+        return dilations.phase_damping_isometry(0.3)
+
+    @functools.cached_property
+    def depolarizing_v(self) -> dilations.Isometry:
+        return dilations.depolarizing_isometry(0.3)
+
+    @functools.cached_property
+    def phase_damping_rep(self) -> dilations.GroupRep:
+        return dilations.solve_env_rep(self.phase_damping_v, dilations.defining_pauli_rep()).rep
+
+    @functools.cached_property
+    def su2(self) -> dilations.SU2Generators:
+        gens = dilations.solve_su2_generators(self.depolarizing_v)
+        for j in (gens.jx, gens.jy, gens.jz):
+            j.flags.writeable = False
+        return gens
+
+    @functools.cached_property
+    def su2_totals(self) -> np.ndarray:
+        """S_a (x) I + I (x) J_a on system (x) depolarizing environment, a = x, y, z."""
+        gens = self.su2
+        totals = np.array([linalg.kron(s, np.eye(4)) + linalg.kron(np.eye(2), j)
+                           for s, j in zip(pauli_mod.SIGMA, (gens.jx, gens.jy, gens.jz))])
+        totals.flags.writeable = False
+        return totals
+
+    @functools.cached_property
+    def krylov(self) -> dynamics.KrylovSubspace:
+        k = dynamics.krylov_subspace(_builders()["depolarizing"][0])
+        k.basis.flags.writeable = False
+        return k
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -164,11 +227,11 @@ def _random_channels(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
     Per channel the draws are, in this order: Dirichlet weights, a direction,
     a radius; so a seed always tests the same inputs.
     """
-    p, vecs = np.empty((count, 4)), np.empty((count, 3))
+    p, vecs, alpha = np.empty((count, 4)), np.empty((count, 3)), np.ones(4)
     for w, r in zip(p, vecs):
-        w[:] = channels.PauliChannel(tuple(rng.dirichlet(np.ones(4)))).p
+        w[:] = channels.PauliChannel(rng.dirichlet(alpha).tolist()).p
         r[:] = rng.uniform(-1, 1, size=3)
-        r *= rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
+        r *= rng.uniform(0, 1) / max(math.sqrt(r.dot(r)), 1e-12)  # np.linalg.norm's own sum
     return p, vecs
 
 
@@ -218,21 +281,22 @@ def check_semigroup_derivative() -> CheckResult:
                        e1, 1e-3, f"ratio={e2 / e1:.3f}")
 
 
-def check_isometry_closed_forms() -> CheckResult:
-    worst = max(linalg.frob_dist(dilations.phase_damping_isometry(0.3).v, _phase_damping_v(0.3)),
-                linalg.frob_dist(dilations.depolarizing_isometry(0.3).v, _depolarizing_v(0.3)))
+def check_isometry_closed_forms(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
+    worst = max(linalg.frob_dist(fx.phase_damping_v.v, _phase_damping_v(0.3)),
+                linalg.frob_dist(fx.depolarizing_v.v, _depolarizing_v(0.3)))
     return _result("isometry-closed-forms", worst, 1e-12)
 
 
-def check_environment_representations() -> CheckResult:
-    sys_rep = dilations.defining_pauli_rep()
+def check_environment_representations(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
     worst = 0.0
-    sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    sol_dep = dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep)
-    for solved, want in ((sol, _canonical_env_rep(2)), (sol_dep, _canonical_env_rep(4))):
-        worst = max(worst, _max_norm(solved.rep.stack - want))
-    worst = max(worst, dilations.pauli_rep_law_defect(sol.rep))
-    worst = max(worst, dilations.pauli_rep_law_defect(sol_dep.rep))
+    rep = fx.phase_damping_rep
+    rep_dep = dilations.solve_env_rep(fx.depolarizing_v, dilations.defining_pauli_rep()).rep
+    for solved, want in ((rep, _canonical_env_rep(2)), (rep_dep, _canonical_env_rep(4))):
+        worst = max(worst, _max_norm(solved.stack - want))
+    worst = max(worst, dilations.pauli_rep_law_defect(rep))
+    worst = max(worst, dilations.pauli_rep_law_defect(rep_dep))
     return _result("environment-representations", worst, 1e-10)
 
 
@@ -248,8 +312,8 @@ def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
     return _result("generic-representation-p-independence", worst, 1e-10)
 
 
-def check_su2_generators() -> CheckResult:
-    gens = dilations.solve_su2_generators(dilations.depolarizing_isometry(0.3))
+def check_su2_generators(fixture: _Fixture | None = None) -> CheckResult:
+    gens = (fixture or _Fixture()).su2
     worst = linalg.frob_dist(gens.jz, _JZ)
     worst = max(worst, linalg.frob_dist(
         gens.jx @ gens.jy - gens.jy @ gens.jx, 2j * gens.jz))
@@ -258,25 +322,27 @@ def check_su2_generators() -> CheckResult:
     return _result("su2-generators", worst, 1e-10)
 
 
-def check_pauli_commutants() -> CheckResult:
-    deph = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in _DEPH_SYMMETRY], 2)
-    ok = deph == [pauli_mod.pauli(s) for s in _DEPH_COMMUTANT]
-    dep = pauli_mod.pauli_commutant([pauli_mod.pauli(s) for s in _DEP_SYMMETRY], 3)
+def check_pauli_commutants(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
+    ok = fx.commutant(_DEPH_SYMMETRY) == tuple(pauli_mod.pauli(s) for s in _DEPH_COMMUTANT)
+    dep = fx.commutant(_DEP_SYMMETRY)
     ok = ok and len(dep) == _DEP_COMMUTANT_SIZE
     ok = ok and all(pauli_mod.pauli(s) in dep for s in pauli_mod.GENERIC_TERMS)
     return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_builder_time_laws() -> CheckResult:
+def check_builder_time_laws(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
     worst = 0.0
     for pd, a in _builders().values():
-        grid = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
+        grid = fx.grid(pd)
         laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
         worst = max(worst, float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
     return _result("builder-time-laws", worst, 1e-10)
 
 
-def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None) -> CheckResult:
+def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None,
+                                      fixture: _Fixture | None = None) -> CheckResult:
     """The initial environment state must be fixed by the symmetry.
 
     Checks pi_E(g) |psi_E> = |psi_E> against the canonical representation of
@@ -284,7 +350,7 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
     dilation's own isometry agrees with it.  A perturbed initial state still
     dilates *some* channel, but breaks both conditions.
     """
-    sys_rep = dilations.defining_pauli_rep()
+    fx = fixture or _Fixture()
     targets = [pd] if pd is not None else [b for b, _ in _builders().values()]
     worst = 0.0
     for target in targets:
@@ -294,17 +360,19 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
         canonical = _canonical_env_rep(target.dim_e)
         worst = max(worst, _max_norm(canonical @ target.psi_e - target.psi_e, axis=-1))
         try:
-            sol = dilations.solve_env_rep(dynamics.isometry_at(target, 0.4), sys_rep)
+            stack = fx.env_rep(target, 0.4).stack
         except (ToleranceError, ValueError) as exc:
             return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
-        worst = max(worst, _max_norm(sol.rep.stack - canonical),
-                    _max_norm(sol.rep.stack @ target.psi_e - target.psi_e, axis=-1))
+        worst = max(worst, _max_norm(stack - canonical),
+                    _max_norm(stack @ target.psi_e - target.psi_e, axis=-1))
     return _result("invariant-environment-state", worst, 1e-10)
 
 
 def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None = None,
-                                           generators=None) -> CheckResult:
+                                           generators=None,
+                                           fixture: _Fixture | None = None) -> CheckResult:
     """Every Pauli term of the generator must lie in the symmetry commutant."""
+    fx = fixture or _Fixture()
     if pd is not None:
         cases = [(pd, generators)]
     else:
@@ -313,17 +381,16 @@ def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None 
                  (table["depolarizing"][0], _DEP_SYMMETRY), (table["generic"][0], _DEP_SYMMETRY)]
     ok = True
     for target, labels in cases:
-        gens = [pauli_mod.pauli(s) for s in labels]
-        allowed = set(pauli_mod.pauli_commutant(gens, gens[0].n_qubits))
+        allowed = set(fx.commutant(labels))
         terms = pauli_mod.pauli_basis_expand(target.h, tol=1e-12)
         ok = ok and all(term in allowed for term in terms)
     return CheckResult("hamiltonian-commutant-membership", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_krylov_structure() -> CheckResult:
+def check_krylov_structure(fixture: _Fixture | None = None) -> CheckResult:
     worst = 0.0
     dep, _ = _builders()["depolarizing"]
-    k = dynamics.krylov_subspace(dep)
+    k = (fixture or _Fixture()).krylov
     ok = k.dim == 4
     p = k.projector()
     worst = max(worst, float(np.linalg.norm(dep.h @ p - p @ dep.h @ p)))
@@ -335,33 +402,27 @@ def check_krylov_structure() -> CheckResult:
     return CheckResult("krylov-structure", ok and worst <= 1e-10, worst, 1e-10)
 
 
-def _su2_total_generators():
-    gens = dilations.solve_su2_generators(dilations.depolarizing_isometry(0.3))
-    return [linalg.kron(s, np.eye(4)) + linalg.kron(np.eye(2), j)
-            for s, j in zip(pauli_mod.SIGMA, (gens.jx, gens.jy, gens.jz))]
-
-
-def check_restricted_su2_conservation() -> CheckResult:
+def check_restricted_su2_conservation(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
     dep, _ = _builders()["depolarizing"]
-    k = dynamics.krylov_subspace(dep)
-    worst = max(dynamics.restricted_commutator_norm(dep, s, k)
-                for s in _su2_total_generators())
+    worst = max(dynamics.restricted_commutator_norm(dep, s, fx.krylov) for s in fx.su2_totals)
     return _result("restricted-su2-conservation", worst, 1e-10)
 
 
-def check_full_symmetrization() -> CheckResult:
+def check_full_symmetrization(fixture: _Fixture | None = None) -> CheckResult:
+    fx = fixture or _Fixture()
     dep, a = _builders()["depolarizing"]
-    k = dynamics.krylov_subspace(dep)
-    sym = dynamics.symmetrize_full(dep, k)
+    sym = dynamics.symmetrize_full(dep, fx.krylov)
     laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
     worst = float(np.max(np.abs(dynamics.channels_on_grid(sym, dynamics.TIME_GRID).probs - laws)))
-    for s in _su2_total_generators():
+    for s in fx.su2_totals:
         worst = max(worst, float(np.linalg.norm(s @ sym.h - sym.h @ s)))
     return _result("full-symmetrization", worst, 1e-9)
 
 
 def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
-                                 h_env=pauli_mod.SX) -> CheckResult:
+                                 h_env=pauli_mod.SX,
+                                 fixture: _Fixture | None = None) -> CheckResult:
     """A free environment term I (x) h_env that commutes with H is redundant.
 
     The channel must be untouched, and the environment representation solved
@@ -376,13 +437,13 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     if commutator > 1e-12:
         return CheckResult("rotating-phase-freedom", False, commutator, 1e-9,
                            "free environment term does not commute with H")
+    fx = fixture or _Fixture()
     rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e)
-    base = dynamics.channels_on_grid(pd, dynamics.TIME_GRID)
     rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
-    worst = float(np.max(np.abs(base.probs - rot.probs)))
+    worst = float(np.max(np.abs(fx.grid(pd).probs - rot.probs)))
     sys_rep = dilations.defining_pauli_rep()
     rep_times = (0.4, 0.7, 1.3)
-    base = dilations.solve_env_rep(dynamics.isometry_at(pd, rep_times[0]), sys_rep).rep.stack
+    base = fx.env_rep(pd, rep_times[0]).stack
     for t in rep_times:
         rot = dilations.solve_env_rep(dynamics.isometry_at(rotated, t), sys_rep).rep.stack
         w = linalg.mat_exp_hermitian(h_env, t)
@@ -416,12 +477,11 @@ def check_alternate_initial_state() -> CheckResult:
     return _result("alternate-initial-state", worst, 1e-9)
 
 
-def check_strong_conservation_triviality() -> CheckResult:
+def check_strong_conservation_triviality(fixture: _Fixture | None = None) -> CheckResult:
     kraus = channels.PauliChannel.phase_damping(0.3).kraus_ops()
     conserved = dilations.check_strong_conservation(kraus, pauli_mod.SZ)
-    sys_rep = dilations.defining_pauli_rep()
-    sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    worst = linalg.frob_dist(sol.rep.mats["Z"], _canonical_env_rep(2)[sys_rep.labels.index("Z")])
+    rep = (fixture or _Fixture()).phase_damping_rep
+    worst = linalg.frob_dist(rep.mats["Z"], _canonical_env_rep(2)[rep.labels.index("Z")])
     return CheckResult("strong-conservation-triviality", conserved and worst <= 1e-10,
                        worst, 1e-10)
 
@@ -464,7 +524,7 @@ def check_collision_convergence_trend() -> CheckResult:
 
 
 def run_all(seed: int = 1234) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng, fx = np.random.default_rng(seed), _Fixture()
     return [
         check_pauli_group_closure(),
         check_commutation_vs_matrices(),
@@ -474,20 +534,20 @@ def run_all(seed: int = 1234) -> list[CheckResult]:
         check_bloch_scaling(rng),
         check_semigroup_composition(rng),
         check_semigroup_derivative(),
-        check_isometry_closed_forms(),
-        check_environment_representations(),
+        check_isometry_closed_forms(fixture=fx),
+        check_environment_representations(fixture=fx),
         check_generic_rep_independence(rng),
-        check_su2_generators(),
-        check_pauli_commutants(),
-        check_builder_time_laws(),
-        check_invariant_environment_state(),
-        check_hamiltonian_commutant_membership(),
-        check_krylov_structure(),
-        check_restricted_su2_conservation(),
-        check_full_symmetrization(),
-        check_rotating_phase_freedom(),
+        check_su2_generators(fixture=fx),
+        check_pauli_commutants(fixture=fx),
+        check_builder_time_laws(fixture=fx),
+        check_invariant_environment_state(fixture=fx),
+        check_hamiltonian_commutant_membership(fixture=fx),
+        check_krylov_structure(fixture=fx),
+        check_restricted_su2_conservation(fixture=fx),
+        check_full_symmetrization(fixture=fx),
+        check_rotating_phase_freedom(fixture=fx),
         check_alternate_initial_state(),
-        check_strong_conservation_triviality(),
+        check_strong_conservation_triviality(fixture=fx),
         check_schedule_round_trip(),
         check_collision_bath_conditions(),
         check_collision_convergence_trend(),

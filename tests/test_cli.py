@@ -15,6 +15,7 @@ from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, _ren
 from pauli_dilate.collisions import convergence_report
 from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
+from pauli_dilate.validation import as_reals
 from reference_ops import fit_at
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -578,6 +579,27 @@ class TestCliContract:
             assert (code, out) == (1, "")
             assert err.startswith("error: malformed JSON descriptor: maximum recursion depth")
             assert err.count("\n") == 1
+
+    def test_huge_field_ends_in_one_short_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"a": [0] * 10**6, "zeta": 1, "dt": 0.1, "n": 2}))
+        code, out, err = run_cli(["collide", "--in", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err.encode()) <= 300
+        assert err.startswith('error: "a" must be a list of 3 numbers, got [0, 0, 0, ')
+        assert err.endswith(", ... (3000000 characters)\n")
+
+    @pytest.mark.parametrize("value", [[0] * 53, [0] * 54, "x" * 158, "x" * 159, 10**4000],
+                             ids=["159-list", "162-list", "160-str", "161-str", "4001-int"])
+    def test_field_repr_is_cut_after_160_characters(self, value):
+        shown = repr(value)
+        with pytest.raises(ValueError) as exc:
+            as_reals(value, '"a"', 3)
+        if len(shown) <= 160:
+            assert str(exc.value) == f'"a" must be a list of 3 numbers, got {shown}'
+        else:
+            assert str(exc.value) == (f'"a" must be a list of 3 numbers, got {shown[:160]}... '
+                                      f"({len(shown)} characters)")
 
     def test_twelve_significant_digits(self, capsys):
         code, out, _ = run_cli(["channel", "--in", '{"type":"phase_damping","p":0.1}'], capsys)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_dilate import channels, dilations, dynamics, linalg, verify
@@ -113,6 +113,90 @@ def test_run_all_builds_the_builder_table_once(monkeypatch):
     # the depolarizing builder is the generic one at a = (1, 1, 1)
     assert calls == {"build_phase_damping_dilation": 1, "build_depolarizing_dilation": 1,
                      "build_generic_pauli_dilation": 2}
+
+
+# run_all's checks in its order, the seeded ones marked
+RUN_ALL_CHECKS = (
+    (verify.check_pauli_group_closure, False), (verify.check_commutation_vs_matrices, False),
+    (verify.check_kron_and_trace_laws, True), (verify.check_expm_group_law, True),
+    (verify.check_channel_cptp, True), (verify.check_bloch_scaling, True),
+    (verify.check_semigroup_composition, True), (verify.check_semigroup_derivative, False),
+    (verify.check_isometry_closed_forms, False), (verify.check_environment_representations, False),
+    (verify.check_generic_rep_independence, True), (verify.check_su2_generators, False),
+    (verify.check_pauli_commutants, False), (verify.check_builder_time_laws, False),
+    (verify.check_invariant_environment_state, False),
+    (verify.check_hamiltonian_commutant_membership, False),
+    (verify.check_krylov_structure, False), (verify.check_restricted_su2_conservation, False),
+    (verify.check_full_symmetrization, False), (verify.check_rotating_phase_freedom, False),
+    (verify.check_alternate_initial_state, False),
+    (verify.check_strong_conservation_triviality, False),
+    (verify.check_schedule_round_trip, False), (verify.check_collision_bath_conditions, False),
+    (verify.check_collision_convergence_trend, False),
+)
+
+
+def result_bits(r):
+    return r.name, r.passed, float(r.residual).hex(), r.tol, r.detail
+
+
+@settings(max_examples=15)
+@given(st.integers(0, 2**63 - 1))
+def test_run_all_matches_each_check_called_alone(seed):
+    # oracle: each check on its own, deriving what it reads with a fresh fixture
+    rng = np.random.default_rng(seed)
+    alone = [check(rng) if seeded else check() for check, seeded in RUN_ALL_CHECKS]
+    assert [result_bits(r) for r in verify.run_all(seed)] == [result_bits(r) for r in alone]
+
+
+def fingerprint(x):
+    """A hashable key that two equal inputs share."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, dilations.Isometry):
+        return x.v.tobytes()
+    if isinstance(x, PhysicalDilation):
+        return x.h.tobytes(), x.psi_e.tobytes()
+    if isinstance(x, (list, tuple)):
+        return tuple(map(fingerprint, x))
+    return x
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_run_all_derives_each_shared_object_once_per_run(monkeypatch, runs):
+    calls = Counter()
+    for module, name in ((dilations, "phase_damping_isometry"), (dilations, "depolarizing_isometry"),
+                         (dilations, "solve_su2_generators"), (dilations, "solve_env_rep"),
+                         (pauli_mod, "pauli_commutant"), (dynamics, "krylov_subspace"),
+                         (dynamics, "channels_on_grid")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name, fingerprint(args)] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    for _ in range(runs):
+        assert all(r.passed for r in verify.run_all(seed=3))
+    # no input is derived twice in a run, and no run reuses another's
+    assert set(calls.values()) == {runs}
+    per_name = Counter(name for name, _ in calls)
+    assert (per_name["phase_damping_isometry"], per_name["depolarizing_isometry"],
+            per_name["solve_su2_generators"], per_name["pauli_commutant"]) == (1, 1, 1, 2)
+    commutants = {args[0] for name, args in calls if name == "pauli_commutant"}
+    assert commutants == {tuple(pauli(s) for s in verify._DEPH_SYMMETRY),
+                          tuple(pauli(s) for s in verify._DEP_SYMMETRY)}
+
+
+def test_shared_objects_are_read_only():
+    fx = verify._Fixture()
+    deph = verify._builders()["phase_damping"][0]
+    grid = fx.grid(deph)
+    assert fx.grid(deph) is grid and fx.grid(build_phase_damping_dilation()) is not grid
+    arrays = [fx.phase_damping_v.v, fx.depolarizing_v.v, fx.phase_damping_rep.stack,
+              fx.su2.jx, fx.su2.jy, fx.su2.jz, fx.su2_totals, fx.krylov.basis,
+              grid.probs, grid.leakage, fx.env_rep(deph, 0.4).stack]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert type(fx.commutant(verify._DEP_SYMMETRY)) is tuple
 
 
 def test_builder_table_is_one_read_only_table():
