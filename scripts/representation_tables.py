@@ -1,43 +1,29 @@
 #!/usr/bin/env python3
-"""Print the solved environment representations for the three channel families.
+"""Print the environment representations of the three channel families.
 
-Shows the 16-element table for phase damping and depolarizing, the generator
-triple of the rotation symmetry, and confirms that a generic channel shares
-the depolarizing table.
+For phase damping and depolarizing at p = 0.3 and the generic channel
+(0.4, 0.3, 0.2, 0.1), prints what `pauli-dilate rep --in` prints for each, one
+JSON report after another: the 16-element table pi_E(g) in closed form, and for
+the depolarizing channel the rotation generators on its environment.  The
+generic channel shares the depolarizing table.
 """
 
-import numpy as np
+import json
 
-from pauli_dilate.dilations import (
-    defining_pauli_rep,
-    depolarizing_isometry,
-    pauli_channel_isometry,
-    phase_damping_isometry,
-    solve_env_rep,
-    solve_su2_generators,
+from pauli_dilate import cli
+
+CHANNELS = (
+    {"type": "phase_damping", "p": 0.3},
+    {"type": "depolarizing", "p": 0.3},
+    {"type": "pauli", "p": [0.4, 0.3, 0.2, 0.1]},
 )
 
 
-def show(title, sol):
-    print(f"== {title} (max residual {sol.max_residual:.2e})")
-    for g in sol.rep.labels:
-        m = np.round(sol.rep.mats[g], 10)
-        print(f"  pi_E({g:>4}) = {m.real.tolist() if np.allclose(m.imag, 0) else m.tolist()}")
-
-
 def main():
-    sys_rep = defining_pauli_rep()
-    show("phase damping, p = 0.3", solve_env_rep(phase_damping_isometry(0.3), sys_rep))
-    show("depolarizing, p = 0.3", solve_env_rep(depolarizing_isometry(0.3), sys_rep))
-    show("generic, p = (0.4, 0.3, 0.2, 0.1)",
-         solve_env_rep(pauli_channel_isometry((0.4, 0.3, 0.2, 0.1)), sys_rep))
-
-    gens = solve_su2_generators(depolarizing_isometry(0.3))
-    print("== rotation generators on the environment")
-    for name, j in (("Jx", gens.jx), ("Jy", gens.jy), ("Jz", gens.jz)):
-        print(f"  {name} =")
-        for row in np.round(j, 10):
-            print(f"    {row.tolist()}")
+    for desc in CHANNELS:
+        code = cli.main(["rep", "--in", json.dumps(desc)])
+        if code:
+            raise SystemExit(code)
 
 
 if __name__ == "__main__":

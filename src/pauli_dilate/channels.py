@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 
 from . import pauli
 from .pauli import PauliString, commutes, pauli_group
-from .validation import (DEFAULT_TOL, as_reals, check_keys, require_env_rep_residual,
-                         require_minimal, require_rotation_generators)
+from .validation import (DEFAULT_TOL, as_reals, check_keys, clipped_repr,
+                         require_env_rep_residual, require_minimal, require_rotation_generators)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -420,4 +420,4 @@ def channel_from_descriptor(desc: dict):
         return PauliChannel.depolarizing(as_reals(desc.get("p"), "'depolarizing' field \"p\""))
     if kind == "liouvillian":
         return PauliLiouvillian(as_reals(desc.get("gamma"), "'liouvillian' field \"gamma\"", 3))
-    raise ValueError(f"unknown channel type {kind!r}")
+    raise ValueError(f"unknown channel type {clipped_repr(kind)}")

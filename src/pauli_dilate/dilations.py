@@ -15,7 +15,6 @@ least-squares solve against the environment slices of V.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .linalg import as_complex_matrix, frob_dist, gram_defects, kron, partial_trace_env
-from .pauli import ID2, PAULI_BASIS, PHASES, SZ, pauli_group, product_table
+from .pauli import PAULI_BASIS, PHASES, pauli_group, product_table
 from .validation import (DEFAULT_TOL, ToleranceError, require_env_rep_residual, require_minimal,
                          require_rotation_generators)
 
@@ -90,10 +89,6 @@ class GroupRep:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "mats", MappingProxyType(dict(zip(labels, stack))))
         object.__setattr__(self, "unitarity_defects", defects)
-
-    @property
-    def space_dim(self) -> int:
-        return self.stack.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -167,21 +162,6 @@ def dilation_from_kraus(kraus: Sequence[np.ndarray]) -> Isometry:
     # row (i, j) of V is row i of the j-th Kraus operator
     v = np.stack(ops, axis=1)
     return Isometry(v.reshape(dim_s * len(ops), dim_s))
-
-
-def phase_damping_isometry(p: float) -> Isometry:
-    """4x2 isometry of the phase damping channel from {sqrt(1-p) I, sqrt(p) Z}."""
-    return dilation_from_kraus([math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ])
-
-
-def pauli_channel_isometry(p: Sequence[float]) -> Isometry:
-    """8x2 isometry of a generic Pauli channel, keeping all four Kraus slots."""
-    kraus = [math.sqrt(float(q)) * s for q, s in zip(p, PAULI_BASIS, strict=True)]
-    return dilation_from_kraus(kraus)
-
-
-def depolarizing_isometry(p: float) -> Isometry:
-    return pauli_channel_isometry((1 - p, p / 3, p / 3, p / 3))
 
 
 def channel_of_isometry(v: Isometry, rho) -> np.ndarray:

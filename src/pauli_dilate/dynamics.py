@@ -27,7 +27,7 @@ from .linalg import (
     mat_exp_hermitian_block,
 )
 from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
-from .validation import DEFAULT_TOL, as_reals, check_keys
+from .validation import DEFAULT_TOL, as_reals, check_keys, clipped_repr
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
@@ -222,7 +222,7 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
         if name == "generic":
             a = as_reals(desc.get("a"), "'generic' field \"a\"", 3)
             return build_generic_pauli_dilation(*a)
-        raise ValueError(f"unknown builder {name!r}")
+        raise ValueError(f"unknown builder {clipped_repr(name)}")
     if "hamiltonian" in desc:
         check_keys(desc, "a custom Hamiltonian", ("hamiltonian", "psiE"))
         terms = desc["hamiltonian"]
@@ -231,7 +231,8 @@ def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
         for term in terms:
             if not (isinstance(term, (list, tuple)) and len(term) == 2
                     and isinstance(term[0], str)):
-                raise ValueError(f"Hamiltonian term {term!r} is not a [string, coefficient] pair")
+                raise ValueError(f"Hamiltonian term {clipped_repr(term)} is not a "
+                                 "[string, coefficient] pair")
         lengths = {pauli(l).n_qubits for l, _ in terms}  # a phase prefix is no qubit
         if len(lengths) != 1:
             raise ValueError("Hamiltonian strings must share one length")

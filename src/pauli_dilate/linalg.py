@@ -97,12 +97,6 @@ def mat_exp_hermitian_block(h, times, x) -> np.ndarray:
     return v @ (np.exp(-1j * np.multiply.outer(ts, w))[:, :, None] * y)
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the (Hermitian) difference of two states."""
-    diff = as_complex_matrix(a) - as_complex_matrix(b)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
 def basis_index(label: str) -> int:
     """Index of a computational basis state under the descending ordering.
 

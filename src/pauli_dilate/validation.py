@@ -14,6 +14,14 @@ class ToleranceError(RuntimeError):
     """A numerical residual exceeded its acceptance tolerance."""
 
 
+def clipped_repr(value) -> str:
+    """repr(value) for a one-line error, cut after 160 characters and then giving its length."""
+    shown = repr(value)
+    if len(shown) > 160:
+        shown = f"{shown[:160]}... ({len(shown)} characters)"
+    return shown
+
+
 def as_reals(value, field: str, count: int | None = None):
     """A descriptor field as one float, or as a tuple of `count` floats.
 
@@ -31,9 +39,7 @@ def as_reals(value, field: str, count: int | None = None):
         except OverflowError:  # an int past the float range
             pass
     form = "a number" if count is None else f"a list of {count} numbers"
-    got = "nothing" if value is None else repr(value)
-    if len(got) > 160:
-        got = f"{got[:160]}... ({len(got)} characters)"
+    got = "nothing" if value is None else clipped_repr(value)
     raise ValueError(f"{field} must be {form}, got {got}")
 
 
@@ -41,7 +47,8 @@ def check_keys(desc: dict, form: str, keys: tuple[str, ...]) -> None:
     """Reject a descriptor key that `form` does not read, naming it and the keys it reads."""
     for key in desc:
         if key not in keys:
-            raise ValueError(f"{form} does not read key {key!r} (its keys: {', '.join(keys)})")
+            raise ValueError(f"{form} does not read key {clipped_repr(key)} "
+                             f"(its keys: {', '.join(keys)})")
 
 
 def require_minimal(kraus_rank: int, dim_e: int) -> None:

@@ -125,11 +125,11 @@ class _Fixture:
 
     @functools.cached_property
     def phase_damping_v(self) -> dilations.Isometry:
-        return dilations.phase_damping_isometry(0.3)
+        return dilations.Isometry(channels.PauliChannel.phase_damping(0.3).minimal_dilation().rows)
 
     @functools.cached_property
     def depolarizing_v(self) -> dilations.Isometry:
-        return dilations.depolarizing_isometry(0.3)
+        return dilations.Isometry(channels.PauliChannel.depolarizing(0.3).minimal_dilation().rows)
 
     @functools.cached_property
     def phase_damping_rep(self) -> dilations.GroupRep:
@@ -282,6 +282,8 @@ def check_semigroup_derivative() -> CheckResult:
 
 
 def check_isometry_closed_forms(fixture: _Fixture | None = None) -> CheckResult:
+    """The isometries that `dilate` prints, from PauliChannel.minimal_dilation(), against
+    the hand-written matrices of their Kraus sets."""
     fx = fixture or _Fixture()
     worst = max(linalg.frob_dist(fx.phase_damping_v.v, _phase_damping_v(0.3)),
                 linalg.frob_dist(fx.depolarizing_v.v, _depolarizing_v(0.3)))
@@ -306,7 +308,8 @@ def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
     for _ in range(3):
         p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         p = p / p.sum()
-        sol = dilations.solve_env_rep(dilations.pauli_channel_isometry(p), sys_rep)
+        v = dilations.Isometry(channels.PauliChannel(p).minimal_dilation().rows)
+        sol = dilations.solve_env_rep(v, sys_rep)
         stacks.append(sol.rep.stack)
     worst = _max_norm(np.diff(stacks, axis=0))
     return _result("generic-representation-p-independence", worst, 1e-10)
@@ -466,12 +469,12 @@ def check_alternate_initial_state() -> CheckResult:
     grid = dynamics.channels_on_grid(pd, times)
     laws = np.array([_law((0, 0, 1), t) for t in times])
     worst = max(float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
-    for t in times:
+    vs = [dynamics.isometry_at(pd, t) for t in times]
+    for t, v in zip(times, vs):
         s, c = math.sin(t), math.cos(t)
         isometry = ((-1j * s, 0), (c, 0), (0, 1j * s), (0, c))
-        worst = max(worst, linalg.frob_dist(dynamics.isometry_at(pd, t).v, isometry))
-    sys_rep = dilations.defining_pauli_rep()
-    stack = dilations.solve_env_rep(dynamics.isometry_at(pd, times[0]), sys_rep).rep.stack
+        worst = max(worst, linalg.frob_dist(v.v, isometry))
+    stack = dilations.solve_env_rep(vs[0], dilations.defining_pauli_rep()).rep.stack
     worst = max(worst, _max_norm(stack - _canonical_env_rep(2, xy_sign=-1)),
                 _max_norm(stack @ pd.psi_e - pd.psi_e, axis=-1))
     return _result("alternate-initial-state", worst, 1e-9)

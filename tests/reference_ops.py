@@ -1,14 +1,22 @@
 """Reference operations that only the tests use: Haar-random unitaries, a Kraus sum, the
-per-time Pauli fit of a channel, the oracle of the time grid, and the per-letter rules of
-the Pauli string algebra, the oracle of its bit-mask path."""
+trace distance, the per-time Pauli fit of a channel, the oracle of the time grid, and the
+per-letter rules of the Pauli string algebra, the oracle of its bit-mask path; and the
+minimal isometry of a Pauli channel as the solvers take it."""
 
 from itertools import product
 
 import numpy as np
 
+from pauli_dilate.channels import PauliChannel
 from pauli_dilate.dilations import Isometry
 from pauli_dilate.dynamics import PhysicalDilation, isometry_at
+from pauli_dilate.linalg import as_complex_matrix
 from pauli_dilate.pauli import PauliString
+
+
+def minimal_v(channel: PauliChannel) -> Isometry:
+    """The isometry that `dilate` prints for the channel, PauliChannel.minimal_dilation()."""
+    return Isometry(channel.minimal_dilation().rows)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -22,6 +30,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def kraus_apply(kraus, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k+, one Kraus operator at a time."""
     return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def trace_distance(a, b) -> float:
+    """Half the trace norm of the (Hermitian) difference of two states."""
+    diff = as_complex_matrix(a) - as_complex_matrix(b)
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 _SIGMAS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

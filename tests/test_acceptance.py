@@ -20,9 +20,7 @@ from pauli_dilate.collisions import CollisionConfig, convergence_report, fit_dec
 from pauli_dilate.dilations import (
     Isometry,
     defining_pauli_rep,
-    depolarizing_isometry,
-    pauli_channel_isometry,
-    phase_damping_isometry,
+    dilation_from_kraus,
     solve_env_rep,
     solve_su2_generators,
 )
@@ -41,8 +39,9 @@ from pauli_dilate.dynamics import (
     symmetrize_full,
 )
 from pauli_dilate.linalg import basis_state, frob_dist, kron
-from pauli_dilate.pauli import ID2, SIGMA, SX, SZ, multiply, pauli, pauli_commutant, pauli_group
-from reference_ops import haar_unitary, kraus_apply
+from pauli_dilate.pauli import (ID2, PAULI_BASIS, SIGMA, SX, SZ, multiply, pauli, pauli_commutant,
+                                pauli_group)
+from reference_ops import haar_unitary, kraus_apply, minimal_v
 
 SEED = 987654
 
@@ -93,12 +92,21 @@ def factor_of(label):
 def test_criterion_01_isometry_matrices():
     tol = 1e-12
     worst = 0.0
+    # the Kraus sets stacked with every slot kept, a slot of weight 0 included
     for p in (0.0, 0.3, 1.0):
-        worst = max(worst, frob_dist(phase_damping_isometry(p).v, phase_damping_v(p)))
+        v = dilation_from_kraus([math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ])
+        worst = max(worst, frob_dist(v.v, phase_damping_v(p)))
     for p in (0.0, 0.3, 0.75):
-        worst = max(worst, frob_dist(depolarizing_isometry(p).v,
+        weights = (1 - p, p / 3, p / 3, p / 3)
+        v = dilation_from_kraus([math.sqrt(w) * s for w, s in zip(weights, PAULI_BASIS)])
+        worst = max(worst, frob_dist(v.v, generic_v(p / 3, p / 3, p / 3)))
+    # the minimal isometries that `dilate` prints, where no weight is 0
+    v = minimal_v(PauliChannel.phase_damping(0.3))
+    worst = max(worst, frob_dist(v.v, phase_damping_v(0.3)))
+    for p in (0.3, 0.75):
+        worst = max(worst, frob_dist(minimal_v(PauliChannel.depolarizing(p)).v,
                                      generic_v(p / 3, p / 3, p / 3)))
-    worst = max(worst, frob_dist(pauli_channel_isometry((0.4, 0.3, 0.2, 0.1)).v,
+    worst = max(worst, frob_dist(minimal_v(PauliChannel((0.4, 0.3, 0.2, 0.1))).v,
                                  generic_v(0.3, 0.2, 0.1)))
     report(1, "dilation isometries match the closed forms entrywise", worst <= tol, worst, tol)
 
@@ -107,10 +115,10 @@ def test_criterion_02_environment_representations():
     tol = 1e-10
     sys_rep = defining_pauli_rep()
     worst = 0.0
-    sol_pd = solve_env_rep(phase_damping_isometry(0.3), sys_rep)
+    sol_pd = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), sys_rep)
     for g in sys_rep.labels:
         worst = max(worst, frob_dist(sol_pd.rep.mats[g], PD_ENV[factor_of(g)]))
-    sol_dep = solve_env_rep(depolarizing_isometry(0.3), sys_rep)
+    sol_dep = solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), sys_rep)
     for g in sys_rep.labels:
         worst = max(worst, frob_dist(sol_dep.rep.mats[g], DEP_ENV[factor_of(g)]))
     # all four phases of each factor share one environment matrix
@@ -124,7 +132,7 @@ def test_criterion_02_environment_representations():
     for _ in range(5):
         p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         p /= p.sum()
-        reps.append(solve_env_rep(pauli_channel_isometry(p), sys_rep).rep)
+        reps.append(solve_env_rep(minimal_v(PauliChannel(p)), sys_rep).rep)
     for one, two in product(reps, reps):
         for g in sys_rep.labels:
             worst = max(worst, frob_dist(one.mats[g], two.mats[g]))
@@ -133,7 +141,7 @@ def test_criterion_02_environment_representations():
 
 def test_criterion_03_su2_generators():
     tol = 1e-10
-    gens = solve_su2_generators(depolarizing_isometry(0.3))
+    gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
     worst = max(frob_dist(gens.jx, J_EXPECTED["x"]),
                 frob_dist(gens.jy, J_EXPECTED["y"]),
                 frob_dist(gens.jz, J_EXPECTED["z"]))
@@ -192,7 +200,7 @@ def test_criterion_06_invariant_state_and_conservation():
     dep = build_depolarizing_dilation()
     k = krylov_subspace(dep)
     dim_ok = k.dim == 4
-    gens = solve_su2_generators(depolarizing_isometry(0.3))
+    gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
     for s, j in zip(SIGMA, (gens.jx, gens.jy, gens.jz)):
         sym = kron(s, np.eye(4)) + kron(np.eye(2), j)
         worst = max(worst, restricted_commutator_norm(dep, sym, k))
@@ -208,7 +216,7 @@ def test_criterion_07_full_symmetrization():
     total = 1 - grid.probs[:, 0]
     worst = max(grid.leakage.max(),
                 np.max(np.abs(total - 0.5 * (1 - np.cos(2 * math.sqrt(3) * TIME_GRID)))))
-    gens = solve_su2_generators(depolarizing_isometry(0.3))
+    gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
     for s, j in zip(SIGMA, (gens.jx, gens.jy, gens.jz)):
         total_gen = kron(s, np.eye(4)) + kron(np.eye(2), j)
         worst = max(worst, float(np.linalg.norm(total_gen @ sym.h - sym.h @ total_gen)))
@@ -233,8 +241,8 @@ def test_criterion_08_rotating_phase_and_dilation_freedom():
         worst = max(worst, frob_dist(sol.rep.mats[g], expected))
         worst = max(worst, float(np.linalg.norm(sol.rep.mats[g] @ alt.psi_e - alt.psi_e)))
 
-    base = solve_env_rep(phase_damping_isometry(0.3), sys_rep).rep
-    v = phase_damping_isometry(0.3)
+    v = minimal_v(PauliChannel.phase_damping(0.3))
+    base = solve_env_rep(v, sys_rep).rep
     for seed in range(5):
         w = haar_unitary(2, np.random.default_rng(SEED + seed))
         sol_w = solve_env_rep(Isometry(kron(ID2, w) @ v.v), sys_rep)
@@ -308,7 +316,7 @@ def test_criterion_11_property_suite():
         out = kraus_apply(ops, bloch_state(r))
         ok = ok and abs(np.trace(out).real - 1) < 1e-12
 
-    sol = solve_env_rep(phase_damping_isometry(0.3), defining_pauli_rep())
+    sol = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), defining_pauli_rep())
     triviality = max(frob_dist(sol.rep.mats[g], ID2) for g in ("Z", "-Z", "+iZ", "-iZ"))
     ok = ok and triviality <= 1e-10
 

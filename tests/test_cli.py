@@ -73,7 +73,7 @@ class TestChannelCommand:
 
 
 class TestDilateCommand:
-    def test_phase_damping_isometry(self, capsys):
+    def test_phase_damping_report(self, capsys):
         report = run_json(["dilate", "--in", '{"type":"phase_damping","p":0.3}'], capsys)
         assert report["dim_env"] == 2
         assert report["kraus_rank"] == 2
@@ -588,6 +588,21 @@ class TestCliContract:
         assert err.count("\n") == 1 and len(err.encode()) <= 300
         assert err.startswith('error: "a" must be a list of 3 numbers, got [0, 0, 0, ')
         assert err.endswith(", ... (3000000 characters)\n")
+
+    @pytest.mark.parametrize("command, desc, start", [
+        ("channel", {"type": "pauli", "p": [1, 0, 0, 0], "k" * 10**6: 0},
+         "error: a 'pauli' channel does not read key 'kkk"),
+        ("evolve", {"builder": "b" * 10**6}, "error: unknown builder 'bbb"),
+        ("channel", {"type": "t" * 10**6}, "error: unknown channel type 'ttt"),
+        ("evolve", {"hamiltonian": [[0] * 10**6], "psiE": "1"}, "error: Hamiltonian term [0, 0, "),
+    ], ids=["key", "builder", "channel-type", "hamiltonian-term"])
+    def test_huge_name_ends_in_one_short_line(self, capsys, tmp_path, command, desc, start):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(desc))
+        code, out, err = run_cli([command, "--in", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err.encode()) <= 400
+        assert err.startswith(start) and " characters)" in err
 
     @pytest.mark.parametrize("value", [[0] * 53, [0] * 54, "x" * 158, "x" * 159, 10**4000],
                              ids=["159-list", "162-list", "160-str", "161-str", "4001-int"])

@@ -24,7 +24,7 @@ from pauli_dilate.collisions import (
     fit_decay_rates,
 )
 from pauli_dilate.dynamics import build_generic_pauli_dilation
-from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env, trace_distance
+from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env
 from pauli_dilate.pauli import (
     PAULI_BASIS,
     SIGMA,
@@ -33,6 +33,7 @@ from pauli_dilate.pauli import (
     pauli_commutant,
     to_matrix,
 )
+from reference_ops import trace_distance
 
 # Brute-force oracle: the collision as an explicit unitary on system (x) ancilla,
 # with bath operators B_x = IX, B_y = XI, B_z = XX and a fresh |11> ancilla per step.

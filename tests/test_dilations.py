@@ -14,11 +14,8 @@ from pauli_dilate.dilations import (
     channel_of_isometry,
     check_strong_conservation,
     defining_pauli_rep,
-    depolarizing_isometry,
     dilation_from_kraus,
-    pauli_channel_isometry,
     pauli_rep_law_defect,
-    phase_damping_isometry,
     _solve_env_operators,
     solve_env_rep,
     solve_su2_generators,
@@ -44,13 +41,18 @@ from pauli_dilate.pauli import (
     to_matrix,
 )
 from pauli_dilate.validation import ToleranceError
-from reference_ops import haar_unitary, kraus_apply
+from reference_ops import haar_unitary, kraus_apply, minimal_v
 
 
 def kraus_of_isometry(v: Isometry) -> list[np.ndarray]:
     """Environment slices of V; Kraus operators of the induced channel."""
     t3 = v.v.reshape(v.dim_s, v.dim_e, v.dim_s)
     return [np.ascontiguousarray(t3[:, e, :]) for e in range(v.dim_e)]
+
+
+def stacked_v(p) -> Isometry:
+    """V stacked from all four Kraus slots sqrt(p_a) sigma_a, a slot of weight 0 kept."""
+    return dilation_from_kraus([math.sqrt(q) * s for q, s in zip(p, PAULI_BASIS, strict=True)])
 
 
 def expected_phase_damping_v(p):
@@ -123,7 +125,7 @@ class TestIsometryType:
 
     def test_holds_a_read_only_copy(self):
         # complex input of the final shape, which a coercion alone would not copy
-        given_array = phase_damping_isometry(0.3).v.copy()
+        given_array = minimal_v(PauliChannel.phase_damping(0.3)).v.copy()
         v = Isometry(given_array)
         assert not np.shares_memory(v.v, given_array)
         with pytest.raises(ValueError, match="read-only"):
@@ -136,7 +138,8 @@ class TestIsometryType:
 class TestDilationFromKraus:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_phase_damping_matrix(self, p):
-        v = phase_damping_isometry(p)
+        # both slots kept, the one of weight 0 included
+        v = dilation_from_kraus([math.sqrt(1 - p) * ID2, math.sqrt(p) * SZ])
         assert v.dim_e == 2
         assert frob_dist(v.v, expected_phase_damping_v(p)) < 1e-15
 
@@ -154,12 +157,12 @@ class TestDilationFromKraus:
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
     def test_depolarizing_matrix(self, p):
-        v = depolarizing_isometry(p)
+        v = stacked_v((1 - p, p / 3, p / 3, p / 3))
         assert v.dim_e == 4
         assert frob_dist(v.v, expected_generic_v(p / 3, p / 3, p / 3)) < 1e-15
 
     def test_generic_matrix(self):
-        v = pauli_channel_isometry((0.4, 0.3, 0.2, 0.1))
+        v = stacked_v((0.4, 0.3, 0.2, 0.1))
         assert frob_dist(v.v, expected_generic_v(0.3, 0.2, 0.1)) < 1e-15
 
     def test_rejects_non_trace_preserving(self):
@@ -176,7 +179,7 @@ class TestDilationFromKraus:
 class TestChannelOfIsometry:
     def test_phase_damping_action(self, rng):
         p = 0.3
-        v = phase_damping_isometry(p)
+        v = minimal_v(PauliChannel.phase_damping(p))
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         rho = z @ z.conj().T
         rho /= np.trace(rho)
@@ -184,7 +187,7 @@ class TestChannelOfIsometry:
         assert frob_dist(channel_of_isometry(v, rho), expected) < 1e-14
 
     def test_invariant_under_environment_unitary(self, rng):
-        v = depolarizing_isometry(0.4)
+        v = minimal_v(PauliChannel.depolarizing(0.4))
         rho = np.diag([0.7, 0.3]).astype(complex)
         base = channel_of_isometry(v, rho)
         for seed in range(3):
@@ -193,13 +196,13 @@ class TestChannelOfIsometry:
             assert frob_dist(channel_of_isometry(rotated, rho), base) < 1e-13
 
     def test_zero_probability_channel_is_identity(self, rng):
-        v = pauli_channel_isometry((1.0, 0.0, 0.0, 0.0))
+        v = stacked_v((1.0, 0.0, 0.0, 0.0))
         rho = np.diag([0.2, 0.8]).astype(complex)
         assert frob_dist(channel_of_isometry(v, rho), rho) < 1e-15
 
     def test_matches_kraus_sum(self, rng):
         ch = PauliChannel((0.4, 0.3, 0.2, 0.1))
-        v = pauli_channel_isometry(ch.p)
+        v = minimal_v(ch)
         rho = np.diag([0.6, 0.4]).astype(complex)
         assert frob_dist(channel_of_isometry(v, rho),
                          kraus_apply(ch.kraus_ops(), rho)) < 1e-14
@@ -207,20 +210,20 @@ class TestChannelOfIsometry:
 
 class TestEnvRepresentation:
     def test_phase_damping_table(self):
-        sol = solve_env_rep(phase_damping_isometry(0.3), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), defining_pauli_rep())
         assert sol.max_residual < 1e-10
         for g in sol.rep.labels:
             assert frob_dist(sol.rep.mats[g], PD_ENV[factor_of(g)]) < 1e-10
             assert sol.unitarity_defects[g] < 1e-9
 
     def test_depolarizing_table(self):
-        sol = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), defining_pauli_rep())
         for g in sol.rep.labels:
             assert frob_dist(sol.rep.mats[g], DEP_ENV[factor_of(g)]) < 1e-10
 
     def test_phase_family_collapse(self):
         # all four phases of one factor share one environment matrix
-        sol = solve_env_rep(phase_damping_isometry(0.4), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.4)), defining_pauli_rep())
         for factor in "IXYZ":
             mats = [sol.rep.mats[g] for g in sol.rep.labels if factor_of(g) == factor]
             for m in mats[1:]:
@@ -232,19 +235,19 @@ class TestEnvRepresentation:
         for _ in range(5):
             p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
             p /= p.sum()
-            reps.append(solve_env_rep(pauli_channel_isometry(p), sys_rep).rep)
+            reps.append(solve_env_rep(minimal_v(PauliChannel(p)), sys_rep).rep)
         for one in reps:
             for g in sys_rep.labels:
                 assert frob_dist(one.mats[g], DEP_ENV[factor_of(g)]) < 1e-10
 
     def test_representation_law_closure(self):
-        sol = solve_env_rep(depolarizing_isometry(0.25), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.depolarizing(0.25)), defining_pauli_rep())
         assert pauli_rep_law_defect(sol.rep) < 1e-12
 
     def test_phase_damping_rep_splits_into_trivial_plus_sign(self):
         # the commuting family is diagonal; the first character is trivial,
         # the second sends the x and y sectors to -1
-        sol = solve_env_rep(phase_damping_isometry(0.3), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), defining_pauli_rep())
         for g, m in sol.rep.mats.items():
             assert abs(m[0, 1]) < 1e-12 and abs(m[1, 0]) < 1e-12
             assert abs(m[0, 0] - 1.0) < 1e-10
@@ -252,7 +255,7 @@ class TestEnvRepresentation:
             assert abs(m[1, 1] - sign) < 1e-10
 
     def test_environment_rotation_conjugates_rep(self):
-        v = phase_damping_isometry(0.3)
+        v = minimal_v(PauliChannel.phase_damping(0.3))
         sys_rep = defining_pauli_rep()
         base = solve_env_rep(v, sys_rep).rep
         for seed in range(3):
@@ -270,7 +273,7 @@ class TestEnvRepresentation:
             solve_env_rep(v, defining_pauli_rep())
 
     def test_non_minimal_isometry_rejected(self):
-        v = pauli_channel_isometry((1.0, 0.0, 0.0, 0.0))
+        v = stacked_v((1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             solve_env_rep(v, defining_pauli_rep())
 
@@ -296,7 +299,7 @@ def covariant_isometries(draw):
     """Random Pauli isometries, the same rotated on the environment, and the builders."""
     kind = draw(st.sampled_from(["pauli", "rotated", "phase_damping", "depolarizing", "generic"]))
     if kind in ("pauli", "rotated"):
-        v = pauli_channel_isometry(draw(_probabilities))
+        v = minimal_v(PauliChannel(draw(_probabilities)))
         if kind == "rotated":
             w = haar_unitary(4, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
             v = Isometry(kron(ID2, w) @ v.v)
@@ -333,7 +336,7 @@ def law_defect_by_multiply_table(rep):
     parsed = [pauli(g) for g in rep.labels]
     index = {g: i for i, g in enumerate(rep.labels)}
     table = [[index[str(multiply(a, b))] for b in parsed] for a in parsed]
-    k, d = len(parsed), rep.space_dim
+    k, d = len(parsed), rep.stack.shape[-1]
     stack = np.array([rep.mats[g] for g in rep.labels]).reshape(k, d, d)
     products = stack[:, None] @ stack[None, :]
     defects = np.linalg.norm(products - stack[np.array(table, dtype=int).reshape(k, k)],
@@ -353,7 +356,7 @@ class TestCachedProductTable:
 
     @given(st.integers(0, 15), st.floats(1e-6, 3.0))
     def test_one_matrix_perturbed(self, index, angle):
-        rep = solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep
+        rep = solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), defining_pauli_rep()).rep
         stack = rep.stack.copy()
         stack[index] *= np.exp(1j * angle)
         rep = GroupRep(rep.labels, stack)
@@ -438,7 +441,7 @@ class TestStackedSolve:
             assert abs(r - want) < 1e-12
 
     def test_su2_generators_match_per_element_solves(self):
-        v = depolarizing_isometry(0.3)
+        v = minimal_v(PauliChannel.depolarizing(0.3))
         gens = solve_su2_generators(v)
         for s, j in zip(SIGMA, (gens.jx, gens.jy, gens.jz)):
             x, _ = _loop_solve(v, v.v @ s - kron(s, np.eye(4)) @ v.v)
@@ -446,10 +449,10 @@ class TestStackedSolve:
 
     def test_vanishing_kraus_weight_is_not_minimal(self):
         # a weight of 1e-11 puts the Choi eigenvalue 2e-11 below DEFAULT_TOL
-        v = pauli_channel_isometry((0.5, 0.25, 0.25 - 1e-11, 1e-11))
+        v = stacked_v((0.5, 0.25, 0.25 - 1e-11, 1e-11))
         with pytest.raises(ValueError, match="minimal"):
             solve_env_rep(v, defining_pauli_rep())
-        v = pauli_channel_isometry((1 - 3e-11, 1e-11, 1e-11, 1e-11))
+        v = stacked_v((1 - 3e-11, 1e-11, 1e-11, 1e-11))
         with pytest.raises(ValueError, match="minimal"):
             solve_su2_generators(v)
 
@@ -479,30 +482,30 @@ class TestMinimalPauliDilation:
 
 class TestSU2Generators:
     def test_matches_closed_form(self):
-        gens = solve_su2_generators(depolarizing_isometry(0.3))
+        gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
         assert frob_dist(gens.jx, JX) < 1e-10
         assert frob_dist(gens.jy, JY) < 1e-10
         assert frob_dist(gens.jz, JZ) < 1e-10
 
     def test_p_independent(self):
-        a = solve_su2_generators(depolarizing_isometry(0.3))
-        b = solve_su2_generators(depolarizing_isometry(0.75))
+        a = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
+        b = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.75)))
         assert frob_dist(a.jx, b.jx) < 1e-12
         assert frob_dist(a.jz, b.jz) < 1e-12
 
     def test_commutation_relations(self):
-        g = solve_su2_generators(depolarizing_isometry(0.4))
+        g = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.4)))
         pairs = [(g.jx, g.jy, g.jz), (g.jy, g.jz, g.jx), (g.jz, g.jx, g.jy)]
         for a, b, c in pairs:
             assert frob_dist(a @ b - b @ a, 2j * c) < 1e-10
 
     def test_hermitian(self):
-        g = solve_su2_generators(depolarizing_isometry(0.4))
+        g = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.4)))
         for j in (g.jx, g.jy, g.jz):
             assert frob_dist(j, j.conj().T) < 1e-12
 
     def test_spin_content_spectrum(self, rng):
-        g = solve_su2_generators(depolarizing_isometry(0.3))
+        g = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
         for _ in range(5):
             r = rng.standard_normal(3)
             r /= np.linalg.norm(r)
@@ -510,7 +513,7 @@ class TestSU2Generators:
             assert np.max(np.abs(spec - np.array([-2.0, 0.0, 0.0, 2.0]))) < 1e-10
 
     def test_generic_channel_has_no_su2_structure(self):
-        v = pauli_channel_isometry((0.4, 0.3, 0.2, 0.1))
+        v = minimal_v(PauliChannel((0.4, 0.3, 0.2, 0.1)))
         with pytest.raises(ToleranceError):
             solve_su2_generators(v)
 
@@ -530,7 +533,7 @@ class TestStrongConservation:
             assert not check_strong_conservation(kraus, s)
 
     def test_conserved_sector_has_trivial_env_rep(self):
-        sol = solve_env_rep(phase_damping_isometry(0.3), defining_pauli_rep())
+        sol = solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), defining_pauli_rep())
         assert frob_dist(sol.rep.mats["Z"], ID2) < 1e-10
         assert frob_dist(sol.rep.mats["-iZ"], ID2) < 1e-10
 
@@ -553,11 +556,11 @@ class TestGroupRep:
 
     @pytest.mark.parametrize("rep", [
         defining_pauli_rep(),
-        solve_env_rep(depolarizing_isometry(0.3), defining_pauli_rep()).rep,
+        solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), defining_pauli_rep()).rep,
         GroupRep(("a", "b"), [[[1, 0], [0, 1]], np.eye(2)]),
     ], ids=["defining", "solved", "lists"])
     def test_mats_are_the_rows_of_the_stack(self, rep):
-        k, d = len(rep.labels), rep.space_dim
+        k, d = len(rep.labels), rep.stack.shape[-1]
         assert rep.stack.shape == (k, d, d) and rep.stack.dtype == np.complex128
         for i, g in enumerate(rep.labels):
             assert np.shares_memory(rep.mats[g], rep.stack)
@@ -607,7 +610,7 @@ class TestGroupRep:
             rep.mats["X"] = SZ
         stack[1] = SZ  # the caller's array stays writable, and the rep keeps its copy
         assert np.array_equal(rep.mats["X"], SX)
-        assert rep.space_dim == 2 and np.array_equal(rep.unitarity_defects, [0.0, 0.0])
+        assert rep.stack.shape[-1] == 2 and np.array_equal(rep.unitarity_defects, [0.0, 0.0])
 
     def test_defining_rep_is_built_once(self):
         assert defining_pauli_rep() is defining_pauli_rep()
@@ -622,7 +625,7 @@ class TestGroupRep:
             return gram_defects(mats)
 
         monkeypatch.setattr(dilations, "gram_defects", counted)
-        sol = solve_env_rep(depolarizing_isometry(0.3), sys_rep)
+        sol = solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), sys_rep)
         assert calls == [16]
         assert list(sol.unitarity_defects.values()) == sol.rep.unitarity_defects.tolist()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pauli_dilate.channels import PauliChannel
 from pauli_dilate.dilations import (
-    Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators, depolarizing_isometry,
+    Isometry, defining_pauli_rep, solve_env_rep, solve_su2_generators,
 )
 from pauli_dilate.dynamics import (
     TIME_GRID,
@@ -30,7 +30,8 @@ from pauli_dilate.dynamics import (
 )
 from pauli_dilate.linalg import basis_state, frob_dist, kron
 from pauli_dilate.pauli import SX, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
-from reference_ops import fit_at, fit_pauli_transfer, haar_unitary, pauli_fit, transfer_by_traces
+from reference_ops import (fit_at, fit_pauli_transfer, haar_unitary, minimal_v, pauli_fit,
+                           transfer_by_traces)
 
 
 def replay_by_products(sched, pd):
@@ -144,7 +145,7 @@ class TestDepolarizingBuilder:
         sol = solve_env_rep(isometry_at(pd, 0.4), defining_pauli_rep())
         for g in sol.rep.labels:
             assert np.linalg.norm(sol.rep.mats[g] @ pd.psi_e - pd.psi_e) < 1e-10
-        gens = solve_su2_generators(depolarizing_isometry(0.3))
+        gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
         for j in (gens.jx, gens.jy, gens.jz):
             assert np.linalg.norm(j @ pd.psi_e) < 1e-12
 
@@ -235,7 +236,7 @@ class TestKrylov:
 
 
 def su2_total_generators():
-    gens = solve_su2_generators(depolarizing_isometry(0.3))
+    gens = solve_su2_generators(minimal_v(PauliChannel.depolarizing(0.3)))
     return [kron(s, np.eye(4)) + kron(np.eye(2), j)
             for s, j in zip((SX, to_matrix(pauli("Y")), SZ), (gens.jx, gens.jy, gens.jz))]
 

@@ -85,8 +85,7 @@ PUBLIC = {
     "collisions": ["CollisionConfig", "collision_channel", "convergence_report",
                    "fit_decay_rates"],
     "dilations": ["GroupRep", "Isometry", "SU2Generators", "channel_of_isometry",
-                  "check_strong_conservation", "defining_pauli_rep", "depolarizing_isometry",
-                  "dilation_from_kraus", "pauli_channel_isometry", "phase_damping_isometry",
+                  "check_strong_conservation", "defining_pauli_rep", "dilation_from_kraus",
                   "solve_env_rep", "solve_su2_generators"],
     "dynamics": ["ChannelGrid", "KrylovSubspace", "PhysicalDilation", "Schedule",
                  "build_depolarizing_dilation", "build_generic_pauli_dilation",

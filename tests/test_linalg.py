@@ -14,10 +14,9 @@ from pauli_dilate.linalg import (
     mat_exp_hermitian,
     mat_exp_hermitian_block,
     partial_trace_env,
-    trace_distance,
 )
 from pauli_dilate.pauli import ID2, SX, SZ
-from reference_ops import haar_unitary
+from reference_ops import haar_unitary, trace_distance
 
 finite_complex = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                                     allow_nan=False, allow_infinity=False)

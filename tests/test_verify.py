@@ -22,7 +22,7 @@ from pauli_dilate.dynamics import (
 from pauli_dilate.linalg import basis_state, frob_dist
 from pauli_dilate.pauli import SX, SZ, pauli, pauli_group, product_table, to_matrix
 from pauli_dilate.validation import DEFAULT_TOL
-from reference_ops import kraus_apply
+from reference_ops import kraus_apply, minimal_v
 
 
 def test_run_all_passes():
@@ -164,10 +164,10 @@ def fingerprint(x):
 @pytest.mark.parametrize("runs", [1, 2])
 def test_run_all_derives_each_shared_object_once_per_run(monkeypatch, runs):
     calls = Counter()
-    for module, name in ((dilations, "phase_damping_isometry"), (dilations, "depolarizing_isometry"),
+    for module, name in ((channels.PauliChannel, "minimal_dilation"),
                          (dilations, "solve_su2_generators"), (dilations, "solve_env_rep"),
                          (pauli_mod, "pauli_commutant"), (dynamics, "krylov_subspace"),
-                         (dynamics, "channels_on_grid")):
+                         (dynamics, "channels_on_grid"), (dynamics, "isometry_at")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name, fingerprint(args)] += 1
             return _real(*args)
@@ -177,8 +177,11 @@ def test_run_all_derives_each_shared_object_once_per_run(monkeypatch, runs):
     # no input is derived twice in a run, and no run reuses another's
     assert set(calls.values()) == {runs}
     per_name = Counter(name for name, _ in calls)
-    assert (per_name["phase_damping_isometry"], per_name["depolarizing_isometry"],
-            per_name["solve_su2_generators"], per_name["pauli_commutant"]) == (1, 1, 1, 2)
+    # five channels dilated: the two fixed-p ones and three generic draws
+    assert (per_name["minimal_dilation"], per_name["solve_su2_generators"],
+            per_name["pauli_commutant"], per_name["isometry_at"]) == (5, 1, 2, 10)
+    dilated = {args[0] for name, args in calls if name == "minimal_dilation"}
+    assert {PauliChannel.phase_damping(0.3), PauliChannel.depolarizing(0.3)} <= dilated
     commutants = {args[0] for name, args in calls if name == "pauli_commutant"}
     assert commutants == {tuple(pauli(s) for s in verify._DEPH_SYMMETRY),
                           tuple(pauli(s) for s in verify._DEP_SYMMETRY)}
@@ -295,8 +298,8 @@ def canonical_env_rep_by_label(dim_e, xy_sign=1):
 def environment_representations_loop():
     sys_rep = dilations.defining_pauli_rep()
     worst = 0.0
-    sol = dilations.solve_env_rep(dilations.phase_damping_isometry(0.3), sys_rep)
-    sol_dep = dilations.solve_env_rep(dilations.depolarizing_isometry(0.3), sys_rep)
+    sol = dilations.solve_env_rep(minimal_v(PauliChannel.phase_damping(0.3)), sys_rep)
+    sol_dep = dilations.solve_env_rep(minimal_v(PauliChannel.depolarizing(0.3)), sys_rep)
     for solved, want in ((sol, canonical_env_rep_by_label(2)),
                          (sol_dep, canonical_env_rep_by_label(4))):
         for g in sys_rep.labels:
@@ -311,7 +314,7 @@ def generic_rep_independence_loop(rng):
     for _ in range(3):
         p = rng.dirichlet(np.ones(4)) * 0.8 + 0.05
         p = p / p.sum()
-        reps.append(dilations.solve_env_rep(dilations.pauli_channel_isometry(p), sys_rep).rep)
+        reps.append(dilations.solve_env_rep(minimal_v(PauliChannel(p)), sys_rep).rep)
     worst = 0.0
     for one, two in zip(reps, reps[1:]):
         for g in sys_rep.labels:
