@@ -321,15 +321,13 @@ class PauliChannel:
     def minimal_dilation(self) -> MinimalDilation:
         """The isometry stacked from the Kraus operators of kraus_ops(), in closed form.
 
-        It is checked as dilations.dilation_from_kraus and Isometry check theirs:
-        sum_j K_j+ K_j (summed slot by slot) and V+ V (summed row by row) must be
-        the identity within DEFAULT_TOL.  A weight in (0, 5e-11] keeps a slot that
-        the Kraus rank does not count, and is rejected as not minimal.
+        It is checked as Isometry checks its V: V+ V = sum_j K_j+ K_j, summed row by
+        row, must be the identity within DEFAULT_TOL, and its deviation is the
+        `isometry_defect` that `dilate` prints.  A weight in (0, 5e-11] keeps a slot
+        that the Kraus rank does not count, and is rejected as not minimal.
         """
         slots = tuple(a for a, p in enumerate(self.p) if p > 0.0)
         kraus = [[[math.sqrt(self.p[a]) * v for v in row] for row in _SIGMA[a]] for a in slots]
-        if _gram_defect([row for k in kraus for row in k]) > DEFAULT_TOL:
-            raise ValueError("Kraus set is not trace preserving")
         rows = tuple(tuple(k[i]) for i in range(2) for k in kraus)
         defect = _gram_defect(rows)
         if defect > DEFAULT_TOL:

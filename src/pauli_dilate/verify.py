@@ -1,16 +1,18 @@
 """Cross-module invariant suite behind the `verify` CLI command.
 
-Each check returns a CheckResult with the worst observed residual and the
-tolerance it was held to.  Checks that take optional arguments can be
-re-run against perturbed inputs, which is how the suite is exercised in
-negative tests.
+CHECKS is the suite: one row per check, its printed name and its function, in
+the order `verify` prints them.  Every check is called as check(rng, fx), with
+the run's random generator and its _Fixture, and returns an unnamed CheckResult
+holding the worst observed residual and the tolerance it was held to; run_all
+names it from its row.  A few checks also take a keyword (pd, generators,
+h_env) so that negative tests can re-run them against perturbed inputs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -97,8 +99,9 @@ def _max_norm(diff: np.ndarray, axis=(-2, -1)) -> float:
 
 class _Fixture:
     """What several checks read, each derived on its first read and then shared.  run_all
-    makes one per run and a check called alone makes its own, so nothing outlives a run;
-    arrays are read-only and lists are tuples, so no check changes what the next reads."""
+    makes one per run and a caller that runs a check alone passes its own, so nothing
+    outlives a run; arrays are read-only and lists are tuples, so no check changes what
+    the next reads."""
 
     def __init__(self):
         self._made = {}
@@ -160,43 +163,42 @@ class _Fixture:
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     residual: float
     tol: float
     detail: str = ""
+    name: str = ""  # set by run_all from the check's row of CHECKS
 
 
-def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, residual <= tol, float(residual), tol, detail)
+def _result(residual: float, tol: float, detail: str = "") -> CheckResult:
+    return CheckResult(residual <= tol, float(residual), tol, detail)
 
 
-def check_pauli_group_closure() -> CheckResult:
+def check_pauli_group_closure(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     elements = pauli_mod.pauli_group()
     labels = tuple(str(p) for p in elements)
     try:
         table = pauli_mod.product_table(labels)
     except KeyError as exc:
-        return CheckResult("pauli-group-closure", False, math.inf, 0.0,
-                           f"product {exc} is outside the group")
+        return CheckResult(False, math.inf, 0.0, f"product {exc} is outside the group")
     mats = np.array([pauli_mod.to_matrix(p) for p in elements])
     # every entry is 0, +-1 or +-i, so the products are exact: any nonzero defect is a wrong product
     products = mats[:, None] @ mats[None, :]
     worst = float(np.max(np.linalg.norm(products - mats[table], axis=(2, 3))))
-    return CheckResult("pauli-group-closure", len(set(labels)) == 16 and worst == 0.0, worst, 0.0)
+    return CheckResult(len(set(labels)) == 16 and worst == 0.0, worst, 0.0)
 
 
-def check_commutation_vs_matrices() -> CheckResult:
+def check_commutation_vs_matrices(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     strings = list(pauli_mod.iter_strings(2))
     mats = np.array([pauli_mod.to_matrix(p) for p in strings])
     products = mats[:, None] @ mats[None, :]  # [i, j] holds M_i M_j
     numeric = np.linalg.norm(products - products.swapaxes(0, 1), axis=(2, 3)) < 1e-12
     algebraic = np.array([[pauli_mod.commutes(a, b) for b in strings] for a in strings])
     worst = 0.0 if np.array_equal(algebraic, numeric) else 1.0
-    return _result("pauli-commutation-vs-matrices", worst, 0.0)
+    return _result(worst, 0.0)
 
 
-def check_kron_and_trace_laws(rng: np.random.Generator) -> CheckResult:
+def check_kron_and_trace_laws(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     for _ in range(5):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -206,10 +208,10 @@ def check_kron_and_trace_laws(rng: np.random.Generator) -> CheckResult:
             linalg.kron(linalg.kron(a, b), c), linalg.kron(a, linalg.kron(b, c))))
         worst = max(worst, linalg.frob_dist(
             linalg.partial_trace_env(linalg.kron(a, b), 2, 2), a * np.trace(b)))
-    return _result("kron-and-partial-trace-laws", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_expm_group_law(rng: np.random.Generator) -> CheckResult:
+def check_expm_group_law(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     for _ in range(3):
         z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -217,7 +219,7 @@ def check_expm_group_law(rng: np.random.Generator) -> CheckResult:
         t1, t2 = rng.uniform(0.1, 1.5, size=2)
         u = linalg.mat_exp_hermitian(h, t1) @ linalg.mat_exp_hermitian(h, t2)
         worst = max(worst, linalg.frob_dist(u, linalg.mat_exp_hermitian(h, t1 + t2)))
-    return _result("matrix-exponential-group-law", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
 def _random_channels(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +237,7 @@ def _random_channels(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
     return p, vecs
 
 
-def check_channel_cptp(rng: np.random.Generator) -> CheckResult:
+def check_channel_cptp(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     p, r = _random_channels(rng, 100)
     kraus = channels.pauli_kraus(p)
     completeness = np.einsum("nkba,nkbc->nac", kraus.conj(), kraus) - np.eye(2)
@@ -245,18 +247,18 @@ def check_channel_cptp(rng: np.random.Generator) -> CheckResult:
     out = channels.kraus_action(kraus, channels.validate_density_matrices(channels.bloch_states(r)))
     traces = np.einsum("nii->n", out).real
     worst = max(worst, float(np.abs(traces - 1.0).max(initial=0.0)))
-    return _result("channel-cptp", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_bloch_scaling(rng: np.random.Generator) -> CheckResult:
+def check_bloch_scaling(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     p, r = _random_channels(rng, 20)
     states = channels.validate_density_matrices(channels.bloch_states(r))
     out = channels.bloch_vectors(channels.kraus_action(channels.pauli_kraus(p), states))
     worst = float(np.max(np.abs(out - channels.scalings_from_probs(p) * r)))
-    return _result("bloch-scaling-consistency", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_semigroup_composition(rng: np.random.Generator) -> CheckResult:
+def check_semigroup_composition(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         lv = channels.PauliLiouvillian(tuple(rng.uniform(0, 1.5, size=3)))
@@ -264,10 +266,10 @@ def check_semigroup_composition(rng: np.random.Generator) -> CheckResult:
         combined = channels.semigroup_channel(lv, s).compose(channels.semigroup_channel(lv, t))
         direct = channels.semigroup_channel(lv, s + t)
         worst = max(worst, float(np.max(np.abs(np.array(combined.p) - np.array(direct.p)))))
-    return _result("semigroup-composition", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_semigroup_derivative() -> CheckResult:
+def check_semigroup_derivative(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     lv = channels.PauliLiouvillian((0.3, 0.7, 0.2))
     rho = channels.bloch_state(np.array([0.3, -0.4, 0.5]))
     target = lv.apply(rho)
@@ -277,21 +279,18 @@ def check_semigroup_derivative() -> CheckResult:
 
     e1, e2 = err(1e-4), err(5e-5)
     ratio_ok = 0.4 <= e2 / e1 <= 0.6
-    return CheckResult("semigroup-generator-derivative", e1 < 1e-3 and ratio_ok,
-                       e1, 1e-3, f"ratio={e2 / e1:.3f}")
+    return CheckResult(e1 < 1e-3 and ratio_ok, e1, 1e-3, f"ratio={e2 / e1:.3f}")
 
 
-def check_isometry_closed_forms(fixture: _Fixture | None = None) -> CheckResult:
+def check_isometry_closed_forms(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     """The isometries that `dilate` prints, from PauliChannel.minimal_dilation(), against
     the hand-written matrices of their Kraus sets."""
-    fx = fixture or _Fixture()
     worst = max(linalg.frob_dist(fx.phase_damping_v.v, _phase_damping_v(0.3)),
                 linalg.frob_dist(fx.depolarizing_v.v, _depolarizing_v(0.3)))
-    return _result("isometry-closed-forms", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_environment_representations(fixture: _Fixture | None = None) -> CheckResult:
-    fx = fixture or _Fixture()
+def check_environment_representations(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     rep = fx.phase_damping_rep
     rep_dep = dilations.solve_env_rep(fx.depolarizing_v, dilations.defining_pauli_rep()).rep
@@ -299,10 +298,10 @@ def check_environment_representations(fixture: _Fixture | None = None) -> CheckR
         worst = max(worst, _max_norm(solved.stack - want))
     worst = max(worst, dilations.pauli_rep_law_defect(rep))
     worst = max(worst, dilations.pauli_rep_law_defect(rep_dep))
-    return _result("environment-representations", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
+def check_generic_rep_independence(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     sys_rep = dilations.defining_pauli_rep()
     stacks = []
     for _ in range(3):
@@ -312,40 +311,38 @@ def check_generic_rep_independence(rng: np.random.Generator) -> CheckResult:
         sol = dilations.solve_env_rep(v, sys_rep)
         stacks.append(sol.rep.stack)
     worst = _max_norm(np.diff(stacks, axis=0))
-    return _result("generic-representation-p-independence", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_su2_generators(fixture: _Fixture | None = None) -> CheckResult:
-    gens = (fixture or _Fixture()).su2
+def check_su2_generators(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
+    gens = fx.su2
     worst = linalg.frob_dist(gens.jz, _JZ)
     worst = max(worst, linalg.frob_dist(
         gens.jx @ gens.jy - gens.jy @ gens.jx, 2j * gens.jz))
     spectrum = np.sort(np.linalg.eigvalsh(gens.along((0.0, 0.0, 1.0))))
     worst = max(worst, float(np.max(np.abs(spectrum - np.array([-2.0, 0.0, 0.0, 2.0])))))
-    return _result("su2-generators", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_pauli_commutants(fixture: _Fixture | None = None) -> CheckResult:
-    fx = fixture or _Fixture()
+def check_pauli_commutants(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     ok = fx.commutant(_DEPH_SYMMETRY) == tuple(pauli_mod.pauli(s) for s in _DEPH_COMMUTANT)
     dep = fx.commutant(_DEP_SYMMETRY)
     ok = ok and len(dep) == _DEP_COMMUTANT_SIZE
     ok = ok and all(pauli_mod.pauli(s) in dep for s in pauli_mod.GENERIC_TERMS)
-    return CheckResult("pauli-commutants", ok, 0.0 if ok else 1.0, 0.0)
+    return CheckResult(ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_builder_time_laws(fixture: _Fixture | None = None) -> CheckResult:
-    fx = fixture or _Fixture()
+def check_builder_time_laws(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     for pd, a in _builders().values():
         grid = fx.grid(pd)
         laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
         worst = max(worst, float(grid.leakage.max()), float(np.max(np.abs(grid.probs - laws))))
-    return _result("builder-time-laws", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = None,
-                                      fixture: _Fixture | None = None) -> CheckResult:
+def check_invariant_environment_state(rng: np.random.Generator, fx: _Fixture,
+                                      pd: dynamics.PhysicalDilation | None = None) -> CheckResult:
     """The initial environment state must be fixed by the symmetry.
 
     Checks pi_E(g) |psi_E> = |psi_E> against the canonical representation of
@@ -353,29 +350,27 @@ def check_invariant_environment_state(pd: dynamics.PhysicalDilation | None = Non
     dilation's own isometry agrees with it.  A perturbed initial state still
     dilates *some* channel, but breaks both conditions.
     """
-    fx = fixture or _Fixture()
     targets = [pd] if pd is not None else [b for b, _ in _builders().values()]
     worst = 0.0
     for target in targets:
         if target.dim_e not in _ENV_REP_DIAG:
-            return CheckResult("invariant-environment-state", False, math.inf, 1e-10,
+            return CheckResult(False, math.inf, 1e-10,
                                f"no reference representation for dim_e={target.dim_e}")
         canonical = _canonical_env_rep(target.dim_e)
         worst = max(worst, _max_norm(canonical @ target.psi_e - target.psi_e, axis=-1))
         try:
             stack = fx.env_rep(target, 0.4).stack
         except (ToleranceError, ValueError) as exc:
-            return CheckResult("invariant-environment-state", False, math.inf, 1e-10, str(exc))
+            return CheckResult(False, math.inf, 1e-10, str(exc))
         worst = max(worst, _max_norm(stack - canonical),
                     _max_norm(stack @ target.psi_e - target.psi_e, axis=-1))
-    return _result("invariant-environment-state", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None = None,
-                                           generators=None,
-                                           fixture: _Fixture | None = None) -> CheckResult:
+def check_hamiltonian_commutant_membership(rng: np.random.Generator, fx: _Fixture,
+                                           pd: dynamics.PhysicalDilation | None = None,
+                                           generators=None) -> CheckResult:
     """Every Pauli term of the generator must lie in the symmetry commutant."""
-    fx = fixture or _Fixture()
     if pd is not None:
         cases = [(pd, generators)]
     else:
@@ -387,13 +382,13 @@ def check_hamiltonian_commutant_membership(pd: dynamics.PhysicalDilation | None 
         allowed = set(fx.commutant(labels))
         terms = pauli_mod.pauli_basis_expand(target.h, tol=1e-12)
         ok = ok and all(term in allowed for term in terms)
-    return CheckResult("hamiltonian-commutant-membership", ok, 0.0 if ok else 1.0, 0.0)
+    return CheckResult(ok, 0.0 if ok else 1.0, 0.0)
 
 
-def check_krylov_structure(fixture: _Fixture | None = None) -> CheckResult:
+def check_krylov_structure(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     worst = 0.0
     dep, _ = _builders()["depolarizing"]
-    k = (fixture or _Fixture()).krylov
+    k = fx.krylov
     ok = k.dim == 4
     p = k.projector()
     worst = max(worst, float(np.linalg.norm(dep.h @ p - p @ dep.h @ p)))
@@ -402,30 +397,28 @@ def check_krylov_structure(fixture: _Fixture | None = None) -> CheckResult:
     ok = ok and dynamics.krylov_subspace(pd_deph).dim == 4
     zero = dynamics.PhysicalDilation(np.zeros((8, 8)), linalg.basis_state("11"))
     ok = ok and dynamics.krylov_subspace(zero).dim == 2
-    return CheckResult("krylov-structure", ok and worst <= 1e-10, worst, 1e-10)
+    return CheckResult(ok and worst <= 1e-10, worst, 1e-10)
 
 
-def check_restricted_su2_conservation(fixture: _Fixture | None = None) -> CheckResult:
-    fx = fixture or _Fixture()
+def check_restricted_su2_conservation(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     dep, _ = _builders()["depolarizing"]
     worst = max(dynamics.restricted_commutator_norm(dep, s, fx.krylov) for s in fx.su2_totals)
-    return _result("restricted-su2-conservation", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_full_symmetrization(fixture: _Fixture | None = None) -> CheckResult:
-    fx = fixture or _Fixture()
+def check_full_symmetrization(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     dep, a = _builders()["depolarizing"]
     sym = dynamics.symmetrize_full(dep, fx.krylov)
     laws = np.array([_law(a, t) for t in dynamics.TIME_GRID])
     worst = float(np.max(np.abs(dynamics.channels_on_grid(sym, dynamics.TIME_GRID).probs - laws)))
     for s in fx.su2_totals:
         worst = max(worst, float(np.linalg.norm(s @ sym.h - sym.h @ s)))
-    return _result("full-symmetrization", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
-def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
-                                 h_env=pauli_mod.SX,
-                                 fixture: _Fixture | None = None) -> CheckResult:
+def check_rotating_phase_freedom(rng: np.random.Generator, fx: _Fixture,
+                                 pd: dynamics.PhysicalDilation | None = None,
+                                 h_env=pauli_mod.SX) -> CheckResult:
     """A free environment term I (x) h_env that commutes with H is redundant.
 
     The channel must be untouched, and the environment representation solved
@@ -438,9 +431,7 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
     lifted = linalg.kron(np.eye(pd.dim_s), h_env)
     commutator = float(np.linalg.norm(pd.h @ lifted - lifted @ pd.h))
     if commutator > 1e-12:
-        return CheckResult("rotating-phase-freedom", False, commutator, 1e-9,
-                           "free environment term does not commute with H")
-    fx = fixture or _Fixture()
+        return CheckResult(False, commutator, 1e-9, "free environment term does not commute with H")
     rotated = dynamics.PhysicalDilation(pd.h + lifted, pd.psi_e)
     rot = dynamics.channels_on_grid(rotated, dynamics.TIME_GRID)
     worst = float(np.max(np.abs(fx.grid(pd).probs - rot.probs)))
@@ -453,10 +444,10 @@ def check_rotating_phase_freedom(pd: dynamics.PhysicalDilation | None = None,
         worst = max(worst, _max_norm(rot - w @ base @ w.conj().T))
     w0 = linalg.mat_exp_hermitian(h_env, 0.0)
     worst = max(worst, _max_norm(w0 @ base @ w0.conj().T - base))
-    return _result("rotating-phase-freedom", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
-def check_alternate_initial_state() -> CheckResult:
+def check_alternate_initial_state(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     """H = Z (x) X run from |psi_E> = |0> instead of |1>.
 
     The channel stays phase damping with p = sin^2(t); the environment
@@ -477,26 +468,25 @@ def check_alternate_initial_state() -> CheckResult:
     stack = dilations.solve_env_rep(vs[0], dilations.defining_pauli_rep()).rep.stack
     worst = max(worst, _max_norm(stack - _canonical_env_rep(2, xy_sign=-1)),
                 _max_norm(stack @ pd.psi_e - pd.psi_e, axis=-1))
-    return _result("alternate-initial-state", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
-def check_strong_conservation_triviality(fixture: _Fixture | None = None) -> CheckResult:
+def check_strong_conservation_triviality(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     kraus = channels.PauliChannel.phase_damping(0.3).kraus_ops()
     conserved = dilations.check_strong_conservation(kraus, pauli_mod.SZ)
-    rep = (fixture or _Fixture()).phase_damping_rep
+    rep = fx.phase_damping_rep
     worst = linalg.frob_dist(rep.mats["Z"], _canonical_env_rep(2)[rep.labels.index("Z")])
-    return CheckResult("strong-conservation-triviality", conserved and worst <= 1e-10,
-                       worst, 1e-10)
+    return CheckResult(conserved and worst <= 1e-10, worst, 1e-10)
 
 
-def check_schedule_round_trip() -> CheckResult:
+def check_schedule_round_trip(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     sched = dynamics.schedule_for_target(lambda t: math.sin(3 * t) ** 2, 2.0, 200)
     grid = dynamics.replay_schedule(sched, _builders()["phase_damping"][0])
     worst = float(np.max(np.abs(grid.probs[:, 3] - np.sin(3 * grid.t) ** 2)))
-    return _result("schedule-round-trip", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
-def check_collision_bath_conditions() -> CheckResult:
+def check_collision_bath_conditions(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     psi = linalg.basis_state("11")
     worst = 0.0
     ops = [pauli_mod.to_matrix(pauli_mod.pauli(s)) for s in ("IX", "XI", "XX")]
@@ -516,42 +506,50 @@ def check_collision_bath_conditions() -> CheckResult:
         fast = channel.apply(fast)
         exact = dilations.channel_of_isometry(v, exact)
         worst = max(worst, linalg.frob_dist(fast, exact))
-    return _result("collision-bath-conditions", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_collision_convergence_trend() -> CheckResult:
+def check_collision_convergence_trend(rng: np.random.Generator, fx: _Fixture) -> CheckResult:
     entries = collisions.convergence_report((0, 0, 1), 1.0, [0.1, 0.05], 1.0)
     ok = entries[1].max_error < entries[0].max_error
-    return CheckResult("collision-convergence-trend", ok, entries[1].max_error,
-                       entries[0].max_error, f"errors={[e.max_error for e in entries]}")
+    return CheckResult(ok, entries[1].max_error, entries[0].max_error,
+                       f"errors={[e.max_error for e in entries]}")
+
+
+# The suite in printed order: each check's name, written only here, and its function.
+CHECKS = (
+    ("pauli-group-closure", check_pauli_group_closure),
+    ("pauli-commutation-vs-matrices", check_commutation_vs_matrices),
+    ("kron-and-partial-trace-laws", check_kron_and_trace_laws),
+    ("matrix-exponential-group-law", check_expm_group_law),
+    ("channel-cptp", check_channel_cptp),
+    ("bloch-scaling-consistency", check_bloch_scaling),
+    ("semigroup-composition", check_semigroup_composition),
+    ("semigroup-generator-derivative", check_semigroup_derivative),
+    ("isometry-closed-forms", check_isometry_closed_forms),
+    ("environment-representations", check_environment_representations),
+    ("generic-representation-p-independence", check_generic_rep_independence),
+    ("su2-generators", check_su2_generators),
+    ("pauli-commutants", check_pauli_commutants),
+    ("builder-time-laws", check_builder_time_laws),
+    ("invariant-environment-state", check_invariant_environment_state),
+    ("hamiltonian-commutant-membership", check_hamiltonian_commutant_membership),
+    ("krylov-structure", check_krylov_structure),
+    ("restricted-su2-conservation", check_restricted_su2_conservation),
+    ("full-symmetrization", check_full_symmetrization),
+    ("rotating-phase-freedom", check_rotating_phase_freedom),
+    ("alternate-initial-state", check_alternate_initial_state),
+    ("strong-conservation-triviality", check_strong_conservation_triviality),
+    ("schedule-round-trip", check_schedule_round_trip),
+    ("collision-bath-conditions", check_collision_bath_conditions),
+    ("collision-convergence-trend", check_collision_convergence_trend),
+)
 
 
 def run_all(seed: int = 1234) -> list[CheckResult]:
+    """Every check of CHECKS in order, on one generator and one fixture, each result named.
+
+    A check is called through the module attribute of its function's name, so a wrapper
+    rebound there (a tracer, a test's monkeypatch) is the one that runs."""
     rng, fx = np.random.default_rng(seed), _Fixture()
-    return [
-        check_pauli_group_closure(),
-        check_commutation_vs_matrices(),
-        check_kron_and_trace_laws(rng),
-        check_expm_group_law(rng),
-        check_channel_cptp(rng),
-        check_bloch_scaling(rng),
-        check_semigroup_composition(rng),
-        check_semigroup_derivative(),
-        check_isometry_closed_forms(fixture=fx),
-        check_environment_representations(fixture=fx),
-        check_generic_rep_independence(rng),
-        check_su2_generators(fixture=fx),
-        check_pauli_commutants(fixture=fx),
-        check_builder_time_laws(fixture=fx),
-        check_invariant_environment_state(fixture=fx),
-        check_hamiltonian_commutant_membership(fixture=fx),
-        check_krylov_structure(fixture=fx),
-        check_restricted_su2_conservation(fixture=fx),
-        check_full_symmetrization(fixture=fx),
-        check_rotating_phase_freedom(fixture=fx),
-        check_alternate_initial_state(),
-        check_strong_conservation_triviality(fixture=fx),
-        check_schedule_round_trip(),
-        check_collision_bath_conditions(),
-        check_collision_convergence_trend(),
-    ]
+    return [replace(globals()[check.__name__](rng, fx), name=name) for name, check in CHECKS]

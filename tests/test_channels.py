@@ -405,6 +405,14 @@ class TestClosedFormDilation:
         with pytest.raises(ValueError, match="four Kraus slots"):
             PauliChannel.phase_damping(0.3).minimal_dilation().su2_generators()
 
+    def test_isometry_is_checked_by_one_gram(self, monkeypatch):
+        # V+ V is sum_j K_j+ K_j, so one Gram over the rows of V checks both
+        grams = []
+        gram = channels._gram_defect
+        monkeypatch.setattr(channels, "_gram_defect", lambda rows: grams.append(rows) or gram(rows))
+        dil = PauliChannel.depolarizing(0.3).minimal_dilation()
+        assert grams == [dil.rows]
+
     def test_residuals_are_computed_against_the_isometry(self, monkeypatch):
         # a table that calls every slot commuting leaves V g != (g (x) pi_E(g)) V
         dil = PauliChannel((0.4, 0.3, 0.2, 0.1)).minimal_dilation()

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,33 @@ from pauli_dilate.validation import DEFAULT_TOL
 from reference_ops import kraus_apply, minimal_v
 
 
+def alone(check, *args, **kwargs):
+    """check run on its own: a fresh generator and fixture, then its own inputs."""
+    return check(np.random.default_rng(0), verify._Fixture(), *args, **kwargs)
+
+
 def test_run_all_passes():
     results = verify.run_all(seed=1234)
     failing = [r.name for r in results if not r.passed]
     assert not failing, failing
-    assert len(results) >= 20
+    names = [r.name for r in results]
+    assert names == [name for name, _ in verify.CHECKS]
+    assert len(set(names)) == 25
+
+
+def test_run_all_calls_each_check_through_its_module_attribute(monkeypatch):
+    # a tracer wraps a check by rebinding its module attribute: run_all must call the wrapper
+    calls = []
+    real = verify.check_krylov_structure
+
+    def wrapped(rng, fx):
+        calls.append(fx)
+        return replace(real(rng, fx), detail="wrapped")
+
+    monkeypatch.setattr(verify, "check_krylov_structure", wrapped)
+    results = verify.run_all(seed=3)
+    assert len(calls) == 1
+    assert [r.name for r in results if r.detail == "wrapped"] == ["krylov-structure"]
 
 
 def _random_channel_and_state(rng):
@@ -66,7 +89,7 @@ def test_stacked_channel_checks_match_per_channel_loops(seed):
     for check, loop in ((verify.check_channel_cptp, channel_cptp_loop),
                         (verify.check_bloch_scaling, bloch_scaling_loop)):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        result, want = check(rng), loop(oracle_rng)
+        result, want = check(rng, verify._Fixture()), loop(oracle_rng)
         assert result.passed == (want <= result.tol)
         assert abs(result.residual - want) <= 1e-15
         # the draws keep their order, so the next check sees the same stream
@@ -89,14 +112,14 @@ def test_random_channels_draw_in_the_loop_order(seed):
 ])
 def test_channel_cptp_fails_on_a_broken_stacked_form(monkeypatch, helper, broken):
     monkeypatch.setattr(channels, helper, broken(getattr(channels, helper)))
-    result = verify.check_channel_cptp(np.random.default_rng(0))
+    result = alone(verify.check_channel_cptp)
     assert not result.passed and result.residual > 1e-10
 
 
 def test_bloch_scaling_fails_on_wrong_scalings(monkeypatch):
     scalings = channels.scalings_from_probs
     monkeypatch.setattr(channels, "scalings_from_probs", lambda p: 0.99 * scalings(p))
-    assert not verify.check_bloch_scaling(np.random.default_rng(0)).passed
+    assert not alone(verify.check_bloch_scaling).passed
 
 
 def test_run_all_builds_the_builder_table_once(monkeypatch):
@@ -115,37 +138,17 @@ def test_run_all_builds_the_builder_table_once(monkeypatch):
                      "build_generic_pauli_dilation": 2}
 
 
-# run_all's checks in its order, the seeded ones marked
-RUN_ALL_CHECKS = (
-    (verify.check_pauli_group_closure, False), (verify.check_commutation_vs_matrices, False),
-    (verify.check_kron_and_trace_laws, True), (verify.check_expm_group_law, True),
-    (verify.check_channel_cptp, True), (verify.check_bloch_scaling, True),
-    (verify.check_semigroup_composition, True), (verify.check_semigroup_derivative, False),
-    (verify.check_isometry_closed_forms, False), (verify.check_environment_representations, False),
-    (verify.check_generic_rep_independence, True), (verify.check_su2_generators, False),
-    (verify.check_pauli_commutants, False), (verify.check_builder_time_laws, False),
-    (verify.check_invariant_environment_state, False),
-    (verify.check_hamiltonian_commutant_membership, False),
-    (verify.check_krylov_structure, False), (verify.check_restricted_su2_conservation, False),
-    (verify.check_full_symmetrization, False), (verify.check_rotating_phase_freedom, False),
-    (verify.check_alternate_initial_state, False),
-    (verify.check_strong_conservation_triviality, False),
-    (verify.check_schedule_round_trip, False), (verify.check_collision_bath_conditions, False),
-    (verify.check_collision_convergence_trend, False),
-)
-
-
 def result_bits(r):
-    return r.name, r.passed, float(r.residual).hex(), r.tol, r.detail
+    return r.passed, float(r.residual).hex(), r.tol, r.detail
 
 
 @settings(max_examples=15)
 @given(st.integers(0, 2**63 - 1))
 def test_run_all_matches_each_check_called_alone(seed):
-    # oracle: each check on its own, deriving what it reads with a fresh fixture
+    # oracle: each row of the table on its own, on the shared generator and a fresh fixture
     rng = np.random.default_rng(seed)
-    alone = [check(rng) if seeded else check() for check, seeded in RUN_ALL_CHECKS]
-    assert [result_bits(r) for r in verify.run_all(seed)] == [result_bits(r) for r in alone]
+    want = [(name, *result_bits(check(rng, verify._Fixture()))) for name, check in verify.CHECKS]
+    assert [(r.name, *result_bits(r)) for r in verify.run_all(seed)] == want
 
 
 def fingerprint(x):
@@ -218,47 +221,47 @@ def test_perturbed_hamiltonian_fails_commutant_membership():
     base = build_depolarizing_dilation()
     # X on the system alone anticommutes with the ZZZ symmetry string
     perturbed = PhysicalDilation(base.h + to_matrix(pauli("XII")), base.psi_e)
-    result = verify.check_hamiltonian_commutant_membership(
-        perturbed, generators=("ZZZ", "XZI", "YIZ"))
+    result = alone(verify.check_hamiltonian_commutant_membership,
+                   perturbed, generators=("ZZZ", "XZI", "YIZ"))
     assert not result.passed
 
 
 def test_perturbed_initial_state_fails_invariance():
     base = build_depolarizing_dilation()
     perturbed = PhysicalDilation(base.h, basis_state("10"))
-    result = verify.check_invariant_environment_state(perturbed)
+    result = alone(verify.check_invariant_environment_state, perturbed)
     assert not result.passed
 
 
 def test_environment_without_reference_fails_invariance():
     # three environment qubits: no builder family has that representation
     pd = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"))
-    result = verify.check_invariant_environment_state(pd)
+    result = alone(verify.check_invariant_environment_state, pd)
     assert not result.passed
     assert "dim_e=8" in result.detail
 
 
 def test_unperturbed_builders_pass_the_same_checks():
-    assert verify.check_hamiltonian_commutant_membership().passed
-    assert verify.check_invariant_environment_state().passed
+    assert alone(verify.check_hamiltonian_commutant_membership).passed
+    assert alone(verify.check_invariant_environment_state).passed
 
 
 class TestRotatingPhase:
     def test_free_environment_term_is_redundant(self):
-        result = verify.check_rotating_phase_freedom(build_phase_damping_dilation(), SX)
+        result = alone(verify.check_rotating_phase_freedom, build_phase_damping_dilation(), SX)
         assert result.passed
         assert result.residual < 1e-12
 
     def test_rejects_non_commuting_term(self):
         # [Z (x) X, I (x) Z] = -2i Z (x) Y, of Frobenius norm 4
-        result = verify.check_rotating_phase_freedom(build_phase_damping_dilation(), SZ)
+        result = alone(verify.check_rotating_phase_freedom, build_phase_damping_dilation(), SZ)
         assert not result.passed
         assert abs(result.residual - 4.0) < 1e-12
 
 
 class TestAlternateInitialState:
     def test_structure_of_zero_initialized_dilation(self):
-        result = verify.check_alternate_initial_state()
+        result = alone(verify.check_alternate_initial_state)
         assert result.passed
         assert result.residual < 1e-12
 
@@ -270,7 +273,7 @@ def test_pauli_group_closure_fails_on_a_wrong_product(monkeypatch):
                         lambda a, b: pauli_mod.PauliString(-right(a, b).phase, right(a, b).factors))
     product_table.cache_clear()
     try:
-        result = verify.check_pauli_group_closure()
+        result = alone(verify.check_pauli_group_closure)
     finally:
         product_table.cache_clear()
     assert not result.passed and result.residual > 0
@@ -278,7 +281,7 @@ def test_pauli_group_closure_fails_on_a_wrong_product(monkeypatch):
 
 def test_pauli_group_closure_fails_on_a_product_outside_the_group(monkeypatch):
     monkeypatch.setattr(pauli_mod, "pauli_group", lambda: pauli_group()[:-1])
-    result = verify.check_pauli_group_closure()
+    result = alone(verify.check_pauli_group_closure)
     assert not result.passed and result.residual == math.inf
     assert "outside the group" in result.detail
 
@@ -401,7 +404,7 @@ def test_canonical_stack_is_the_label_table_in_group_order(dim_e, xy_sign):
 @given(st.integers(0, 2**63 - 1))
 def test_stacked_generic_rep_independence_matches_per_label_loop(seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert_matches_loop(verify.check_generic_rep_independence(rng),
+    assert_matches_loop(verify.check_generic_rep_independence(rng, verify._Fixture()),
                         generic_rep_independence_loop(oracle_rng))
     assert rng.random() == oracle_rng.random()
 
@@ -432,23 +435,25 @@ def representation_cases():
     no_reference = PhysicalDilation(to_matrix(pauli("ZXXX")), basis_state("111"))
     return {
         "environment-representations": (
-            verify.check_environment_representations, environment_representations_loop),
+            lambda: alone(verify.check_environment_representations),
+            environment_representations_loop),
         "invariant-environment-state": (
-            verify.check_invariant_environment_state, invariant_environment_state_loop),
+            lambda: alone(verify.check_invariant_environment_state),
+            invariant_environment_state_loop),
         "invariant-environment-state, moved psi_E": (
-            lambda: verify.check_invariant_environment_state(moved),
+            lambda: alone(verify.check_invariant_environment_state, moved),
             lambda: invariant_environment_state_loop(moved)),
         "invariant-environment-state, no reference": (
-            lambda: verify.check_invariant_environment_state(no_reference),
+            lambda: alone(verify.check_invariant_environment_state, no_reference),
             lambda: invariant_environment_state_loop(no_reference)),
         "rotating-phase-freedom": (
-            lambda: verify.check_rotating_phase_freedom(deph, SX),
+            lambda: alone(verify.check_rotating_phase_freedom, deph, SX),
             lambda: rotating_phase_freedom_loop(deph, SX)),
         "rotating-phase-freedom, non-commuting term": (
-            lambda: verify.check_rotating_phase_freedom(deph, SZ),
+            lambda: alone(verify.check_rotating_phase_freedom, deph, SZ),
             lambda: rotating_phase_freedom_loop(deph, SZ)),
         "alternate-initial-state": (
-            verify.check_alternate_initial_state, alternate_initial_state_loop),
+            lambda: alone(verify.check_alternate_initial_state), alternate_initial_state_loop),
     }
 
 
@@ -476,7 +481,7 @@ def test_stacked_representation_checks_match_per_label_loops(monkeypatch, case, 
 @pytest.mark.parametrize("angle", [1e-12, 0.3])
 def test_perturbed_generic_rep_independence_matches_per_label_loop(monkeypatch, angle):
     reset = perturbed_solver(monkeypatch, angle)
-    result = verify.check_generic_rep_independence(np.random.default_rng(5))
+    result = verify.check_generic_rep_independence(np.random.default_rng(5), verify._Fixture())
     reset()
     assert_matches_loop(result, generic_rep_independence_loop(np.random.default_rng(5)))
     assert result.passed == (angle < 1e-10)
