@@ -9,7 +9,8 @@ collision duration).
 import argparse
 from pathlib import Path
 
-from pauli_dilate.collisions import CollisionConfig, convergence_report, fit_decay_rates
+from pauli_dilate.channels import semigroup_rates
+from pauli_dilate.collisions import CollisionConfig, collision_channel, convergence_report
 
 CONFIGS = {
     "dephasing": (0.0, 0.0, 1.0),
@@ -43,7 +44,8 @@ def main():
         for big, small in zip(errs, errs[1:]):
             print(f"  ratio {big / small:.3f}")
         fine = CollisionConfig(a, args.zeta, args.dts[-1])
-        print(f"  fitted rates at dt={args.dts[-1]}: {fit_decay_rates(fine)}"
+        rates = semigroup_rates(collision_channel(fine).bloch_scaling(), fine.dt)
+        print(f"  fitted rates at dt={args.dts[-1]}: {rates}"
               f" (targets {fine.rates()})")
 
 

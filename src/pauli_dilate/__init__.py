@@ -14,13 +14,11 @@ _MODULES = ("validation", "pauli", "linalg", "channels", "dilations", "dynamics"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "channels": ("PauliChannel", "PauliLiouvillian", "bloch_state", "bloch_vector",
-                 "channel_from_descriptor", "probs_from_scaling", "semigroup_channel"),
-    "collisions": ("CollisionConfig", "collision_channel", "convergence_report",
-                   "fit_decay_rates"),
+    "channels": ("PauliChannel", "PauliLiouvillian", "bloch_state", "channel_from_descriptor",
+                 "probs_from_scaling", "semigroup_channel", "semigroup_rates"),
+    "collisions": ("CollisionConfig", "collision_channel", "convergence_report"),
     "dilations": ("GroupRep", "Isometry", "SU2Generators", "channel_of_isometry",
-                  "check_strong_conservation", "defining_pauli_rep", "dilation_from_kraus",
-                  "solve_env_rep", "solve_su2_generators"),
+                  "defining_pauli_rep", "solve_env_rep", "solve_su2_generators"),
     "dynamics": ("ChannelGrid", "KrylovSubspace", "PhysicalDilation", "Schedule",
                  "build_depolarizing_dilation", "build_generic_pauli_dilation",
                  "build_phase_damping_dilation", "channels_on_grid", "isometry_at",

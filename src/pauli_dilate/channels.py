@@ -113,12 +113,6 @@ def bloch_vectors(rhos: np.ndarray) -> np.ndarray:
     return pauli._numpy().einsum("iab,nba->ni", pauli.PAULI_BASIS[1:], rhos).real
 
 
-def bloch_vector(rho) -> np.ndarray:
-    from .linalg import as_complex_matrix
-
-    return bloch_vectors(as_complex_matrix(rho)[None])[0]
-
-
 def _scalings(pi, px, py, pz):
     """Bloch scalings (lx, ly, lz) of probabilities, on Python floats or on numpy columns."""
     return pi + px - py - pz, pi - px + py - pz, pi - px - py + pz
@@ -203,8 +197,9 @@ class MinimalDilation:
 
     `slots` are the Kraus slots a with p_a > 0, as 0-3 in the order I, x, y, z.
     With r = len(slots), row i * r + j of `rows` is K_j[i, :] = sqrt(p_a) sigma_a[i, :]
-    for the j-th slot a: the layout of dilations.dilation_from_kraus.  `defect` is
-    ||V+ V - I||_F, summed row by row.
+    for the j-th slot a, so V |phi> = sum_j K_j |phi> (x) |e_j>: system index i
+    outer, environment slot j inner, and |e_0> = |1...1> in the descending basis of
+    the environment.  `defect` is ||V+ V - I||_F, summed row by row.
     """
 
     slots: tuple[int, ...]
@@ -383,14 +378,30 @@ def semigroup_scalings(gamma, t) -> np.ndarray:
         return np.exp(-t * (2.0 * (g.sum() - g)))
 
 
+def semigroup_rates(lam, t: float) -> np.ndarray:
+    """The rates gamma whose semigroup scales the Bloch vector by lam at time t.
+
+    The inverse of semigroup_scalings: u_i = -log(lambda_i) / (2 t) is
+    sum_{j != i} gamma_j, so gamma_i = sum(u) / 2 - u_i.
+    """
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"time must be finite and positive, got {t}")
+    np = pauli._numpy()
+    scalings = np.asarray(lam, dtype=float)
+    if scalings.min() <= 0:
+        raise ValueError("Bloch component crossed zero; cannot fit a decay rate")
+    u = -np.log(scalings) / (2.0 * t)
+    return u.sum() / 2.0 - u
+
+
 def semigroup_channel(lv: PauliLiouvillian, t: float) -> PauliChannel:
     """The Pauli channel exp(L t) in closed form, semigroup_scalings on Python floats.
 
     The exponent is never positive, and one past the float range is -inf, which
     math.exp takes to 0.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     total = sum(lv.gamma)
     return PauliChannel(_probs(*(math.exp(-t * (2.0 * (total - g))) for g in lv.gamma)))
 

@@ -149,17 +149,3 @@ def convergence_report(a: Sequence[float], zeta: float, dts: Sequence[float],
             table[s:s + len(k), 1] = 0.5 * np.linalg.norm(states - exact, axis=1)
         entries.append(ConvergenceEntry(run.dt, table))
     return entries
-
-
-def fit_decay_rates(cfg: CollisionConfig) -> np.ndarray:
-    """Recover gamma_i from the decay of the Bloch components.
-
-    Each component decays geometrically, r_i(k dt) = lambda_i^k r_i(0), so
-    the log-linear slope is exactly log(lambda_i) / dt; inverting
-    slope_i = -2 sum_{j != i} gamma_j gives the rates.
-    """
-    scalings = np.array(collision_channel(cfg).bloch_scaling())
-    if scalings.min() <= 0:
-        raise ValueError("Bloch component crossed zero; cannot fit a decay rate")
-    u = -np.log(scalings) / (2.0 * cfg.dt)
-    return u.sum() / 2.0 - u

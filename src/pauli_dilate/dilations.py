@@ -17,13 +17,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .linalg import as_complex_matrix, frob_dist, gram_defects, kron, partial_trace_env
+from .linalg import as_complex_matrix, frob_dist, gram_defects, partial_trace_env
 from .pauli import PAULI_BASIS, PHASES, pauli_group, product_table
-from .validation import (DEFAULT_TOL, ToleranceError, require_env_rep_residual, require_minimal,
+from .validation import (DEFAULT_TOL, require_env_rep_residual, require_minimal,
                          require_rotation_generators)
 
 
@@ -110,15 +110,6 @@ class EnvRepSolution:
     rep: GroupRep
     residuals: dict[str, float]
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
-    def unitarity_defects(self) -> dict[str, float]:
-        """The rep's unitarity defects, keyed by label like the residuals."""
-        return dict(zip(self.rep.labels, self.rep.unitarity_defects.tolist()))
-
 
 @functools.cache
 def defining_pauli_rep() -> GroupRep:
@@ -143,25 +134,6 @@ def pauli_rep_law_defect(rep: GroupRep) -> float:
     products = stack[:, None] @ stack[None, :]
     defects = np.linalg.norm(products - stack[product_table(rep.labels)], axis=(2, 3))
     return float(np.max(defects, initial=0.0))
-
-
-def dilation_from_kraus(kraus: Sequence[np.ndarray]) -> Isometry:
-    """Stack Kraus operators into the isometry V |phi> = sum_j K_j |phi> (x) |e_j>.
-
-    The environment basis is descending, so |e_0> = |1...1>.
-    """
-    ops = [as_complex_matrix(k) for k in kraus]
-    if not ops:
-        raise ValueError("need at least one Kraus operator")
-    dim_s = ops[0].shape[0]
-    if any(k.shape != (dim_s, dim_s) for k in ops):
-        raise ValueError("Kraus operators must be square and equally sized")
-    total = sum(k.conj().T @ k for k in ops)
-    if frob_dist(total, np.eye(dim_s)) > DEFAULT_TOL:
-        raise ValueError("Kraus set is not trace preserving")
-    # row (i, j) of V is row i of the j-th Kraus operator
-    v = np.stack(ops, axis=1)
-    return Isometry(v.reshape(dim_s * len(ops), dim_s))
 
 
 def channel_of_isometry(v: Isometry, rho) -> np.ndarray:
@@ -226,20 +198,3 @@ def solve_su2_generators(v: Isometry, tol: float = DEFAULT_TOL) -> SU2Generators
     )
     require_rotation_generators(max(max(residuals), algebra), tol)
     return SU2Generators(jx, jy, jz, residuals)
-
-
-def check_strong_conservation(kraus: Iterable[np.ndarray], j) -> bool:
-    """True iff j commutes with every Kraus operator.
-
-    When true, the constructed dilation is also checked to satisfy
-    V j = (j (x) I) V, which it must.
-    """
-    ops = [as_complex_matrix(k) for k in kraus]
-    jm = as_complex_matrix(j)
-    if any(frob_dist(jm @ k, k @ jm) > 1e-12 for k in ops):
-        return False
-    v = dilation_from_kraus(ops)
-    lift = frob_dist(v.v @ jm, kron(jm, np.eye(v.dim_e)) @ v.v)
-    if lift > DEFAULT_TOL:
-        raise ToleranceError(f"conserved quantity fails to lift to the dilation ({lift:.3e})")
-    return True

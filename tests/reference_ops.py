@@ -1,22 +1,44 @@
 """Reference operations that only the tests use: Haar-random unitaries, a Kraus sum, the
 trace distance, the per-time Pauli fit of a channel, the oracle of the time grid, and the
-per-letter rules of the Pauli string algebra, the oracle of its bit-mask path; and the
-minimal isometry of a Pauli channel as the solvers take it."""
+per-letter rules of the Pauli string algebra, the oracle of its bit-mask path; the minimal
+isometry of a Pauli channel as the solvers take it, and any Kraus list stacked into an
+isometry, the oracle of its row layout."""
 
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
 from pauli_dilate.channels import PauliChannel
 from pauli_dilate.dilations import Isometry
 from pauli_dilate.dynamics import PhysicalDilation, isometry_at
-from pauli_dilate.linalg import as_complex_matrix
+from pauli_dilate.linalg import as_complex_matrix, frob_dist
 from pauli_dilate.pauli import PauliString
+from pauli_dilate.validation import DEFAULT_TOL
 
 
 def minimal_v(channel: PauliChannel) -> Isometry:
     """The isometry that `dilate` prints for the channel, PauliChannel.minimal_dilation()."""
     return Isometry(channel.minimal_dilation().rows)
+
+
+def dilation_from_kraus(kraus: Sequence[np.ndarray]) -> Isometry:
+    """Stack Kraus operators into the isometry V |phi> = sum_j K_j |phi> (x) |e_j>.
+
+    The environment basis is descending, so |e_0> = |1...1>.
+    """
+    ops = [as_complex_matrix(k) for k in kraus]
+    if not ops:
+        raise ValueError("need at least one Kraus operator")
+    dim_s = ops[0].shape[0]
+    if any(k.shape != (dim_s, dim_s) for k in ops):
+        raise ValueError("Kraus operators must be square and equally sized")
+    total = sum(k.conj().T @ k for k in ops)
+    if frob_dist(total, np.eye(dim_s)) > DEFAULT_TOL:
+        raise ValueError("Kraus set is not trace preserving")
+    # row (i, j) of V is row i of the j-th Kraus operator
+    v = np.stack(ops, axis=1)
+    return Isometry(v.reshape(dim_s * len(ops), dim_s))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

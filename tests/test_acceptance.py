@@ -15,12 +15,12 @@ from pauli_dilate.channels import (
     PauliLiouvillian,
     bloch_state,
     semigroup_channel,
+    semigroup_rates,
 )
-from pauli_dilate.collisions import CollisionConfig, convergence_report, fit_decay_rates
+from pauli_dilate.collisions import CollisionConfig, collision_channel, convergence_report
 from pauli_dilate.dilations import (
     Isometry,
     defining_pauli_rep,
-    dilation_from_kraus,
     solve_env_rep,
     solve_su2_generators,
 )
@@ -41,7 +41,7 @@ from pauli_dilate.dynamics import (
 from pauli_dilate.linalg import basis_state, frob_dist, kron
 from pauli_dilate.pauli import (ID2, PAULI_BASIS, SIGMA, SX, SZ, multiply, pauli, pauli_commutant,
                                 pauli_group)
-from reference_ops import haar_unitary, kraus_apply, minimal_v
+from reference_ops import dilation_from_kraus, haar_unitary, kraus_apply, minimal_v
 
 SEED = 987654
 
@@ -286,7 +286,7 @@ def test_criterion_10_collision_convergence_and_rates():
             ok = ok and 1.6 <= ratio <= 2.4
             worst_ratio_dev = max(worst_ratio_dev, abs(ratio - 2.0))
         fine = CollisionConfig(a, 1.0, 0.0125)
-        rates = fit_decay_rates(fine)
+        rates = semigroup_rates(collision_channel(fine).bloch_scaling(), fine.dt)
         target = fine.rates()
         for got, want in zip(rates, target):
             if want > 0:

@@ -12,7 +12,6 @@ from pauli_dilate.channels import (
     PauliLiouvillian,
     bloch_state,
     bloch_states,
-    bloch_vector,
     bloch_vectors,
     channel_from_descriptor,
     kraus_action,
@@ -21,6 +20,7 @@ from pauli_dilate.channels import (
     probs_from_scaling,
     scalings_from_probs,
     semigroup_channel,
+    semigroup_rates,
     semigroup_scalings,
     validate_density_matrices,
     validate_density_matrix,
@@ -28,14 +28,13 @@ from pauli_dilate.channels import (
 from pauli_dilate.dilations import (
     GroupRep,
     defining_pauli_rep,
-    dilation_from_kraus,
     solve_env_rep,
     solve_su2_generators,
 )
 from pauli_dilate.linalg import as_complex_matrix, frob_dist
 from pauli_dilate.validation import DEFAULT_TOL, ToleranceError
 from pauli_dilate.pauli import ID2, SIGMA, SX, SY, SZ
-from reference_ops import kraus_apply
+from reference_ops import dilation_from_kraus, kraus_apply
 
 prob_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda v: tuple(x / sum(v) for x in v))
@@ -248,7 +247,7 @@ class TestBlochScaling:
     @given(prob_vectors, st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3))
     def test_consistency_with_apply(self, p, r):
         ch = PauliChannel(p)
-        out = bloch_vector(ch.apply(bloch_state(np.array(r))))
+        out = bloch_vectors(ch.apply(bloch_state(np.array(r)))[None])[0]
         assert np.max(np.abs(out - ch.bloch_scaling() * np.array(r))) < 1e-12
 
     def test_inversion_round_trip(self):
@@ -294,7 +293,7 @@ class TestStackedForms:
             assert np.array_equal(choi[i], ch.choi())
             assert np.array_equal(states[i], bloch_state(v))
             assert np.array_equal(out[i], ch.apply(states[i]))
-            assert np.array_equal(vecs[i], bloch_vector(out[i]))
+            assert np.array_equal(vecs[i], bloch_vectors(out[i][None])[0])
             assert np.array_equal(lam[i], ch.bloch_scaling())
             # the per-operator loops the stacked forms replaced
             assert frob_dist(out[i], kraus_apply(ops, states[i])) <= 1e-15
@@ -505,8 +504,10 @@ class TestSemigroup:
         assert np.allclose(ch.p, (1, 0, 0, 0))
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            semigroup_channel(PauliLiouvillian((1, 0, 0)), -0.1)
+        # a nan or inf time used to reach PauliChannel as nan probabilities, from -inf * 0
+        for t in (-0.1, math.nan, math.inf):
+            assert (_message(semigroup_channel, PauliLiouvillian((1, 0, 0)), t)
+                    == f"time must be finite and nonnegative, got {t}")
 
     def test_pure_dephasing_probabilities(self):
         g = 0.8
@@ -559,6 +560,21 @@ class TestSemigroup:
                     direct = prop @ rho.reshape(-1, order="F")
                     assert frob_dist(ch.apply(rho),
                                      direct.reshape(2, 2, order="F")) < 1e-12
+
+    @given(st.lists(st.floats(0, 2), min_size=3, max_size=3), st.floats(1e-3, 5))
+    def test_rates_invert_scalings(self, g, t):
+        got = semigroup_rates(semigroup_scalings(g, t), t)
+        assert np.all(np.abs(got - g) <= 1e-12 * np.maximum(1.0, np.abs(g)))
+
+    @pytest.mark.parametrize("lam", [(0.5, 0.0, 0.4), (0.5, 0.5, -0.2), (-1.0, -1.0, -1.0)])
+    def test_rates_reject_a_scaling_at_or_below_zero(self, lam):
+        with pytest.raises(ValueError, match="crossed zero"):
+            semigroup_rates(lam, 1.0)
+
+    def test_rates_reject_a_time_that_is_not_finite_and_positive(self):
+        for t in (0.0, -0.1, math.nan, math.inf):
+            assert (_message(semigroup_rates, (0.5, 0.5, 0.5), t)
+                    == f"time must be finite and positive, got {t}")
 
 
 class TestDescriptors:

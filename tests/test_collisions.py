@@ -11,8 +11,9 @@ from pauli_dilate.channels import (
     PauliChannel,
     PauliLiouvillian,
     bloch_state,
-    bloch_vector,
+    bloch_vectors,
     semigroup_channel,
+    semigroup_rates,
     validate_density_matrix,
 )
 from pauli_dilate.collisions import (
@@ -21,7 +22,6 @@ from pauli_dilate.collisions import (
     collision_channel,
     collision_hamiltonian,
     convergence_report,
-    fit_decay_rates,
 )
 from pauli_dilate.dynamics import build_generic_pauli_dilation
 from pauli_dilate.linalg import basis_state, frob_dist, partial_trace_env
@@ -194,13 +194,13 @@ class TestTrajectories:
             cfg = CollisionConfig((0, 0, 1), gamma, dt)
             traj = simulate_semigroup(cfg, round(1.0 / dt), rho0)
             worst = max(
-                abs(bloch_vector(state)[0] - math.exp(-2 * gamma * k * dt))
+                abs(bloch_vectors(state[None])[0, 0] - math.exp(-2 * gamma * k * dt))
                 for k, state in enumerate(traj))
             assert worst < budget
 
     def test_recovers_general_rates(self):
         cfg = CollisionConfig((0.8, 0.5, 0.3), 1.2, 0.0125)
-        rates = fit_decay_rates(cfg)
+        rates = semigroup_rates(collision_channel(cfg).bloch_scaling(), cfg.dt)
         target = cfg.rates()
         assert np.max(np.abs(rates - target) / target) < 0.02
 

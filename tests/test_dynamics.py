@@ -30,8 +30,8 @@ from pauli_dilate.dynamics import (
 )
 from pauli_dilate.linalg import basis_state, frob_dist, kron
 from pauli_dilate.pauli import SX, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
-from reference_ops import (fit_at, fit_pauli_transfer, haar_unitary, minimal_v, pauli_fit,
-                           transfer_by_traces)
+from reference_ops import (dilation_from_kraus, fit_at, fit_pauli_transfer, haar_unitary,
+                           minimal_v, pauli_fit, transfer_by_traces)
 
 
 def replay_by_products(sched, pd):
@@ -128,9 +128,6 @@ class TestDepolarizingBuilder:
     def test_isometry_matches_static_family_up_to_slot_phases(self):
         # the Hamiltonian generates the -i-phased variant of the static
         # family, exactly as it does for phase damping
-        from pauli_dilate.dilations import dilation_from_kraus
-        from pauli_dilate.channels import PauliChannel
-
         pd = build_depolarizing_dilation()
         t = 0.4
         p = math.sin(math.sqrt(3) * t) ** 2

@@ -12,7 +12,7 @@ from pauli_dilate import pauli as pauli_mod
 from pauli_dilate.channels import (
     PauliChannel,
     bloch_state,
-    bloch_vector,
+    bloch_vectors,
     validate_density_matrix,
 )
 from pauli_dilate.dynamics import (
@@ -80,7 +80,8 @@ def bloch_scaling_loop(rng):
     worst = 0.0
     for _ in range(20):
         ch, r, out = _random_channel_and_state(rng)
-        worst = max(worst, float(np.max(np.abs(bloch_vector(out) - ch.bloch_scaling() * r))))
+        scaled = bloch_vectors(out[None])[0]
+        worst = max(worst, float(np.max(np.abs(scaled - ch.bloch_scaling() * r))))
     return worst
 
 
@@ -239,6 +240,17 @@ def test_environment_without_reference_fails_invariance():
     result = alone(verify.check_invariant_environment_state, pd)
     assert not result.passed
     assert "dim_e=8" in result.detail
+
+
+def test_strong_conservation_fails_on_a_v_that_does_not_lift_z():
+    # the bit flip's V: its X block anticommutes with Z, so V Z = (Z (x) I) V fails by
+    # ||sqrt(0.3) (XZ - ZX)||_F = 2 sqrt(0.6)
+    fx = verify._Fixture()
+    fx.phase_damping_rep  # pi_E solved from the phase damping V first, so only the lift fails
+    fx.__dict__["phase_damping_v"] = minimal_v(PauliChannel((0.7, 0.3, 0, 0)))
+    result = verify.check_strong_conservation_triviality(np.random.default_rng(0), fx)
+    assert not result.passed
+    assert abs(result.residual - 2 * math.sqrt(0.6)) < 1e-12
 
 
 def test_unperturbed_builders_pass_the_same_checks():
