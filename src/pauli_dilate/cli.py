@@ -20,20 +20,21 @@ from typing import TYPE_CHECKING, Iterable
 # every command imports the layers it reads when it runs, so a process loads only those:
 # commutant loads pauli; channel, dilate and rep load pauli and channels, whose channel
 # arithmetic, minimal dilation and environment representation are closed forms in Python
-# floats; collide loads no dynamics or verify.  Only evolve, collide and verify import numpy
+# floats, and so does an evolve whose Hamiltonian has a closed-form law (every builder);
+# collide loads no dynamics or verify.  Only collide, verify and a fitted evolve import numpy
 from .validation import DEFAULT_TOL, ToleranceError, as_reals, check_keys
 
 if TYPE_CHECKING:
     import numpy as np
 
-# an evolve sample, CSV line included, costs about 6-8 us at 2-3 qubits and 11-12 us at
-# the 5-qubit Hamiltonian cap (2-core Intel Xeon VM, one BLAS thread): 10**5 samples
-# take ~0.7 s, or ~1.2 s at 5 qubits
+# an evolve sample, CSV line included, costs about 1.2-2.7 us in closed form, 2.6-2.9 us
+# fitted at 2-3 qubits and 5.6 us fitted at the 5-qubit Hamiltonian cap (2-core Intel Xeon
+# VM, one BLAS thread): 10**5 samples take at most ~0.6 s
 MAX_SAMPLES = 10**5
 
-# evolve fits its time grid this many rows per channels_on_grid call (a row holds only the
-# d x 2 block on psi_E, so one call peaks near 2 MB at 5 qubits whatever --samples is), and
-# evolve and collide render their CSV tables in slices of this many rows
+# evolve and collide render their CSV tables in slices of this many rows, one `%` operation
+# each; a fitted evolve fits this many rows per channels_on_grid call (a row holds only the
+# d x 2 block on psi_E, so one call peaks near 2 MB at 5 qubits whatever --samples is)
 GRID_CHUNK = 1024
 
 
@@ -202,28 +203,80 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    import numpy as np
-
-    from .dynamics import channels_on_grid, dilation_from_descriptor
+    from .channels import dilation_terms
+    from .pauli import anticommuting_law
 
     tmax = _nonneg(args.tmax, 2 * math.pi, "--tmax")
     tol = _nonneg(args.tol, DEFAULT_TOL, "--tol")
     samples = args.samples
     if not 0 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 0 and {MAX_SAMPLES}, got {samples}")
-    pd = dilation_from_descriptor(_load_descriptor(args.input))
-    ts = np.linspace(0.0, tmax, samples)
-    parts = ["t,pI,px,py,pz,leakage\n"]
-    worst_leak = 0.0
-    for s in range(0, samples, GRID_CHUNK):
-        grid = channels_on_grid(pd, ts[s:s + GRID_CHUNK])
-        worst_leak = max(worst_leak, float(grid.leakage.max()))
-        parts.append(_csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage))))
-    _emit(parts, args.output)
+    terms, psi_label = dilation_terms(_load_descriptor(args.input))
+    law = anticommuting_law(terms, psi_label)
+    if law is None:
+        rows, worst_leak = _fitted_rows(terms, psi_label, tmax, samples)
+    else:
+        rows, worst_leak = _law_rows(*law, tmax, samples), 0.0
+    _emit(chain(["t,pI,px,py,pz,leakage\n"], rows), args.output)
     if args.strict and worst_leak > tol:
         print(f"error: non-Pauli leakage {worst_leak:.3e} exceeds {tol:.1e}", file=sys.stderr)
         return 2
     return 0
+
+
+def _linspace(stop: float, n: int) -> list[float]:
+    """np.linspace(0.0, stop, n) bit for bit, for a finite stop of +0.0 or more.
+
+    That is k * (stop / (n - 1)) with the last entry stop; where the step underflows
+    to 0, numpy takes k / (n - 1) * stop instead, and so does this.
+    """
+    if n < 2:
+        return [0.0] * n
+    step = stop / (n - 1)
+    ts = [k * step for k in range(n)] if step else [k / (n - 1) * stop for k in range(n)]
+    ts[-1] = stop
+    return ts
+
+
+def _law_rows(omega: float, weights: tuple[float, ...], tmax: float, samples: int) -> list[str]:
+    """evolve's CSV rows of the closed-form law (pauli.anticommuting_law), in Python floats.
+
+    The rows of a slice of GRID_CHUNK times go through one `%` operation, in the
+    "%.12g" format of _csv_rows; the leakage is exactly 0.  As on the fitted path,
+    the phase of the largest time must stay finite.
+    """
+    top = tmax if samples > 1 else 0.0
+    if not math.isfinite(top * omega):
+        raise ValueError(f"exp(-i h t) overflows: t = {top} times the eigenvalue {omega:.6g}")
+    wi, wx, wy, wz = weights
+    cos, sin = math.cos, math.sin
+    ts = _linspace(tmax + 0.0, samples)  # + 0.0: a -0.0 tmax prints as 0
+    rows = []
+    for s in range(0, samples, GRID_CHUNK):
+        chunk = ts[s:s + GRID_CHUNK]
+        flat = []
+        for t in chunk:
+            c, s = cos(omega * t), sin(omega * t)
+            s2 = s * s
+            flat += (t, c * c + wi * s2, wx * s2, wy * s2, wz * s2)
+        rows.append("%.12g,%.12g,%.12g,%.12g,%.12g,0\n" * len(chunk) % tuple(flat))
+    return rows
+
+
+def _fitted_rows(terms, psi_label: str, tmax: float, samples: int) -> tuple[list[str], float]:
+    """evolve's CSV rows fitted by dynamics.channels_on_grid, and their largest leakage."""
+    import numpy as np
+
+    from .dynamics import channels_on_grid, dilation_from_terms
+
+    pd = dilation_from_terms(terms, psi_label)
+    ts = np.linspace(0.0, tmax, samples)
+    rows, worst_leak = [], 0.0
+    for s in range(0, samples, GRID_CHUNK):
+        grid = channels_on_grid(pd, ts[s:s + GRID_CHUNK])
+        worst_leak = max(worst_leak, float(grid.leakage.max()))
+        rows.append(_csv_rows(np.column_stack((grid.t, grid.probs, grid.leakage))))
+    return rows, worst_leak
 
 
 def cmd_collide(args) -> int:

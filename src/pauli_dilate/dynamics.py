@@ -4,7 +4,9 @@ A physical dilation is a Hermitian generator H on system (x) environment
 plus a pure environment state |psi_E>.  Evolving for time t and tracing out
 the environment yields a channel; for the builders in this module that
 channel is an exact Pauli channel at every time, and the induced probability
-laws are closed-form trigonometric functions of t.
+laws are closed-form trigonometric functions of t (pauli.anticommuting_law,
+which evolve renders).  The dense fits here hold for any generator, and they
+are the oracle of that law.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import probs_from_scaling
+from .channels import PHASE_DAMPING_DILATION, dilation_terms, generic_dilation, probs_from_scaling
 from .dilations import Isometry
 from .linalg import (
     as_complex_matrix,
@@ -26,15 +28,11 @@ from .linalg import (
     mat_exp_hermitian,
     mat_exp_hermitian_block,
 )
-from .pauli import GENERIC_TERMS, PAULI_BASIS, pauli, string_hamiltonian
-from .validation import DEFAULT_TOL, as_reals, check_keys, clipped_repr
+from .pauli import PAULI_BASIS, string_hamiltonian
+from .validation import DEFAULT_TOL
 
 # fixed verification grid for time sweeps
 TIME_GRID = np.linspace(0.0, 2.0 * np.pi, 25)
-
-# a channels_on_grid row costs 2-9 us up to 5 qubits and about 17 us at 6, where evolve
-# --samples 10**5 would run for about 2 s (2-core Intel Xeon VM, one BLAS thread)
-MAX_HAMILTONIAN_QUBITS = 5
 
 
 @dataclass(frozen=True)
@@ -178,10 +176,14 @@ def _grid_fits(pd: PhysicalDilation, thetas: np.ndarray, labels: np.ndarray) -> 
     return ChannelGrid(np.asarray(labels, dtype=float), probs_from_scaling(lam), leakage)
 
 
+def dilation_from_terms(terms, psi_label: str) -> PhysicalDilation:
+    """H = sum of c P over the (label, c) terms, started from the basis state |psi_label>."""
+    return PhysicalDilation(string_hamiltonian(terms), basis_state(psi_label))
+
+
 def build_phase_damping_dilation() -> PhysicalDilation:
     """H = Z (x) X with the environment qubit in |1>; p(t) = sin^2(t)."""
-    h = string_hamiltonian([("ZX", 1.0)])
-    return PhysicalDilation(h, basis_state("1"))
+    return dilation_from_terms(*PHASE_DAMPING_DILATION)
 
 
 def build_depolarizing_dilation() -> PhysicalDilation:
@@ -195,58 +197,12 @@ def build_generic_pauli_dilation(a1: float, a2: float, a3: float) -> PhysicalDil
     With xi = a1^2 + a2^2 + a3^2 the induced channel has
     p_i(t) = a_i^2 sin^2(sqrt(xi) t) / xi.
     """
-    h = string_hamiltonian(list(zip(GENERIC_TERMS, (a1, a2, a3))))
-    return PhysicalDilation(h, basis_state("11"))
+    return dilation_from_terms(*generic_dilation(a1, a2, a3))
 
 
 def dilation_from_descriptor(desc: dict) -> PhysicalDilation:
-    """Build a dilation from its JSON descriptor.
-
-    Supported forms:
-      {"builder": "phase_damping" | "depolarizing"}
-      {"builder": "generic", "a": [a1, a2, a3]}
-      {"hamiltonian": [["ZX", 1.0], ...], "psiE": "1"}
-    A key that the form does not read is rejected.
-    """
-    if not isinstance(desc, dict):
-        raise ValueError("dilation descriptor must be an object")
-    if "builder" in desc:
-        name = desc["builder"]
-        if name in ("phase_damping", "depolarizing", "generic"):
-            keys = ("builder", "a") if name == "generic" else ("builder",)
-            check_keys(desc, f"the {name!r} builder", keys)
-        if name == "phase_damping":
-            return build_phase_damping_dilation()
-        if name == "depolarizing":
-            return build_depolarizing_dilation()
-        if name == "generic":
-            a = as_reals(desc.get("a"), "'generic' field \"a\"", 3)
-            return build_generic_pauli_dilation(*a)
-        raise ValueError(f"unknown builder {clipped_repr(name)}")
-    if "hamiltonian" in desc:
-        check_keys(desc, "a custom Hamiltonian", ("hamiltonian", "psiE"))
-        terms = desc["hamiltonian"]
-        if not isinstance(terms, (list, tuple)) or not terms:
-            raise ValueError('"hamiltonian" needs a non-empty list of [string, coefficient] terms')
-        for term in terms:
-            if not (isinstance(term, (list, tuple)) and len(term) == 2
-                    and isinstance(term[0], str)):
-                raise ValueError(f"Hamiltonian term {clipped_repr(term)} is not a "
-                                 "[string, coefficient] pair")
-        lengths = {pauli(l).n_qubits for l, _ in terms}  # a phase prefix is no qubit
-        if len(lengths) != 1:
-            raise ValueError("Hamiltonian strings must share one length")
-        n, = lengths
-        if n > MAX_HAMILTONIAN_QUBITS:
-            raise ValueError(f"Hamiltonian strings act on {n} qubits, more than the cap of "
-                             f"{MAX_HAMILTONIAN_QUBITS}")
-        psi_label = desc.get("psiE")
-        if n < 2 or not isinstance(psi_label, str) or len(psi_label) != n - 1:
-            raise ValueError("psiE label must cover the environment qubits, and every "
-                             "Hamiltonian string needs the system qubit and at least one of them")
-        h = string_hamiltonian([(l, as_reals(c, f"coefficient of {l!r}")) for l, c in terms])
-        return PhysicalDilation(h, basis_state(psi_label))
-    raise ValueError("dilation descriptor needs 'builder' or 'hamiltonian'")
+    """Build a dilation from its JSON descriptor, in the forms channels.dilation_terms reads."""
+    return dilation_from_terms(*dilation_terms(desc))
 
 
 def krylov_subspace(pd: PhysicalDilation) -> KrylovSubspace:

@@ -10,10 +10,11 @@ PRA 70, 052328 (2004)): a string carries masks x and z, one bit per qubit
 with the first factor in the highest bit, and X = (1, 0), Y = (1, 1),
 Z = (0, 1).  Two strings commute iff the parity of (xa & zb) ^ (za & xb) is
 even, and a product is the XOR of the masks times a counted power of i.
-None of it needs numpy.  The matrix forms (ID2, SX, SY, SZ, SIGMA,
-FACTOR_MATS, PAULI_BASIS) are built, and numpy imported, on first use, by
-them or by to_matrix, string_hamiltonian, product_table and
-pauli_basis_expand.
+The same masks decide when a dilation sum c_k P_k evolves by a closed-form
+Pauli law (anticommuting_law).  None of it needs numpy.  The matrix forms
+(ID2, SX, SY, SZ, SIGMA, FACTOR_MATS, PAULI_BASIS) are built, and numpy
+imported, on first use, by them or by to_matrix, string_hamiltonian,
+product_table and pauli_basis_expand.
 """
 
 from __future__ import annotations
@@ -142,6 +143,42 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1 == 0
 
 
+def anticommuting_law(terms: Sequence[tuple[str, float]], psi_label: str
+                      ) -> tuple[float, tuple[float, float, float, float]] | None:
+    """(omega, (w_I, w_x, w_y, w_z)) of the dilation sum c_k P_k from |psi_label>, or None.
+
+    The law holds when every P_k has a real phase, the P_k anticommute pairwise,
+    and each environment factor flips |psi_E> to a basis state of its own (a
+    nonzero environment x-mask, no two alike).  Then H^2 = omega^2 I with
+    omega = |c|, so exp(-i H t) = cos(omega t) I - i sin(omega t) H / omega, and
+    the branches E_k |psi_E> are orthonormal and orthogonal to |psi_E>: the
+    channel at time t is p_I = cos^2(omega t) + w_I sin^2(omega t) and
+    p_a = w_a sin^2(omega t), where w_a sums (c_k / omega)^2 over the terms whose
+    system factor is a, with no leakage (Cattaneo, PRA 111, 022209 (2025)).  At
+    omega = 0 the channel is the identity.  None when a condition fails or
+    psi_label is no basis label.
+    """
+    if not psi_label or psi_label.strip("01"):
+        return None
+    strings = [pauli(label) for label, _ in terms]
+    env = (1 << len(psi_label)) - 1  # the environment qubits are the low bits
+    flips = set()
+    for k, p in enumerate(strings):
+        flip = p.x & env
+        if p.phase.imag or not flip or flip in flips:
+            return None
+        if any(commutes(p, q) for q in strings[:k]):
+            return None
+        flips.add(flip)
+    coeffs = [float(c) for _, c in terms]
+    omega = math.hypot(*coeffs)
+    weights = [0.0] * 4
+    if omega:
+        for p, c in zip(strings, coeffs):
+            weights["IXYZ".index(p.factors[0])] += (c / omega) ** 2
+    return omega, tuple(weights)
+
+
 def to_matrix(a: PauliString) -> np.ndarray:
     """Dense matrix in the descending tensor basis."""
     _numpy()
@@ -153,11 +190,19 @@ def to_matrix(a: PauliString) -> np.ndarray:
     return a.phase * m
 
 
-def string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
-    """The Hermitian matrix sum of c * P over (label, c) terms, each P of real phase."""
-    if not math.isfinite(sum(abs(float(c)) for _, c in terms)):  # bounds every entry of the sum
+def require_finite_sum(terms: Sequence[tuple[str, float]]) -> None:
+    """Reject (label, c) terms whose magnitudes |c| do not sum to a finite float.
+
+    The sum bounds every entry of sum c P and its every eigenvalue.
+    """
+    if not math.isfinite(sum(abs(float(c)) for _, c in terms)):
         raise ValueError("Hamiltonian coefficients must be finite, and so must the sum of "
                          f"their magnitudes, got {[float(c) for _, c in terms]}")
+
+
+def string_hamiltonian(terms: Sequence[tuple[str, float]]) -> np.ndarray:
+    """The Hermitian matrix sum of c * P over (label, c) terms, each P of real phase."""
+    require_finite_sum(terms)
     # summed in place in term order, so memory stays a few matrices however many terms there
     # are; from 0, as sum() starts, so a -0.0 entry adds up to the same bits
     h = 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -11,14 +13,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pauli_dilate import cli, dynamics
+from pauli_dilate.channels import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.cli import GRID_CHUNK, MAX_SAMPLES, _csv_rows, _fmt_real, _render_json, main
 from pauli_dilate.collisions import convergence_report
-from pauli_dilate.dynamics import MAX_HAMILTONIAN_QUBITS
 from pauli_dilate.pauli import MAX_COMMUTANT_QUBITS, PAULI_BASIS, pauli, to_matrix
 from pauli_dilate.validation import as_reals
 from reference_ops import fit_at
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# evolve inputs that pauli.anticommuting_law leaves to the dense fit: two anticommuting terms
+# that flip the environment alike, whose channel is no Pauli mixture, and a 5-qubit sum
+SHARED_FLIP = '{"hamiltonian":[["ZX",0.7],["XX",0.4]],"psiE":"1"}'
+FIVE_QUBITS = ('{"hamiltonian":[["XIXZY",0.3],["YZIXX",0.8],["ZXYIZ",-0.6],["IXZYX",0.5]],'
+               '"psiE":"1010"}')
+EVOLVE_HEADER = "t,pI,px,py,pz,leakage\n"
+
+
+def assert_rows_match_dense_fit(out, desc, tmax, samples):
+    """Every printed row of a closed-form evolve within 1e-12 of channels_on_grid's fit,
+    and t as np.linspace prints."""
+    ts = np.linspace(0.0, tmax, samples)
+    grid = dynamics.channels_on_grid(dynamics.dilation_from_descriptor(json.loads(desc)), ts)
+    lines = out.splitlines()
+    assert lines[0] + "\n" == EVOLVE_HEADER and len(lines) == samples + 1
+    for line, t, probs, leakage in zip(lines[1:], ts, grid.probs, grid.leakage):
+        got = line.split(",")
+        assert got[0] == _fmt_real(t)
+        assert np.max(np.abs(np.array(got[1:5], dtype=float) - probs)) <= 1e-12
+        assert abs(float(got[5]) - leakage) <= 1e-12
 
 
 def run_cli(args, capsys):
@@ -256,11 +279,13 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("samples", [0, 1, 255, 256, 257, 513])
     @pytest.mark.parametrize("desc", ['{"builder":"generic","a":[0.6,0.5,0.3]}',
-                                      '{"hamiltonian":[["ZX",1.3]],"psiE":"1"}'],
-                             ids=["generic", "zx"])
+                                      '{"hamiltonian":[["ZX",1.3]],"psiE":"1"}', SHARED_FLIP],
+                             ids=["generic", "zx", "shared-flip"])
     def test_grid_rows_match_per_sample_oracle(self, capsys, monkeypatch, desc, samples):
-        # the chunked rows are one unchunked grid bit for bit, and each row is the
-        # per-time oracle's fit: its own propagator and an einsum transfer matrix
+        # each row is within 1e-12 of the per-time oracle's fit: its own propagator and an
+        # einsum transfer matrix.  On the dense path the chunked rows are one unchunked grid
+        # bit for bit; the closed form of generic and zx fits no table, and its printed rows
+        # are held to the oracle
         monkeypatch.setattr(cli, "GRID_CHUNK", 256)
         tables = []
 
@@ -271,16 +296,24 @@ class TestEvolveCommand:
         code, out, err = run_cli(["evolve", "--in", desc, "--tmax", "3.7",
                                   "--samples", str(samples)], capsys)
         assert code == 0 and err == ""
-        table = np.concatenate(tables) if tables else np.empty((0, 6))
-        assert out == "t,pI,px,py,pz,leakage\n" + _csv_rows(table)
         ts = np.linspace(0.0, 3.7, samples)
-        assert np.array_equal(table[:, 0], ts)
         pd = dynamics.dilation_from_descriptor(json.loads(desc))
+        oracle = [fit_at(pd, t) for t in ts]
+        if desc != SHARED_FLIP:
+            assert tables == []
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [row[0] for row in rows] == [_fmt_real(t) for t in ts]
+            for row, (probs, leakage) in zip(rows, oracle, strict=True):
+                assert np.max(np.abs(np.array(row[1:5], dtype=float) - probs)) <= 1e-12
+                assert abs(float(row[5]) - leakage) <= 1e-12
+            return
+        table = np.concatenate(tables) if tables else np.empty((0, 6))
+        assert out == EVOLVE_HEADER + _csv_rows(table)
+        assert np.array_equal(table[:, 0], ts)
         whole = dynamics.channels_on_grid(pd, ts)
         assert np.array_equal(table[:, 1:5], whole.probs)
         assert np.array_equal(table[:, 5], whole.leakage)
-        for row, t in zip(table, ts):
-            probs, leakage = fit_at(pd, t)
+        for row, (probs, leakage) in zip(table, oracle):
             assert np.max(np.abs(row[1:5] - probs)) <= 1e-12
             assert abs(row[5] - leakage) <= 1e-12
 
@@ -293,20 +326,30 @@ class TestEvolveCommand:
             return on_grid(pd, times)
         monkeypatch.setattr(dynamics, "channels_on_grid", spy)
         monkeypatch.setattr(cli, "GRID_CHUNK", 256)
-        code, out, err = run_cli(["evolve", "--in", '{"builder":"depolarizing"}',
-                                  "--tmax", "2.0", "--samples", "600", "--strict"], capsys)
+        code, out, err = run_cli(["evolve", "--in", SHARED_FLIP,
+                                  "--tmax", "2.0", "--samples", "600"], capsys)
         assert code == 0, err
         assert len(out.splitlines()) == 601
         assert [len(c) for c in chunks] == [256, 256, 88]
         assert np.array_equal(np.concatenate(chunks), np.linspace(0.0, 2.0, 600))
+        # a builder is rendered from its closed form in the same slices, with no fit
+        chunks.clear()
+        argv = ["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "2.0",
+                "--samples", "600", "--strict"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert chunks == []
+        monkeypatch.setattr(cli, "GRID_CHUNK", 1024)
+        assert run_cli(argv, capsys) == (0, out, "")
+        assert_rows_match_dense_fit(out, '{"builder":"depolarizing"}', 2.0, 600)
 
-    @pytest.mark.parametrize("argv", [
-        ["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "3.14", "--samples", "50"],
-        ["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1"}', "--strict"],
-        ["evolve", "--in", '{"hamiltonian":[["XIXZY",0.3],["YZIXX",0.8],["ZXYIZ",-0.6],'
-                           '["IXZYX",0.5]],"psiE":"1010"}', "--tmax", "7.5", "--samples", "1500"],
+    @pytest.mark.parametrize("argv, dense", [
+        (["evolve", "--in", '{"builder":"depolarizing"}', "--tmax", "3.14", "--samples", "50"],
+         False),
+        (["evolve", "--in", '{"hamiltonian":[["ZX",1.0]],"psiE":"1"}', "--strict"], False),
+        (["evolve", "--in", FIVE_QUBITS, "--tmax", "7.5", "--samples", "1500"], True),
     ], ids=["depolarizing", "zx", "five-qubits"])
-    def test_output_does_not_depend_on_the_chunk(self, capsys, monkeypatch, argv):
+    def test_output_does_not_depend_on_the_chunk(self, capsys, monkeypatch, argv, dense):
         chunks = []
         on_grid = dynamics.channels_on_grid
 
@@ -320,9 +363,15 @@ class TestEvolveCommand:
             chunks.clear()
             code, out, err = run_cli(argv, capsys)
             assert code == 0, err
-            assert max(chunks) <= chunk and sum(chunks) == len(out.splitlines()) - 1
+            assert max(chunks, default=0) <= chunk
+            assert sum(chunks) == (len(out.splitlines()) - 1 if dense else 0)
             outs.add(out)
         assert len(outs) == 1
+        if dense:
+            return
+        tmax = float(argv[argv.index("--tmax") + 1]) if "--tmax" in argv else 2 * math.pi
+        samples = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 25
+        assert_rows_match_dense_fit(out, argv[2], tmax, samples)
 
     def test_strict_reads_the_leakage_of_every_chunk(self, capsys, monkeypatch):
         # a system rotation leaks more as t grows up to pi/4, so the worst row of the
@@ -346,6 +395,51 @@ class TestEvolveCommand:
         assert code == 0
         leaks = [float(line.split(",")[-1]) for line in out.strip().splitlines()[1:]]
         assert max(leaks) > 0.1
+
+
+    @pytest.mark.parametrize("desc", ['{"builder":"depolarizing"}', '{"builder":"phase_damping"}',
+                                      '{"builder":"generic","a":[0.6,-0.5,0.3]}',
+                                      '{"hamiltonian":[["ZX",1.3]],"psiE":"0"}'])
+    def test_closed_form_leaks_nothing_at_zero_tolerance(self, capsys, desc):
+        # the closed form's leakage is exactly 0, so --strict passes even at --tol 0; the
+        # fitted depolarizing channel exited 2 there on a leakage of 3.6e-15
+        code, out, err = run_cli(["evolve", "--in", desc, "--strict", "--tol", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert all(line.endswith(",0") for line in out.splitlines()[1:])
+        code, _, err = run_cli(["evolve", "--in", SHARED_FLIP, "--strict", "--tol", "0"], capsys)
+        assert code == 2 and "leakage" in err
+
+    @pytest.mark.parametrize("terms, psi_label", [
+        ([["ZX", 0.7], ["XX", 0.4]], "1"),
+        ([["XZ", 1.0]], "1"),
+        ([["ZXI", 1.0], ["ZIX", 1.0]], "11"),
+        ([["ZX", 0.7], ["ZX", 0.4]], "1"),
+    ], ids=["shared-flip", "z-type-environment", "commuting-pair", "duplicated-label"])
+    def test_sums_off_the_closed_form_are_fitted(self, capsys, monkeypatch, terms, psi_label):
+        calls = []
+        on_grid = dynamics.channels_on_grid
+
+        def spy(pd, times):
+            calls.append(len(times))
+            return on_grid(pd, times)
+        monkeypatch.setattr(dynamics, "channels_on_grid", spy)
+        desc = json.dumps({"hamiltonian": terms, "psiE": psi_label})
+        code, out, err = run_cli(["evolve", "--in", desc, "--samples", "9"], capsys)
+        assert (code, err) == (0, "")
+        assert calls == [9]
+
+    @given(tmax=st.floats(0, 1e300) | st.sampled_from([0.0, 5e-324, 1e-320, 2 * math.pi, 3.7]),
+           samples=st.sampled_from([0, 1, 2, 255, 1025]))
+    def test_time_column_is_linspace_bit_for_bit(self, tmax, samples):
+        want = np.linspace(0.0, tmax, samples)
+        assert np.array(cli._linspace(tmax, samples), dtype=float).tobytes() == want.tobytes()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["evolve", "--in", '{"builder":"phase_damping"}', "--tmax", repr(tmax),
+                         "--samples", str(samples)])
+        assert code == 0
+        assert [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]] == [
+            _fmt_real(t) for t in want]
 
 
 class TestCollideCommand:
@@ -471,11 +565,16 @@ class TestCollideCommand:
                      id="evolve_phase_damping.csv"),
     ])
     def test_readme_examples_match_golden(self, capsys, golden, argv):
-        # the dt and t columns are exact; computed columns may move by rounding
-        # in the last digits
-        want = (GOLDEN / golden).read_text().splitlines()
+        # evolve renders its closed form in Python floats, so its tables are exact; in the
+        # collide tables the dt and t columns are exact, and computed columns may move by
+        # rounding in the last digits
+        want = (GOLDEN / golden).read_text()
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
+        if golden.startswith("evolve"):
+            assert out == want
+            return
+        want = want.splitlines()
         got = out.splitlines()
         assert got[0] == want[0]
         assert len(got) == len(want)

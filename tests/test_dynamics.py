@@ -28,8 +28,10 @@ from pauli_dilate.dynamics import (
     schedule_for_target,
     symmetrize_full,
 )
+from pauli_dilate.dynamics import dilation_from_terms
 from pauli_dilate.linalg import basis_state, frob_dist, kron
-from pauli_dilate.pauli import SX, SZ, pauli, pauli_basis_expand, pauli_commutant, to_matrix
+from pauli_dilate.pauli import (SX, SZ, anticommuting_law, commutes, pauli, pauli_basis_expand,
+                                pauli_commutant, to_matrix)
 from reference_ops import (dilation_from_kraus, fit_at, fit_pauli_transfer, haar_unitary,
                            minimal_v, pauli_fit, transfer_by_traces)
 
@@ -430,6 +432,69 @@ class TestSchedule:
             assert grid.t[k] == t_end
             assert np.max(np.abs(grid.probs[k] - probs)) < 1e-12
             assert abs(grid.leakage[k] - leakage) < 1e-12
+
+
+@st.composite
+def anticommuting_sums(draw):
+    """(terms, psiE label) of a random sum that anticommuting_law takes in closed form.
+
+    Candidate strings have a nonzero environment x-mask, the first one the system
+    factor I; a candidate joins when it anticommutes with every kept string and
+    flips the environment differently from each of them.
+    """
+    n = draw(st.integers(2, 5))
+    env = (1 << (n - 1)) - 1
+    psi_label = draw(st.text("01", min_size=n - 1, max_size=n - 1))
+    candidates = draw(st.lists(st.tuples(
+        st.sampled_from("IXYZ"), st.integers(1, env), st.integers(0, env),
+        st.sampled_from(["", "-"]), st.floats(-2, 2)), min_size=6, max_size=12))
+    kept, terms = [], []
+    for k, (system, x, z, sign, c) in enumerate(candidates):
+        letters = ("I" if k == 0 else system) + "".join(
+            "IZXY"[(x >> q & 1) << 1 | z >> q & 1] for q in reversed(range(n - 1)))
+        p = pauli(sign + letters)
+        if all(not commutes(p, q) and p.x & env != q.x & env for q in kept):
+            kept.append(p)
+            terms.append((sign + letters, c))
+    return terms, psi_label
+
+
+class TestAnticommutingLaw:
+    """pauli.anticommuting_law against the dense fit of channels_on_grid, its oracle."""
+
+    @given(anticommuting_sums(), st.lists(st.floats(0, 8), min_size=1, max_size=6))
+    @example(([("ZX", 1.0)], "1"), [0.0, math.pi / 4, 2.0])
+    @example(([("XIX", 0.6), ("YXI", -0.5), ("ZXX", 0.3)], "11"), [0.7, 5.0])
+    @example(([("ZX", 0.0)], "0"), [1.0])
+    def test_matches_the_dense_fit(self, sum_and_label, times):
+        terms, psi_label = sum_and_label
+        law = anticommuting_law(terms, psi_label)
+        assert law is not None
+        omega, (wi, wx, wy, wz) = law
+        grid = channels_on_grid(dilation_from_terms(terms, psi_label), times)
+        for t, probs in zip(times, grid.probs, strict=True):
+            c2, s2 = math.cos(omega * t) ** 2, math.sin(omega * t) ** 2
+            closed = [c2 + wi * s2, wx * s2, wy * s2, wz * s2]
+            assert np.max(np.abs(probs - closed)) <= 1e-12
+        assert np.max(grid.leakage) <= 1e-12
+
+    def test_weights_are_the_squared_coefficients_over_their_sum(self):
+        omega, weights = anticommuting_law([("XIX", 0.6), ("-IYZ", -0.5)], "10")
+        assert omega == math.hypot(0.6, -0.5)
+        assert weights == ((0.5 / omega) ** 2, (0.6 / omega) ** 2, 0.0, 0.0)
+        assert anticommuting_law([("ZX", 0.0)], "1") == (0.0, (0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("terms, psi_label", [
+        ([("ZX", 0.7), ("XX", 0.4)], "1"),
+        ([("XZ", 1.0)], "1"),
+        ([("ZXI", 1.0), ("ZIX", 1.0)], "11"),
+        ([("ZX", 0.7), ("ZX", 0.4)], "1"),
+        ([("+iZX", 1.0)], "1"),
+        ([("ZX", 1.0)], "2"),
+    ], ids=["shared-flip", "z-type-environment", "commuting-pair", "duplicated-label",
+            "imaginary-phase", "bad-label"])
+    def test_returns_none_off_its_conditions(self, terms, psi_label):
+        assert anticommuting_law(terms, psi_label) is None
 
 
 class TestDescriptors:

@@ -35,23 +35,27 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                                     if m.startswith("pauli_dilate."))}))
 """
 
-# what every command loads; commutant does no numerical work, and channel, dilate and rep
-# work in Python floats, so these four load neither linalg nor numpy
+# what every command loads; commutant does no numerical work, and channel, dilate, rep and
+# the closed-form evolve of a builder work in Python floats, so these load neither linalg nor
+# numpy.  An evolve Hamiltonian off the closed form ([["XI", 1.0]] leaks) is fitted with numpy
 BASE = {"cli", "validation"}
-NUMPY_FREE = {"commutant", "channel", "dilate", "rep"}
-COMMANDS = {
-    "commutant": (["--in", '{"generators": ["ZZ", "XX"], "qubits": 2}'], {"pauli"}),
-    "channel": (["--in", '{"type": "liouvillian", "gamma": [0.1, 0.2, 0.3]}'],
-                {"pauli", "channels"}),
-    "dilate": (["--in", '{"type": "pauli", "p": [0.4, 0.3, 0.2, 0.1]}'],
-               {"pauli", "channels"}),
-    "rep": (["--in", '{"type": "depolarizing", "p": 0.3}'], {"pauli", "channels"}),
-    "collide": (["--in", '{"a": [0.5, 0.4, 0.3], "zeta": 1.0, "dts": [0.1, 0.05], '
-                 '"t_final": 0.5}'], {"pauli", "channels", "collisions"}),
-    "evolve": (["--in", '{"builder": "generic", "a": [0.5, 0.4, 0.3]}', "--samples", "3"],
-               {"linalg", "pauli", "channels", "dilations", "dynamics"}),
-    "verify": ([], {"linalg", "pauli", "channels", "dilations", "dynamics", "collisions",
-                    "verify"}),
+PROBES = {
+    "commutant": (["commutant", "--in", '{"generators": ["ZZ", "XX"], "qubits": 2}'],
+                  {"pauli"}, False),
+    "channel": (["channel", "--in", '{"type": "liouvillian", "gamma": [0.1, 0.2, 0.3]}'],
+                {"pauli", "channels"}, False),
+    "dilate": (["dilate", "--in", '{"type": "pauli", "p": [0.4, 0.3, 0.2, 0.1]}'],
+               {"pauli", "channels"}, False),
+    "rep": (["rep", "--in", '{"type": "depolarizing", "p": 0.3}'], {"pauli", "channels"}, False),
+    "collide": (["collide", "--in", '{"a": [0.5, 0.4, 0.3], "zeta": 1.0, "dts": [0.1, 0.05], '
+                 '"t_final": 0.5}'], {"pauli", "channels", "collisions"}, True),
+    "evolve": (["evolve", "--in", '{"builder": "generic", "a": [0.5, 0.4, 0.3]}',
+                "--samples", "3"], {"pauli", "channels"}, False),
+    "evolve-fitted": (["evolve", "--in", '{"hamiltonian": [["XI", 1.0]], "psiE": "1"}',
+                       "--samples", "3"],
+                      {"linalg", "pauli", "channels", "dilations", "dynamics"}, True),
+    "verify": (["verify"], {"linalg", "pauli", "channels", "dilations", "dynamics",
+                            "collisions", "verify"}, True),
 }
 
 
@@ -63,13 +67,13 @@ def _run(code: str, *args: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("command", list(PROBES))
 def test_command_loads_only_its_layers(command):
-    argv, layers = COMMANDS[command]
-    got = json.loads(_run(PROBE, json.dumps([command, *argv])))
+    argv, layers, numpy = PROBES[command]
+    got = json.loads(_run(PROBE, json.dumps(argv)))
     assert got["code"] == 0
     assert set(got["modules"]) == BASE | layers
-    assert got["numpy"] == (command not in NUMPY_FREE)
+    assert got["numpy"] == numpy
 
 
 def test_importing_the_package_loads_no_module():
